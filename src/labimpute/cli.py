@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 bad input data or config,
-3 violated internal guarantee.
+3 violated internal guarantee, including an experiment run that failed on an
+exception other than bad input (its result tables are still written).
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0,
                         help="master random seed (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads where supported (default 1)")
+                        help="worker processes for experiment cells, at most "
+                             "one per cell (default 1)")
     common.add_argument("--out-dir", default=".",
                         help="directory for output files (default .)")
 
@@ -205,6 +207,11 @@ def _cmd_experiment(args) -> int:
     n_err = sum(1 for r in report.records if r.status != "ok")
     note = f", {n_err} failed" if n_err else ""
     print(f"{len(report.records)} runs{note} -> " + ", ".join(map(str, paths)))
+    defects = [r for r in report.records if r.defect]
+    if defects:
+        print(f"invariant violated: {len(defects)} runs failed on an unexpected "
+              f"exception, first: {defects[0].error}", file=sys.stderr)
+        return 3
     return 0
 
 

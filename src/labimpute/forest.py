@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import make_rng
-from .data import ColumnKind, ColumnSchema, DataTable, LabelKind, LabelVector
+from .data import ColumnKind, DataTable, LabelKind, LabelVector
 from .errors import DataError
 
 _TREE_TAG = 769001  # stream separator for per-tree generators

@@ -4,7 +4,11 @@ An experiment sweeps missing-data rates over repeated train/test splits and
 runs a configured set of methods on every (rate, repetition) cell.  All
 randomness descends from one master seed through named child streams, so a
 given config produces byte-identical result tables no matter how many worker
-threads execute it or in what order the cells finish.
+processes execute it or in what order the cells finish.
+
+Cells run on a pool of forked worker processes, at most one per cell.  A
+failure stays in its cell: bad input (DataError) and any other exception
+alike become status=error rows, and the finished cells are kept.
 
 Pairing discipline: within one repetition every method sees the same split
 and the same missingness pattern, and methods that train a downstream forest
@@ -24,7 +28,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -47,7 +50,7 @@ from .data import (
     train_test_split,
 )
 from .errors import DataError
-from .forest import ForestParams, fit_forest, predict, predict_with_missing
+from .forest import ForestParams, fit_forest, predict
 from .imputers import MiceParams, MissForestParams
 from .strategies import (
     Scenario,
@@ -259,6 +262,8 @@ class RunRecord:
 
     masked_mse is the squared imputation error per unit of column range,
     averaged over the cell's scored coordinates (masked_cells of them).
+    defect marks an error row raised by an exception other than DataError,
+    i.e. a bug rather than bad input; it is not written to the result tables.
     """
 
     dataset: str
@@ -274,6 +279,7 @@ class RunRecord:
     status: str
     error: str
     wall_time_seconds: float
+    defect: bool = False
 
 
 @dataclass(frozen=True)
@@ -470,6 +476,17 @@ def _run_one_method(
     return out
 
 
+def _failure(exc: Exception) -> tuple[str, bool]:
+    """Error text and defect flag of a failed run.
+
+    A DataError is bad input and keeps its message.  Any other exception is
+    a defect; its text starts with the exception type.
+    """
+    if isinstance(exc, DataError):
+        return str(exc), False
+    return f"{type(exc).__name__}: {exc}", True
+
+
 def _run_cell(
     x: DataTable,
     y: LabelVector,
@@ -490,13 +507,14 @@ def _run_cell(
     clf_seed = child_seed(rep_seed, 5, rk)
     try:
         prep = _prepare_cell(x, y, config, rep_seed, rate)
-    except DataError as exc:
+    except Exception as exc:  # a failure stays in its cell
+        error, defect = _failure(exc)
         # one shared failure fails every method of the cell the same way
         return [
             RunRecord(
                 method=m, seed=seeds[m], masked_mse=None, masked_cells=None,
                 accuracy=None, downstream_mse=None, status="error",
-                error=str(exc), wall_time_seconds=0.0, **common,
+                error=error, wall_time_seconds=0.0, defect=defect, **common,
             )
             for m in methods
         ]
@@ -505,18 +523,19 @@ def _run_cell(
         t0 = time.perf_counter()
         try:
             metrics = _run_one_method(m, prep, config, seeds[m], clf_seed)
-            status, error = "ok", ""
-        except DataError as exc:
+            status, error, defect = "ok", "", False
+        except Exception as exc:  # a failure stays in its cell
             metrics = {
                 "masked_mse": None, "masked_cells": None,
                 "accuracy": None, "downstream_mse": None,
             }
-            status, error = "error", str(exc)
+            status = "error"
+            error, defect = _failure(exc)
         wall = time.perf_counter() - t0
         records.append(
             RunRecord(
                 method=m, seed=seeds[m], status=status, error=error,
-                wall_time_seconds=wall, **common, **metrics,
+                wall_time_seconds=wall, defect=defect, **common, **metrics,
             )
         )
     return records
@@ -561,10 +580,43 @@ def _aggregate(config: ExperimentConfig, records: tuple[RunRecord, ...]):
     return tuple(rows)
 
 
+def _run_cells(
+    x: DataTable,
+    y: LabelVector,
+    config: ExperimentConfig,
+    cells: list[tuple[float, int]],
+    threads: int,
+) -> list[list[RunRecord]]:
+    """Run the cells, in parallel where it pays; results in cell order.
+
+    With fork the pool starts every worker before its own manager thread, so
+    that thread is never copied into a worker.  Workers inherit the loaded
+    modules, and no helper process (forkserver, resource tracker) is started
+    that could outlive the call.  Without fork, or with one worker, the cells
+    run in this process.
+    """
+    workers = min(threads, len(cells))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                futures = [
+                    pool.submit(_run_cell, x, y, config, rate, rep)
+                    for rate, rep in cells
+                ]
+                return [f.result() for f in futures]
+    return [_run_cell(x, y, config, rate, rep) for rate, rep in cells]
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Run every configured method on every (rate, repetition) cell.
 
-    The report is a pure function of the config: thread count and scheduling
+    threads is the number of worker processes, at most one per cell.  The
+    report is a pure function of the config: worker count and scheduling
     order never change any emitted value, only wall times.
     """
     if threads < 1:
@@ -583,15 +635,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     cells = [(float(rate), rep)
              for rep in range(config.repetitions)
              for rate in config.rates]
-    if threads == 1:
-        results = [_run_cell(x, y, config, rate, rep) for rate, rep in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_cell, x, y, config, rate, rep)
-                for rate, rep in cells
-            ]
-            results = [f.result() for f in futures]
+    results = _run_cells(x, y, config, cells, threads)
     records = [rec for batch in results for rec in batch]
     records.sort(key=lambda r: (r.method, r.rate, r.repetition))
     records = tuple(records)

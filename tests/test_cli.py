@@ -137,6 +137,38 @@ def test_experiment_command(tmp_path):
         assert (tmp_path / "out" / name).exists()
 
 
+def test_experiment_unexpected_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from labimpute import harness
+
+    def fault(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(harness, "rf_missing_predict", fault)
+    raw = {
+        "dataset": "builtin:iris", "label": "species", "rates": [0.2, 0.6],
+        "repetitions": 1, "methods": ["rf-missing", "iul-vs-di-mice"],
+        "forest": {"n_trees": 3},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code = cli_main([
+        "experiment", "--config", str(cfg), "--threads", "2",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 3
+    assert "RuntimeError: injected fault" in capsys.readouterr().err
+    # the finished cells are still written
+    with open(tmp_path / "out" / "runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 3
+    for row in rows:
+        if row["method"] == "rf-missing":
+            assert row["status"] == "error"
+            assert row["error"] == "RuntimeError: injected fault"
+        else:
+            assert row["status"] == "ok"
+
+
 def test_theorem_check(tmp_path):
     code = cli_main([
         "theorem-check", "--instances", "30", "--seed", "2",

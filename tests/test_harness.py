@@ -1,9 +1,16 @@
 import dataclasses
+import glob
+import hashlib
 import json
+import multiprocessing
+import os
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from labimpute import harness
 from labimpute.data import load_csv, save_csv
 from labimpute.errors import DataError
 from labimpute.forest import ForestParams
@@ -241,10 +248,65 @@ def test_method_failure_becomes_error_record():
     for r in report.records:
         by_method.setdefault(r.method, []).append(r)
     assert all(r.status == "error" for r in by_method["rf-missing"])
-    assert all("mtry" in r.error for r in by_method["rf-missing"])
+    assert all(r.error.startswith("mtry") for r in by_method["rf-missing"])
+    assert not any(r.defect for r in report.records)
     assert all(r.status == "ok" for r in by_method["iul-mice"])
     # failed rows never reach the aggregates
     assert not any(a.method == "rf-missing" for a in report.aggregates)
+
+
+def _injected_fault(*args, **kwargs):
+    # the pid tells which process ran the cell
+    raise RuntimeError(f"injected fault in pid {os.getpid()}")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_unexpected_exception_stays_in_its_cell(monkeypatch, threads):
+    # forked workers inherit the patched module attribute
+    monkeypatch.setattr(harness, "rf_missing_predict", _injected_fault)
+    cfg = small_config(rates=(0.2, 0.5), methods=("rf-missing", "cbmi"))
+    report = run_experiment(cfg, threads=threads)
+    assert len(report.records) == 2 * 2 * 2
+    for r in report.records:
+        if r.method == "rf-missing":
+            assert r.status == "error" and r.defect
+            assert r.error.startswith("RuntimeError: injected fault")
+        else:
+            assert r.status == "ok" and not r.defect and r.error == ""
+    assert {a.method for a in report.aggregates} == {"cbmi"}
+
+
+def _child_pids() -> list[int]:
+    """Children of this process that are still running or not yet reaped."""
+    files = glob.glob("/proc/self/task/*/children")
+    if files:
+        return [int(pid) for f in files for pid in Path(f).read_text().split()]
+    # kernels built without the children files: match parent pids instead
+    me, out = os.getpid(), []
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            fields = Path(stat).read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process exited during the scan
+            continue
+        if int(fields[1]) == me:
+            out.append(int(Path(stat).parent.name))
+    return out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "one-method-fails"])
+def test_no_process_outlives_the_pool(monkeypatch, fail):
+    if fail:
+        monkeypatch.setattr(harness, "rf_missing_predict", _injected_fault)
+    cfg = small_config(rates=(0.1, 0.4), methods=("rf-missing", "iul-vs-di-mice"))
+    report = run_experiment(cfg, threads=4)
+    assert multiprocessing.active_children() == []
+    assert _child_pids() == []
+    assert len(report.records) == 2 * 2 * 3
+    if fail and "fork" in multiprocessing.get_all_start_methods():
+        # the cells ran in worker processes, not in this one
+        parent = f"in pid {os.getpid()}"
+        assert not any(r.error.endswith(parent) for r in report.records)
 
 
 def test_missing_label_column_rejected():
@@ -342,3 +404,20 @@ def test_runs_csv_byte_identical_across_threads(tmp_path):
         emit_report(run_experiment(cfg, threads=threads), out)
         blobs.append((out / "runs.csv").read_bytes())
     assert all(b == blobs[0] for b in blobs)
+
+
+# sha256 of the bundled iris experiment's runs.csv.  A change that alters the
+# results on purpose re-pins it and says why in CHANGES.md.
+BUNDLED_RUNS_SHA256 = (
+    "16de310041158e52ebbd6e770c24f0c59192046c234757d85572639138490750"
+)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bundled_config_runs_csv_digest_pinned(tmp_path, threads):
+    ref = resources.files("labimpute") / "_assets" / "iris_experiment.json"
+    with resources.as_file(ref) as path:
+        cfg = load_experiment_config(path)
+    emit_report(run_experiment(cfg, threads=threads), tmp_path, formats=("csv",))
+    digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+    assert digest == BUNDLED_RUNS_SHA256
