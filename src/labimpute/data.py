@@ -27,8 +27,9 @@ import numpy as np
 from ._rng import make_rng
 from .errors import DataError, SchemaError
 
-#: Field tokens read as a missing cell, per common UCI export conventions.
-MISSING_TOKENS = ("", "NA", "?")
+#: Field tokens read as a missing cell, per common UCI and numpy/pandas
+#: export conventions.
+MISSING_TOKENS = ("", "NA", "?", "nan", "NaN")
 
 
 def round_half_away(x: float) -> int:
@@ -333,11 +334,11 @@ class MissingMask:
 # ---------------------------------------------------------------------------
 
 def _parse_real(token: str) -> float | None:
+    """The token as a float (possibly non-finite), or None if it is not a number."""
     try:
-        v = float(token)
+        return float(token)
     except ValueError:
         return None
-    return v if math.isfinite(v) else None
 
 
 def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
@@ -345,9 +346,11 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
     """Read an RFC-4180 CSV with a header row into a DataTable.
 
     Without a schema, each column is inferred Continuous iff every
-    non-missing field parses as a finite real; otherwise it is Categorical
-    with categories in first-appearance order.  With a schema, header names
-    must match and unknown categories are schema violations.
+    non-missing field parses as a real; otherwise it is Categorical with
+    categories in first-appearance order.  A non-finite value (``inf``) in a
+    continuous column is an error that names its row and column, and so is
+    a repeated header name.  With a schema, header names must match and
+    unknown categories are schema violations.
     """
     path = Path(path)
     miss = set(missing_tokens)
@@ -361,6 +364,9 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
     p = len(header)
     if p == 0:
         raise DataError(f"{path}: header row has no columns")
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DataError(f"{path}: duplicate header names {repeated}")
     for i, row in enumerate(rows):
         if len(row) != p:
             raise DataError(f"{path}: row {i} has {len(row)} fields, expected {p}")
@@ -391,7 +397,7 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
             col = schema[j]
             if col.kind is ColumnKind.CONTINUOUS:
                 v = _parse_real(token)
-                if v is None:
+                if v is None or not math.isfinite(v):
                     raise DataError(
                         f"{path}: row {i}, column {col.name!r}: "
                         f"{token!r} is not a finite real"

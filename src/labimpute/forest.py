@@ -1,17 +1,38 @@
 """Random forests over typed tables, built on hand-grown CART trees.
 
-Trees split greedily: continuous features scan midpoints between
-consecutive distinct sorted values; categorical features enumerate binary
-category partitions when the column has at most 10 categories and fall
-back to prefix cuts along the categories ordered by mean target beyond
-that.  Regression trees score splits by sum-of-squares reduction,
-classification trees by Gini impurity decrease.
+Trees split greedily: continuous features cut at the midpoints between
+consecutive distinct values present in the node; categorical features
+enumerate binary category partitions when the column has at most 10
+categories and fall back to prefix cuts along the categories ordered by
+mean target beyond that.  Regression trees score splits by sum-of-squares
+reduction, classification trees by Gini impurity decrease.
 
-Randomness is confined to one Generator per tree, derived from the master
-seed and the tree index, so a forest is reproducible regardless of how the
-trees are scheduled.  Trees can optionally be fit on data with missing
-predictor cells: rows missing the candidate feature are excluded from that
-split's score and sent to the majority child, and the same majority
+Growth is level-wise, the exact-histogram scheme of LightGBM applied to
+CART: columns are rank-coded once per fit, and one step advances every open
+node of a batch of trees by one depth.  One sort of (node, feature, rank)
+keys and one integer cumulative sum give the class counts or target sums
+left of every cut, and the categorical histograms.  Regression targets are
+centred and scaled per node and summed in fixed point, so every sum is
+exact whichever nodes and trees share a step.
+
+Randomness: tree t draws its bootstrap, then a 63-bit tree key, from the
+generator keyed by (seed, t).  Feature draws are keyed per node: a node
+takes the mtry features with the smallest splitmix64 hashes of (tree key,
+depth, smallest bootstrap position in the node, feature).  A tree is thus a
+pure function of (seed, tree index, data), whatever the batching.
+
+Tie rule: gains within 1e-10 times the node's impurity of its best gain
+tie, and the tie goes to the smallest feature index, then to the first cut
+in that feature's order (ascending threshold; subset masks in enumeration
+order; prefixes along the mean order, equal means by category index).  A
+node splits only if its best gain exceeds that tolerance.  A threshold is
+the midpoint of the values it separates, or the lower one when the midpoint
+rounds onto the upper.
+
+Trees can optionally be fit on data with missing predictor cells: rows
+missing the candidate feature are excluded from that split's score, whose
+decrease is still divided by the whole node size, and they are sent to the
+child that took the majority of the observed rows; the same majority
 routing is applied when predicting rows with missing features.
 """
 
@@ -26,7 +47,10 @@ from ._rng import make_rng
 from .data import ColumnKind, DataTable, LabelKind, LabelVector
 from .errors import DataError
 
-_TREE_TAG = 769001  # stream separator for per-tree generators
+_TREE_TAG = 769001   # stream separator for per-tree generators
+_TIE_RTOL = 1e-10    # gains closer than this times the node impurity tie
+_BATCH_ROWS = 1 << 13  # bootstrap rows of the trees grown together
+_BLOCK = 1 << 20     # elements per block of categorical subset sums
 
 
 @dataclass(frozen=True)
@@ -112,293 +136,277 @@ def _resolve(params: ForestParams, p: int, kind: LabelKind) -> tuple[int, int]:
     return mtry, min_leaf
 
 
-_subset_masks_cache: dict[int, np.ndarray] = {}
-
-
 def _subset_masks(k: int) -> np.ndarray:
-    """All 2^(k-1) - 1 binary partitions of k categories, as bool rows.
+    """All 2^(k-1) - 1 binary partitions of k categories, as 0/1 rows.
 
     Each partition appears once: the enumerated side never contains the
     last category, so complements are not revisited.
     """
-    masks = _subset_masks_cache.get(k)
-    if masks is None:
-        count = (1 << (k - 1)) - 1
-        codes = np.arange(1, count + 1, dtype=np.uint64)
-        masks = (codes[:, None] >> np.arange(k, dtype=np.uint64)) & 1
-        masks = masks.astype(bool)
-        _subset_masks_cache[k] = masks
-    return masks
+    return (np.arange(1, 1 << (k - 1))[:, None] >> np.arange(k)) & 1
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 of every element of a uint64 array."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 class _Grower:
-    """Grows one tree; all state is per-fit, all randomness from `rng`."""
+    """Grows batches of trees level by level; all state is per fit."""
 
-    def __init__(self, X, miss, y, is_class, n_classes, cat_sizes, mtry,
-                 min_leaf, max_depth, rng):
-        self.X = X
-        self.miss = miss            # None when the predictors are complete
+    def __init__(self, Xv, miss, cat_sizes, y, n_classes, mtry, min_leaf, max_depth):
+        # codes: a continuous cell's dense rank among its column's distinct
+        # observed values, a categorical cell's category id, and for a
+        # missing cell the code one past the column's last
+        self.n, self.p = Xv.shape
+        self.codes = np.empty((self.n, self.p), dtype=np.int64)
+        self.miss_code = cat_sizes.copy()
+        uniq = []
+        for j in range(self.p):
+            obs = np.ones(self.n, dtype=bool) if miss is None else ~miss[:, j]
+            u = np.zeros(0)
+            if cat_sizes[j]:
+                self.codes[:, j] = np.where(obs, Xv[:, j], cat_sizes[j])
+            else:
+                u, self.codes[obs, j] = np.unique(Xv[obs, j], return_inverse=True)
+                self.codes[~obs, j] = self.miss_code[j] = u.size
+            uniq.append(u)
+        self.values = np.concatenate(uniq)    # distinct continuous values
+        self.offsets = np.cumsum([0] + [u.size for u in uniq[:-1]])
+        self.K1 = int(self.miss_code.max()) + 1
+        self.cat_sizes = cat_sizes            # 0 for continuous columns
+        self.is_cat = cat_sizes > 0
         self.y = y
-        self.is_class = is_class
-        self.C = n_classes
-        self.cat_sizes = cat_sizes  # 0 for continuous columns
+        self.C = n_classes                    # 0 for regression
         self.mtry = mtry
         self.min_leaf = min_leaf
         self.max_depth = max_depth
-        self.rng = rng
-        self.p = X.shape[1]
+        # regression sums are exact in 2^-shift fixed point: a node holds at
+        # most n targets scaled into [-1, 1]
+        self.shift = 0 if n_classes else 62 - self.n.bit_length()
 
-    def grow(self, rows: np.ndarray):
-        holder = [None]
-        stack = [(rows, 0, holder, 0)]
-        while stack:
-            rows, depth, container, slot = stack.pop()
-            node = self._make_node(rows, depth)
-            if isinstance(node, _Leaf):
-                self._put(container, slot, node)
-                continue
-            split, left_rows, right_rows = node
-            self._put(container, slot, split)
-            stack.append((right_rows, depth + 1, split, 2))
-            stack.append((left_rows, depth + 1, split, 1))
-        return holder[0]
-
-    @staticmethod
-    def _put(container, slot, node):
-        if slot == 0:
-            container[0] = node
-        elif slot == 1:
-            container.left = node
-        else:
-            container.right = node
-
-    def _leaf(self, y_node):
-        if self.is_class:
-            counts = np.bincount(y_node, minlength=self.C)
-            return _Leaf(int(np.argmax(counts)))  # ties go to the smallest class
-        return _Leaf(float(np.mean(y_node)))
-
-    def _make_node(self, rows, depth):
-        y_node = self.y[rows]
-        m = rows.size
-        if m < 2 * self.min_leaf:
-            return self._leaf(y_node)
-        if self.max_depth is not None and depth >= self.max_depth:
-            return self._leaf(y_node)
-        if self.is_class:
-            if np.all(y_node == y_node[0]):
-                return self._leaf(y_node)
-        else:
-            if np.ptp(y_node) == 0.0:
-                return self._leaf(y_node)
-
-        feats = self.rng.choice(self.p, size=self.mtry, replace=False)
-        feats.sort()  # fixed evaluation order makes ties deterministic
-        best = None   # (decrease, feature, threshold, left_cats)
-        num_feats = [f for f in feats if self.cat_sizes[f] == 0]
-        if num_feats:
-            cand = (self._scan_numeric_missing(rows, y_node, num_feats)
-                    if self.miss is not None
-                    else self._scan_numeric(rows, y_node, num_feats))
-            if cand is not None:
-                best = cand
-        for f in feats:
-            if self.cat_sizes[f] == 0:
-                continue
-            cand = self._scan_categorical(rows, y_node, int(f))
-            if cand is not None and (best is None or cand[0] > best[0]):
-                best = cand
-
-        if best is None or best[0] <= 0.0:
-            return self._leaf(y_node)
-        dec, f, threshold, left_cats = best
-        xcol = self.X[rows, f]
-        if self.miss is not None:
-            obs = ~self.miss[rows, f]
-            if threshold is not None:
-                go_left = xcol <= threshold
+    def grow(self, rows: np.ndarray, tree_keys: np.ndarray) -> list:
+        """Grow one tree per key; rows holds each tree's n bootstrap rows
+        back to back.  Returns the roots in key order."""
+        T = tree_keys.size
+        pos = np.tile(np.arange(self.n), T)   # bootstrap position
+        node = np.repeat(np.arange(T), self.n)
+        keys = tree_keys                      # tree key of each open node
+        levels = []
+        depth = 0
+        while True:
+            F = keys.size
+            m = np.bincount(node, minlength=F)
+            start = np.cumsum(m) - m
+            y = self.y[rows]
+            if self.C:
+                counts = np.bincount(node * self.C + y, minlength=F * self.C)
+                counts = counts.reshape(F, self.C)
+                value = counts.argmax(axis=1)   # ties go to the smallest class
+                open_ = counts.max(axis=1) < m
             else:
-                go_left = np.isin(xcol, left_cats)
-            nl = int(np.count_nonzero(go_left & obs))
-            nr = int(np.count_nonzero(obs)) - nl
-            majority_left = nl >= nr
-            go_left = np.where(obs, go_left, majority_left)
-        else:
-            if threshold is not None:
-                go_left = xcol <= threshold
+                value = np.bincount(node, weights=y, minlength=F) / m
+                dev = y - value[node]
+                scale = np.maximum.reduceat(np.abs(dev), start)
+                open_ = np.maximum.reduceat(y, start) > np.minimum.reduceat(y, start)
+            open_ &= m >= 2 * self.min_leaf
+            if self.max_depth is not None and depth >= self.max_depth:
+                open_[:] = False
+            split = np.zeros(F, dtype=bool)
+            level = [value, split, None]
+            levels.append(level)
+            sidx = np.flatnonzero(open_)
+            if sidx.size == 0:
+                break
+
+            inside = open_[node]
+            snode = (np.cumsum(open_) - 1)[node[inside]]
+            srows, spos = rows[inside], pos[inside]
+            feats = self._draw(keys[sidx], depth, pos[start[sidx]])
+            if self.C:
+                chan = np.eye(self.C, dtype=np.int32)[y[inside]]
+                impurity = m[sidx] - (counts[sidx] ** 2).sum(axis=1) / m[sidx]
             else:
-                go_left = np.isin(xcol, left_cats)
-            majority_left = int(np.count_nonzero(go_left)) * 2 >= m
-        split = _Split(int(f), threshold, left_cats, bool(majority_left))
-        return split, rows[go_left], rows[~go_left]
+                z = dev[inside] / scale[node[inside]]
+                chan = np.rint(np.ldexp(z, self.shift)).astype(np.int64)[:, None]
+                impurity = np.bincount(snode, weights=z * z, minlength=sidx.size)
+            best = self._score(srows, snode, chan, y[inside], feats, _TIE_RTOL * impurity)
+            if best is None:
+                break
+            ok, feat, cut, thr, left_tab, cats, major = best
+            split[sidx] = ok
+            level[2] = [(int(feat[i]), float(thr[i]), cats[i], bool(major[i]))
+                        for i in np.flatnonzero(ok)]
 
-    # -- continuous features, complete predictors: one batched scan --------
+            go = ok[snode]
+            s, r = snode[go], srows[go]
+            f = feat[s]
+            c = self.codes[r, f]
+            left = c <= cut[s]
+            if left_tab is not None:
+                left = np.where(self.is_cat[f],
+                                left_tab[s, np.minimum(c, left_tab.shape[1] - 1)], left)
+            left = np.where(c == self.miss_code[f], major[s], left)
+            child = 2 * (np.cumsum(ok) - 1)[s] + ~left
+            sizes = np.bincount(child, minlength=2 * int(ok.sum()))
+            assert sizes.min() >= self.min_leaf, "a split left a child below min_leaf"
+            order = np.argsort(child, kind="stable")
+            rows, pos, node = r[order], spos[go][order], child[order]
+            keys = np.repeat(keys[sidx[ok]], 2)
+            depth += 1
+        return self._build(levels)
 
-    def _scan_numeric(self, rows, y_node, num_feats):
-        m = rows.size
-        sub = self.X[np.ix_(rows, num_feats)]
-        order = np.argsort(sub, axis=0, kind="stable")
-        sv = np.take_along_axis(sub, order, axis=0)
-        boundary_ok = sv[1:] != sv[:-1]
-        if not boundary_ok.any():
-            return None
-        nl = np.arange(1, m, dtype=np.float64)[:, None]
-        nr = m - nl
-        size_ok = (nl >= self.min_leaf) & (nr >= self.min_leaf)
-        valid = boundary_ok & size_ok
-        if not valid.any():
-            return None
+    def _draw(self, tree_keys, depth, min_pos) -> np.ndarray:
+        """The mtry candidate features of each node, ascending."""
+        if self.mtry == self.p:
+            return np.broadcast_to(np.arange(self.p), (tree_keys.size, self.p))
+        h = _mix(_mix(tree_keys ^ np.uint64(depth)) ^ min_pos.astype(np.uint64))
+        h = _mix(h[:, None] ^ np.arange(self.p, dtype=np.uint64))
+        return np.sort(np.argsort(h, axis=1)[:, :self.mtry], axis=1)
 
-        if self.is_class:
-            ysorted = y_node[order]
-            onehot = ysorted[:, :, None] == np.arange(self.C)
-            cl = np.cumsum(onehot, axis=0, dtype=np.float64)
-            counts_l = cl[:-1]
-            counts_r = cl[-1][None, :, :] - counts_l
-            G = (counts_l ** 2).sum(axis=2) / nl + (counts_r ** 2).sum(axis=2) / nr
-            total = np.bincount(y_node, minlength=self.C).astype(np.float64)
-            g_parent = float((total ** 2).sum() / m)
-            score = np.where(valid, G, -np.inf)
-            flat = int(np.argmax(score))
-            i, j = divmod(flat, len(num_feats))
-            dec = (float(score[i, j]) - g_parent) / m
-        else:
-            ysorted = y_node[order]
-            cs = np.cumsum(ysorted, axis=0)
-            css = np.cumsum(ysorted * ysorted, axis=0)
-            sse = (css[:-1] - cs[:-1] ** 2 / nl) \
-                + ((css[-1] - css[:-1]) - (cs[-1] - cs[:-1]) ** 2 / nr)
-            parent = float(css[-1, 0] - cs[-1, 0] ** 2 / m)
-            score = np.where(valid, sse, np.inf)
-            flat = int(np.argmin(score))
-            i, j = divmod(flat, len(num_feats))
-            dec = (parent - float(score[i, j])) / m
-        if not math.isfinite(dec) or dec <= 0.0:
-            return None
-        threshold = float((sv[i, j] + sv[i + 1, j]) / 2.0)
-        return dec, int(num_feats[j]), threshold, None
+    def _score(self, rows, snode, chan, y, feats, tol):
+        """Best split of every open node, by the tie rule of the module.
 
-    # -- continuous features, missing predictors: per-feature scan ---------
+        Each node s scores the pairs (s, feature) of its drawn features; a
+        pair's observed entries are sorted by rank code once, and the
+        integer cumulative sums of `chan` (one-hot classes, or fixed-point
+        targets) give every candidate's left sums.
+        """
+        S, mtry = feats.shape
+        n_pairs = S * mtry
+        pair_feat = feats.T.ravel()                # pair id = slot * S + node
+        ft = feats[snode].T
+        ct = self.codes[rows, ft]
+        slot, ent = np.nonzero(ct != self.miss_code[ft])
+        pair = slot * S + snode[ent]
+        code = ct[slot, ent]
+        n_obs = np.bincount(pair, minlength=n_pairs)
+        first = np.cumsum(n_obs) - n_obs           # sorted offset of each pair
+        key = pair * self.K1 + code
+        order = np.argsort(key)
+        key = key[order]
+        csum = np.zeros((key.size + 1, chan.shape[1]), dtype=chan.dtype)
+        np.cumsum(chan[ent[order]], axis=0, out=csum[1:])
+        base = csum[first]
+        total = (csum[first + n_obs] - base) * 2.0 ** -self.shift
+        with np.errstate(divide="ignore", invalid="ignore"):
+            parent = np.einsum("pc,pc->p", total, total) / n_obs
 
-    def _scan_numeric_missing(self, rows, y_node, num_feats):
-        m = rows.size
-        best = None
-        for f in num_feats:
-            obs = ~self.miss[rows, f]
-            mo = int(np.count_nonzero(obs))
-            if mo < 2 * self.min_leaf:
-                continue
-            xs = self.X[rows[obs], f]
-            ys = y_node[obs]
-            order = np.argsort(xs, kind="stable")
-            sv = xs[order]
-            boundary_ok = sv[1:] != sv[:-1]
-            if not boundary_ok.any():
-                continue
-            nl = np.arange(1, mo, dtype=np.float64)
-            nr = mo - nl
-            valid = boundary_ok & (nl >= self.min_leaf) & (nr >= self.min_leaf)
-            if not valid.any():
-                continue
-            ysorted = ys[order]
-            if self.is_class:
-                onehot = ysorted[:, None] == np.arange(self.C)
-                cl = np.cumsum(onehot, axis=0, dtype=np.float64)
-                counts_l = cl[:-1]
-                counts_r = cl[-1][None, :] - counts_l
-                G = (counts_l ** 2).sum(axis=1) / nl + (counts_r ** 2).sum(axis=1) / nr
-                g_parent = float((cl[-1] ** 2).sum() / mo)
-                score = np.where(valid, G, -np.inf)
-                i = int(np.argmax(score))
-                dec = (float(score[i]) - g_parent) / m
-            else:
-                cs = np.cumsum(ysorted)
-                css = np.cumsum(ysorted * ysorted)
-                sse = (css[:-1] - cs[:-1] ** 2 / nl) \
-                    + ((css[-1] - css[:-1]) - (cs[-1] - cs[:-1]) ** 2 / nr)
-                parent = float(css[-1] - cs[-1] ** 2 / mo)
-                score = np.where(valid, sse, np.inf)
-                i = int(np.argmin(score))
-                dec = (parent - float(score[i])) / m
-            if not math.isfinite(dec) or dec <= 0.0:
-                continue
-            if best is None or dec > best[0]:
-                best = (dec, int(f), float((sv[i] + sv[i + 1]) / 2.0), None)
-        return best
+        def gain(left, nl, cp):
+            """Impurity decrease, in count units, of the cuts of pairs cp
+            with integer left sums `left` over nl observed rows."""
+            left = left * 2.0 ** -self.shift
+            right = total[cp] - left
+            return (np.einsum("ic,ic->i", left, left) / nl - parent[cp]
+                    + np.einsum("ic,ic->i", right, right) / (n_obs[cp] - nl))
 
-    # -- categorical features ----------------------------------------------
+        end = np.flatnonzero(np.append(key[1:] != key[:-1], key.size > 0)) + 1
+        r_pair, r_code = np.divmod(key[end - 1], self.K1)
 
-    def _scan_categorical(self, rows, y_node, f: int):
-        m = rows.size
-        if self.miss is not None:
-            obs = ~self.miss[rows, f]
-            if int(np.count_nonzero(obs)) < 2 * self.min_leaf:
-                return None
-            xs = self.X[rows[obs], f].astype(np.int64)
-            ys = y_node[obs]
-        else:
-            xs = self.X[rows, f].astype(np.int64)
-            ys = y_node
-        k = self.cat_sizes[f]
-        cnt = np.bincount(xs, minlength=k).astype(np.float64)
-        if int(np.count_nonzero(cnt)) < 2:
-            return None
-        mo = float(xs.size)
+        # candidates: pair, gain, observed left/right sizes and two ints that
+        # name the cut (continuous: its code and the next; categorical: the
+        # pair's row in its block and the mask or prefix index)
+        cands = []
+        ml = self.min_leaf
+        c = np.flatnonzero((r_pair[1:] == r_pair[:-1]) & ~self.is_cat[pair_feat[r_pair[:-1]]])
+        cp = r_pair[c]
+        nl = end[c] - first[cp]
+        good = (nl >= ml) & (n_obs[cp] - nl >= ml)
+        c, cp, nl = c[good], cp[good], nl[good]
+        cands.append((cp, gain(csum[end[c]] - base[cp], nl, cp), nl, n_obs[cp] - nl,
+                      r_code[c], r_code[c + 1]))
 
-        if self.is_class:
-            cc = np.bincount(xs * self.C + ys, minlength=k * self.C)
-            percat = cc.reshape(k, self.C).astype(np.float64)
-            target_mean = None
+        ranks = {}
+        r_len = end.copy()
+        r_len[1:] -= end[:-1]
+        for f in np.flatnonzero(self.is_cat & (np.bincount(feats.ravel(), minlength=self.p) > 0)):
+            k, pf = int(self.cat_sizes[f]), np.flatnonzero(pair_feat == f)
+            q_of = np.zeros(n_pairs, dtype=np.int64)
+            q_of[pf] = np.arange(pf.size)
+            runs = np.flatnonzero(pair_feat[r_pair] == f)
+            at = q_of[r_pair[runs]], r_code[runs]
+            hist = np.zeros((pf.size, k, chan.shape[1]), dtype=np.int64)
+            cnt = np.zeros((pf.size, k, 1), dtype=np.int64)
+            hist[at] = csum[end[runs]] - csum[end[runs] - r_len[runs]]
+            cnt[at] = r_len[runs, None]
             if k > 10:
-                with np.errstate(invalid="ignore"):
-                    target_mean = percat @ np.arange(self.C) / cnt
-        else:
-            s1 = np.bincount(xs, weights=ys, minlength=k)
-            s2 = np.bincount(xs, weights=ys * ys, minlength=k)
-            target_mean = None
-            if k > 10:
-                with np.errstate(invalid="ignore"):
-                    target_mean = s1 / cnt
+                # prefixes of the categories ordered by mean target; absent
+                # categories sort last
+                if self.C:
+                    mean = hist @ np.arange(self.C)
+                else:
+                    sel = pair_feat[pair] == f
+                    mean = np.bincount(q_of[pair[sel]] * k + code[sel], weights=y[ent[sel]],
+                                       minlength=pf.size * k).reshape(pf.size, k)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    mean = np.where(cnt[..., 0] > 0, mean / cnt[..., 0], np.inf)
+                rank = ranks[f] = np.argsort(np.argsort(mean, axis=1, kind="stable"), axis=1)
+            n_cut = k - 1 if k > 10 else (1 << (k - 1)) - 1
+            step = max(1, _BLOCK // (n_cut * (k + chan.shape[1])))
+            for q0 in range(0, pf.size, step):
+                q = slice(q0, q0 + step)
+                masks = (_subset_masks(k)[None] if k <= 10 else
+                         (rank[q, None, :] <= np.arange(k - 1)[:, None]).astype(np.int64))
+                nl = (masks @ cnt[q])[..., 0]
+                no = n_obs[pf[q], None]
+                qi, j = np.nonzero((nl >= ml) & (no - nl >= ml))
+                nl, no, cp = nl[qi, j], no[qi, 0], pf[q][qi]
+                cands.append((cp, gain((masks @ hist[q])[qi, j], nl, cp), nl, no - nl,
+                              qi + q0, j))
 
-        if k <= 10:
-            masks = _subset_masks(k)
-        else:
-            # categories ordered by mean target; absent ones sort last and
-            # land on the right side of every prefix cut
-            tm = np.where(cnt > 0, target_mean, np.inf)
-            order = np.argsort(tm, kind="stable")
-            masks = np.zeros((k - 1, k), dtype=bool)
-            for i in range(k - 1):
-                masks[i, order[: i + 1]] = True
-
-        nl = masks @ cnt
-        nr = mo - nl
-        ok = (nl >= self.min_leaf) & (nr >= self.min_leaf)
+        cp, gains, c_nl, c_nr, c_a, c_b = (np.concatenate(a) for a in zip(*cands))
+        cs = cp % S
+        best = np.full(S, -np.inf)
+        np.maximum.at(best, cs, gains)
+        ok = best > tol
         if not ok.any():
             return None
-        if self.is_class:
-            counts_l = masks @ percat
-            counts_r = percat.sum(axis=0)[None, :] - counts_l
-            with np.errstate(divide="ignore", invalid="ignore"):
-                G = (counts_l ** 2).sum(axis=1) / nl + (counts_r ** 2).sum(axis=1) / nr
-            g_parent = float((percat.sum(axis=0) ** 2).sum() / mo)
-            score = np.where(ok, G, -np.inf)
-            i = int(np.argmax(score))
-            dec = (float(score[i]) - g_parent) / m
-        else:
-            suml = masks @ s1
-            ssl = masks @ s2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sse = (ssl - suml ** 2 / nl) \
-                    + ((s2.sum() - ssl) - (s1.sum() - suml) ** 2 / nr)
-            parent = float(s2.sum() - s1.sum() ** 2 / mo)
-            score = np.where(ok, sse, np.inf)
-            i = int(np.argmin(score))
-            dec = (parent - float(score[i])) / m
-        if not math.isfinite(dec) or dec <= 0.0:
-            return None
-        left_cats = np.nonzero(masks[i])[0].astype(np.int64)
-        return dec, f, None, left_cats
+        passing = np.flatnonzero(gains >= (best - tol)[cs])
+        pick = np.full(n_pairs, gains.size)
+        np.minimum.at(pick, cp[passing], passing)
+        pick = pick.reshape(mtry, S)
+        slot = (pick < gains.size).argmax(axis=0)
+        ch = np.where(ok, pick[slot, np.arange(S)], 0)
+        feat = feats[np.arange(S), slot]
+        a, b = c_a[ch], c_b[ch]
+        cat = ok & self.is_cat[feat]
+        num = ok & ~cat
+        thr = np.zeros(S)
+        if num.any():
+            lo = self.values[self.offsets[feat[num]] + a[num]]
+            hi = self.values[self.offsets[feat[num]] + b[num]]
+            with np.errstate(over="ignore"):
+                mid = (lo + hi) / 2.0
+            thr[num] = np.where(mid < hi, mid, lo)
+        left_tab, cats = None, [None] * S
+        if cat.any():
+            left_tab = np.zeros((S, int(self.cat_sizes.max()) + 1), dtype=bool)
+            for s in np.flatnonzero(cat):
+                f, k = feat[s], int(self.cat_sizes[feat[s]])
+                left_tab[s, :k] = (_subset_masks(k)[b[s]] if k <= 10 else
+                                   ranks[f][a[s]] <= b[s])
+                cats[s] = np.flatnonzero(left_tab[s]).astype(np.int64)
+        return ok, feat, np.where(num, a, -1), thr, left_tab, cats, c_nl[ch] >= c_nr[ch]
+
+    @staticmethod
+    def _build(levels) -> list:
+        """Linked _Split/_Leaf trees from the per-level node arrays."""
+        below = []
+        for value, split, specs in reversed(levels):
+            kids, specs = iter(below), iter(specs or ())
+            nodes = []
+            for v, is_split in zip(value.tolist(), split.tolist()):
+                if not is_split:
+                    nodes.append(_Leaf(v))
+                    continue
+                f, t, cats, mj = next(specs)
+                node = _Split(f, None if cats is not None else t, cats, mj)
+                node.left, node.right = next(kids), next(kids)
+                nodes.append(node)
+            below = nodes
+        return below
 
 
 def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
@@ -433,32 +441,24 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
         classes = np.unique(raw)
         y_arr = np.searchsorted(classes, raw)
         n_classes = int(classes.size)
-        is_class = True
     else:
         classes = None
         y_arr = y.values.astype(np.float64)
         n_classes = 0
-        is_class = False
 
-    Xv = X.values
     miss = X.missing if (allow_missing and X.missing.any()) else None
-    if miss is not None:
-        # NaN placeholders must not reach comparisons: substitute zeros
-        # behind the flags before routing math.
-        Xv = np.where(miss, 0.0, Xv)
-
     n = X.n_rows
+    grower = _Grower(X.values, miss, cat_sizes, y_arr, n_classes, mtry, min_leaf,
+                     params.max_depth)
     trees = []
-    for t in range(params.n_trees):
-        rng = make_rng(seed, _TREE_TAG, t)
-        if params.bootstrap:
-            idx = rng.integers(0, n, n)
-        else:
-            idx = np.arange(n)
-        grower = _Grower(Xv[idx], None if miss is None else miss[idx],
-                         y_arr[idx], is_class, n_classes, cat_sizes,
-                         mtry, min_leaf, params.max_depth, rng)
-        trees.append(grower.grow(np.arange(n, dtype=np.intp)))
+    per_batch = max(1, _BATCH_ROWS // n)
+    for t0 in range(0, params.n_trees, per_batch):
+        boot, keys = [], []
+        for t in range(t0, min(t0 + per_batch, params.n_trees)):
+            rng = make_rng(seed, _TREE_TAG, t)
+            boot.append(rng.integers(0, n, n) if params.bootstrap else np.arange(n))
+            keys.append(int(rng.integers(1 << 63)))
+        trees += grower.grow(np.concatenate(boot), np.array(keys, dtype=np.uint64))
 
     return ForestModel(
         kind=y.kind,
@@ -544,5 +544,4 @@ def predict_with_missing(model: ForestModel, X: DataTable) -> LabelVector:
     training rows at that node."""
     _check_arity(model, X)
     miss = X.missing if X.missing.any() else None
-    Xv = X.values if miss is None else np.where(miss, 0.0, X.values)
-    return _wrap_predictions(model, _predict_arrays(model, Xv, miss))
+    return _wrap_predictions(model, _predict_arrays(model, X.values, miss))

@@ -168,6 +168,33 @@ def test_load_csv_missing_tokens_and_inference(tmp_path):
     assert t.values[0, 1] == 0.0 and t.values[1, 1] == 1.0
 
 
+def test_load_csv_nan_tokens_are_missing(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("a,b\n1,x\nnan,y\n2,NaN\n")
+    t = load_csv(f)
+    assert t.schema[0].kind is ColumnKind.CONTINUOUS
+    assert t.missing[:, 0].tolist() == [False, True, False]
+    assert t.values[2, 0] == 2.0
+    assert t.schema[1].categories == ("x", "y") and t.missing[2, 1]
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity"])
+def test_load_csv_rejects_infinite_values(tmp_path, token):
+    f = tmp_path / "t.csv"
+    f.write_text(f"a,b\n1,2\n3,{token}\n")
+    with pytest.raises(DataError, match=r"row 1, column 'b'"):
+        load_csv(f)
+    with pytest.raises(DataError, match=r"row 1, column 'b'"):
+        load_csv(f, schema=[cont("a"), cont("b")])
+
+
+def test_load_csv_rejects_duplicate_header(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("a,b,a\n1,2,3\n")
+    with pytest.raises(DataError, match="duplicate header names \\['a'\\]"):
+        load_csv(f)
+
+
 def test_load_csv_ragged_row_reports_index(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("a,b\n1,2\n3\n")

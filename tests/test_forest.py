@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from labimpute.data import (
     ColumnKind,
@@ -8,10 +9,12 @@ from labimpute.data import (
     LabelKind,
     LabelVector,
 )
+from labimpute import forest as forest_module
 from labimpute.errors import DataError
 from labimpute.forest import (
     ForestParams,
     _Leaf,
+    _Split,
     ForestModel,
     fit_forest,
     predict,
@@ -141,6 +144,66 @@ def test_majority_direction_routiing_for_missing_features():
     assert pred.values[0] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["class", "regression"])
+def test_split_between_adjacent_floats_keeps_both_children(kind):
+    # the midpoint of two adjacent doubles can round onto the upper one; the
+    # threshold must still separate them, or one child is empty
+    a = 0.6666666666666666
+    b = float(np.nextafter(a, 1.0))
+    assert (a + b) / 2.0 == b
+    X = cont_table([[a], [b]])
+    y = class_labels([0, 1]) if kind == "class" else reg_labels([0.0, 1.0])
+    model = fit_forest(X, y, ForestParams(n_trees=1, bootstrap=False, min_leaf=1), seed=0)
+    assert model.trees[0].threshold == a
+    assert predict(model, X).values.tolist() == [0.0, 1.0]
+
+
+def _spec(node):
+    """A tree as nested tuples, floats by their exact repr."""
+    if isinstance(node, _Leaf):
+        return repr(node.value)
+    cats = None if node.left_cats is None else tuple(node.left_cats.tolist())
+    return (node.feature, repr(node.threshold), cats, node.majority_left,
+            _spec(node.left), _spec(node.right))
+
+
+def _mixed_problem(kind, seed=7, n=90):
+    rng = np.random.default_rng(seed)
+    cont = np.round(rng.normal(size=(n, 3)), 1)
+    small = rng.integers(0, 4, n)
+    big = rng.integers(0, 12, n)
+    schema = (ColumnSchema("a", ColumnKind.CONTINUOUS), ColumnSchema("b", ColumnKind.CONTINUOUS),
+              ColumnSchema("c", ColumnKind.CONTINUOUS),
+              ColumnSchema("s", ColumnKind.CATEGORICAL, tuple("pqrs")),
+              ColumnSchema("t", ColumnKind.CATEGORICAL, tuple(f"v{i}" for i in range(12))))
+    values = np.column_stack([cont, small, big]).astype(np.float64)
+    miss = rng.random(values.shape) < 0.15
+    X = DataTable(schema, np.where(miss, np.nan, values), miss)
+    signal = cont[:, 0] + (small == 2) + 0.1 * big
+    if kind == "class":
+        return X, class_labels(np.digitize(signal, [-0.5, 0.7]).tolist(), k=3)
+    return X, reg_labels(signal + 0.1 * rng.normal(size=n))
+
+
+@pytest.mark.parametrize("kind", ["class", "regression"])
+def test_first_trees_do_not_depend_on_forest_size(kind):
+    X, y = _mixed_problem(kind)
+    big = fit_forest(X, y, ForestParams(n_trees=9), seed=5, allow_missing=True)
+    small = fit_forest(X, y, ForestParams(n_trees=4), seed=5, allow_missing=True)
+    assert [_spec(t) for t in big.trees[:4]] == [_spec(t) for t in small.trees]
+
+
+@pytest.mark.parametrize("kind", ["class", "regression"])
+def test_trees_do_not_depend_on_batching(kind, monkeypatch):
+    X, y = _mixed_problem(kind)
+    params = ForestParams(n_trees=7)
+    together = fit_forest(X, y, params, seed=3, allow_missing=True)
+    for rows in (1, 2 * X.n_rows):   # one tree, then two trees per batch
+        monkeypatch.setattr(forest_module, "_BATCH_ROWS", rows)
+        apart = fit_forest(X, y, params, seed=3, allow_missing=True)
+        assert [_spec(t) for t in apart.trees] == [_spec(t) for t in together.trees]
+
+
 def test_fit_on_missing_predictors_with_majority_routing():
     rng = np.random.default_rng(4)
     n = 80
@@ -202,3 +265,184 @@ def test_forest_learns_iris():
     pred = predict(model, Xte)
     acc = float(np.mean(pred.values == yte.values))
     assert acc >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# brute-force CART oracle
+#
+# A slow reference for one tree grown with mtry = p and no bootstrap: at
+# every node it enumerates every feature, every midpoint and every category
+# subset (prefixes of the mean-target order beyond 10 categories), scores
+# each by Gini or squared error computed directly, and applies the tie rule
+# of the forest module.  Rows missing the candidate feature are left out of
+# its score and follow the majority of the observed rows.
+
+_TIE_RTOL = 1e-10
+
+
+def _impurity(y, is_class, n_classes):
+    if y.size == 0:
+        return 0.0
+    if is_class:
+        counts = np.bincount(y, minlength=n_classes)
+        return float(y.size - (counts * counts).sum() / y.size)
+    return float(((y - y.mean()) ** 2).sum())
+
+
+def _midpoint(a, b):
+    mid = (a + b) / 2.0
+    return mid if mid < b else a
+
+
+def _candidates(X, miss, cat_sizes, y, y_raw, rows, is_class, n_classes, min_leaf):
+    """Every admissible split of the node, in tie order: (gain, feature,
+    threshold or None, left category set or None, observed left mask,
+    observed rows).  Categories are ordered by the mean of y_raw."""
+    out = []
+    for f in range(X.shape[1]):
+        obs = rows[~miss[rows, f]]
+        x, yo = X[obs, f], y[obs]
+        parent = _impurity(yo, is_class, n_classes)
+        k = cat_sizes[f]
+        splits = []
+        if k == 0:
+            u = np.unique(x)
+            for a, b in zip(u[:-1], u[1:]):
+                t = _midpoint(a, b)
+                splits.append((t, None, x <= t))
+        else:
+            xs = x.astype(int)
+            if k <= 10:
+                subsets = [[c for c in range(k) if code >> c & 1]
+                           for code in range(1, 2 ** (k - 1))]
+            else:
+                cnt = np.bincount(xs, minlength=k)
+                sums = np.bincount(xs, weights=y_raw[obs].astype(float), minlength=k)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    mean = np.where(cnt > 0, sums / cnt, np.inf)
+                order = np.argsort(mean, kind="stable")
+                subsets = [sorted(order[:j + 1]) for j in range(k - 1)]
+            for cats in subsets:
+                splits.append((None, frozenset(cats), np.isin(xs, cats)))
+        for t, cats, left in splits:
+            nl = int(left.sum())
+            if nl < min_leaf or x.size - nl < min_leaf:
+                continue
+            gain = parent - _impurity(yo[left], is_class, n_classes) \
+                - _impurity(yo[~left], is_class, n_classes)
+            out.append((gain, f, t, cats, left, obs))
+    return out
+
+
+def _check_tree(node, X, miss, cat_sizes, y, rows, depth, is_class, n_classes,
+                min_leaf, max_depth):
+    m = rows.size
+    yn = y[rows]
+    if not is_class and np.ptp(yn) > 0:
+        # squared errors on the node's own scale, so tiny targets cannot
+        # underflow; the best split and the relative tie rule are unchanged
+        ys = (y - yn.mean()) / np.abs(yn - yn.mean()).max()
+    else:
+        ys = y
+    parent = _impurity(ys[rows], is_class, n_classes)
+    tol = _TIE_RTOL * parent
+    stop = (m < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
+            or np.all(yn == yn[0]))
+    cands = [] if stop else _candidates(X, miss, cat_sizes, ys, y, rows, is_class,
+                                        n_classes, min_leaf)
+    best = max((c[0] for c in cands), default=-np.inf)
+    if stop or best <= tol:
+        assert isinstance(node, _Leaf), f"depth {depth}: CART stops, grower split"
+        if is_class:
+            assert node.value == int(np.argmax(np.bincount(yn, minlength=n_classes)))
+        else:
+            assert node.value == pytest.approx(yn.mean(), rel=1e-12, abs=1e-300)
+        return 1
+    assert isinstance(node, _Split), f"depth {depth}: CART splits, grower stopped"
+    gain, f, t, cats, left_obs, obs = next(c for c in cands if c[0] >= best - tol)
+    assert node.feature == f
+    if cats is None:
+        assert node.left_cats is None and node.threshold == t
+    else:
+        assert node.threshold is None and frozenset(node.left_cats.tolist()) == cats
+    nl = int(left_obs.sum())
+    assert node.majority_left == (nl >= obs.size - nl)
+
+    x = X[rows, node.feature]
+    go_left = x <= node.threshold if cats is None else np.isin(x, node.left_cats)
+    go_left = np.where(miss[rows, node.feature], node.majority_left, go_left)
+    expect = np.isin(rows, obs[left_obs]) | (miss[rows, f] & node.majority_left)
+    assert np.array_equal(go_left, expect)
+    seen = ~miss[rows, f]
+    got = parent_obs = _impurity(ys[rows[seen]], is_class, n_classes)
+    got -= _impurity(ys[rows[seen & go_left]], is_class, n_classes)
+    got -= _impurity(ys[rows[seen & ~go_left]], is_class, n_classes)
+    assert abs(got / m - best / m) <= 1e-9, (got, best, parent_obs)
+    return 1 + sum(
+        _check_tree(child, X, miss, cat_sizes, y, part, depth + 1, is_class,
+                    n_classes, min_leaf, max_depth)
+        for child, part in ((node.left, rows[go_left]), (node.right, rows[~go_left])))
+
+
+_ADJACENT = [0.6666666666666666, 0.6666666666666667, 0.6666666666666669, 0.5]
+
+
+@st.composite
+def _oracle_case(draw, is_class, with_missing):
+    n = draw(st.integers(2, 24))
+    p = draw(st.integers(1, 4))
+    cols, schema, cat_sizes = [], [], []
+    for j in range(p):
+        style = draw(st.sampled_from(["ties", "adjacent", "const", "float", "cat", "bigcat"]))
+        if style in ("cat", "bigcat"):
+            k = draw(st.sampled_from([2, 3, 5, 10] if style == "cat" else [11, 14]))
+            col = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+            schema.append(ColumnSchema(f"c{j}", ColumnKind.CATEGORICAL,
+                                       tuple(f"k{i}" for i in range(k))))
+            cat_sizes.append(k)
+        else:
+            elems = {"ties": st.integers(0, 3).map(float),
+                     "adjacent": st.sampled_from(_ADJACENT),
+                     "const": st.just(1.5),
+                     "float": st.floats(-5, 5, allow_nan=False)}[style]
+            col = draw(st.lists(elems, min_size=n, max_size=n))
+            schema.append(ColumnSchema(f"x{j}", ColumnKind.CONTINUOUS))
+            cat_sizes.append(0)
+        cols.append(np.asarray(col, dtype=np.float64))
+    values = np.column_stack(cols)
+    miss = np.zeros((n, p), dtype=bool)
+    if with_missing:
+        rate = draw(st.sampled_from([0.1, 0.3, 0.5]))
+        flags = draw(st.lists(st.floats(0, 1), min_size=n * p, max_size=n * p))
+        miss = np.asarray(flags).reshape(n, p) < rate
+    values = np.where(miss, np.nan, values)
+    if is_class:
+        yv = np.asarray(draw(st.lists(st.integers(0, draw(st.integers(1, 3))),
+                                      min_size=n, max_size=n)))
+    else:
+        yv = np.asarray(draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 2.5, -3.0]), st.floats(-10, 10)),
+            min_size=n, max_size=n)))
+    min_leaf = draw(st.integers(1, 3))
+    max_depth = draw(st.sampled_from([None, None, 1, 3]))
+    return DataTable(tuple(schema), values, miss), yv, cat_sizes, min_leaf, max_depth
+
+
+@pytest.mark.parametrize("with_missing", [False, True], ids=["complete", "missing"])
+@pytest.mark.parametrize("is_class", [True, False], ids=["gini", "sse"])
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_grower_matches_brute_force_cart(is_class, with_missing, data):
+    X, yv, cat_sizes, min_leaf, max_depth = data.draw(_oracle_case(is_class, with_missing))
+    if is_class:
+        labels = class_labels(yv.tolist(), k=int(yv.max()) + 1)
+        y = np.searchsorted(np.unique(yv), yv)
+        n_classes = int(np.unique(yv).size)
+    else:
+        labels, y, n_classes = reg_labels(yv), yv, 0
+    params = ForestParams(n_trees=1, mtry=X.n_cols, min_leaf=min_leaf,
+                          max_depth=max_depth, bootstrap=False)
+    model = fit_forest(X, labels, params, seed=0, allow_missing=with_missing)
+    _check_tree(model.trees[0], X.values, X.missing, cat_sizes, y, np.arange(X.n_rows),
+                0, is_class, n_classes, min_leaf, max_depth)

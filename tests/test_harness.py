@@ -409,11 +409,11 @@ def test_runs_csv_byte_identical_across_threads(tmp_path):
 # sha256 of the bundled iris experiment's runs.csv.  A change that alters the
 # results on purpose re-pins it and says why in CHANGES.md.
 BUNDLED_RUNS_SHA256 = (
-    "16de310041158e52ebbd6e770c24f0c59192046c234757d85572639138490750"
+    "674e815d0cf59952a6a8c4ba77e757d626824ce272a0ce44835a6f03cd74b93d"
 )
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 8])
 def test_bundled_config_runs_csv_digest_pinned(tmp_path, threads):
     ref = resources.files("labimpute") / "_assets" / "iris_experiment.json"
     with resources.as_file(ref) as path:
