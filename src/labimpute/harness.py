@@ -130,8 +130,8 @@ class ExperimentConfig:
             raise DataError("missforest_max_iter must be >= 1")
         if self.mice_n_iter < 1:
             raise DataError("mice_n_iter must be >= 1")
-        if self.mice_ridge < 0:
-            raise DataError("mice_ridge must be >= 0")
+        if not 0.0 <= self.mice_ridge < np.inf:
+            raise DataError("mice_ridge must be finite and >= 0")
 
     def _rate_keys(self) -> list[int]:
         return [_rate_key(float(r)) for r in self.rates]
@@ -167,59 +167,86 @@ class ExperimentConfig:
     def from_json_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise DataError("experiment config must be a JSON object")
-        known = {
-            "dataset", "label", "scenario", "rates", "repetitions",
-            "methods", "seed", "train_ratio", "forest", "missforest", "mice",
-        }
-        extra = set(raw) - known
+        extra = set(raw) - {"scenario", *_CONFIG_FIELDS, *_CONFIG_SECTIONS}
         if extra:
             raise DataError(f"unknown config keys: {sorted(extra)}")
         for req in ("dataset", "label"):
             if req not in raw:
                 raise DataError(f"config missing required key {req!r}")
-        kwargs: dict = {"dataset": raw["dataset"], "label": raw["label"]}
+        kwargs: dict = {k: _config_value(raw, k, convert)
+                        for k, convert in _CONFIG_FIELDS.items() if k in raw}
         if "scenario" in raw:
             try:
                 kwargs["scenario"] = Scenario(raw["scenario"])
             except ValueError:
                 vals = ", ".join(s.value for s in Scenario)
                 raise DataError(f"scenario must be one of: {vals}") from None
-        if "rates" in raw:
-            kwargs["rates"] = tuple(float(r) for r in raw["rates"])
-        elif kwargs.get("scenario") is Scenario.TEST_OBSERVED:
+        if "rates" not in raw and kwargs.get("scenario") is Scenario.TEST_OBSERVED:
             # an untouched test side makes the zero-rate point meaningful
             kwargs["rates"] = (0.0, 0.2, 0.4, 0.6, 0.8)
-        if "repetitions" in raw:
-            kwargs["repetitions"] = int(raw["repetitions"])
-        if "methods" in raw:
-            kwargs["methods"] = tuple(raw["methods"])
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        if "train_ratio" in raw:
-            kwargs["train_ratio"] = float(raw["train_ratio"])
-        if "forest" in raw:
-            f = dict(raw["forest"])
-            extra = set(f) - {"n_trees", "mtry", "min_leaf", "max_depth", "bootstrap"}
+        for name, fields in _CONFIG_SECTIONS.items():
+            if name not in raw:
+                continue
+            section = _config_value(raw, name, _of(dict))
+            extra = set(section) - set(fields)
             if extra:
-                raise DataError(f"unknown forest config keys: {sorted(extra)}")
-            kwargs["forest"] = ForestParams(**f)
-        if "missforest" in raw:
-            mf = dict(raw["missforest"])
-            extra = set(mf) - {"max_iter"}
-            if extra:
-                raise DataError(f"unknown missforest config keys: {sorted(extra)}")
-            if "max_iter" in mf:
-                kwargs["missforest_max_iter"] = int(mf["max_iter"])
-        if "mice" in raw:
-            mc = dict(raw["mice"])
-            extra = set(mc) - {"n_iter", "ridge"}
-            if extra:
-                raise DataError(f"unknown mice config keys: {sorted(extra)}")
-            if "n_iter" in mc:
-                kwargs["mice_n_iter"] = int(mc["n_iter"])
-            if "ridge" in mc:
-                kwargs["mice_ridge"] = float(mc["ridge"])
+                raise DataError(f"unknown {name} config keys: {sorted(extra)}")
+            vals = {k: _config_value(section, k, fields[k], name + ".") for k in section}
+            if name == "forest":
+                kwargs["forest"] = ForestParams(**vals)
+            else:  # missforest.max_iter -> missforest_max_iter, and so on
+                kwargs.update((f"{name}_{k}", v) for k, v in vals.items())
         return cls(**kwargs)
+
+
+def _config_value(raw: dict, key: str, convert, prefix: str = ""):
+    """convert(raw[key]); any failure is a DataError naming the key."""
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"config key {prefix + key!r} has an invalid value: "
+                        f"{raw[key]!r}") from None
+
+
+def _of(kind: type):
+    """A converter that passes only values of one JSON type."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}")
+        return value
+    return check
+
+
+def _number(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if _number(value) != int(value):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def _optional_integer(value) -> int | None:
+    return None if value is None else _integer(value)
+
+
+_CONFIG_FIELDS = {
+    "dataset": _of(str), "label": _of(str),
+    "rates": lambda v: tuple(_number(r) for r in _of(list)(v)),
+    "repetitions": _integer,
+    "methods": lambda v: tuple(_of(str)(m) for m in _of(list)(v)),
+    "seed": _integer, "train_ratio": _number,
+}
+_CONFIG_SECTIONS = {
+    "forest": {"n_trees": _integer, "mtry": _optional_integer,
+               "min_leaf": _optional_integer, "max_depth": _optional_integer,
+               "bootstrap": _of(bool)},
+    "missforest": {"max_iter": _integer},
+    "mice": {"n_iter": _integer, "ridge": _number},
+}
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

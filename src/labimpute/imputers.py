@@ -13,6 +13,9 @@ reached.  Two statistics are tracked:
 mice_impute is the deterministic chained-equations counterpart: ridge
 least squares per continuous column, one-vs-rest least-squares scoring
 with argmax per categorical column, a fixed number of sweeps, no sampling.
+Its one-hot design is expanded once per call and updated one column block
+at a time; each column fit gathers its rows once and forms one normal
+matrix, which serves every category of a categorical column.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class MiceParams:
     def __post_init__(self):
         if self.n_iter < 1:
             raise DataError("n_iter must be >= 1")
-        if self.ridge < 0:
-            raise DataError("ridge must be >= 0")
+        if not 0.0 <= self.ridge < np.inf:
+            raise DataError("ridge must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -262,18 +265,29 @@ def _build_design(values: np.ndarray, plan: list[tuple[int, int]]) -> np.ndarray
     return A
 
 
-def _ridge_solve(A: np.ndarray, b: np.ndarray, ridge: float) -> np.ndarray:
-    """Least squares with an L2 penalty on everything but the intercept."""
-    M = A.T @ A
+def _ridge_fill(design: np.ndarray, others: np.ndarray, mis: np.ndarray,
+                y: np.ndarray, cats: np.ndarray | None, ridge: float) -> np.ndarray:
+    """Ridge least squares of y on the design columns `others` (intercept
+    first, unpenalized), fitted on the rows outside `mis` and evaluated on
+    the rows in it.  With `cats`, each category is scored one-vs-rest and
+    the argmax is returned, ties to the smallest index.  One normal matrix
+    serves every category."""
+    A_obs = design.compress(~mis, axis=0).take(others, axis=1)
+    A_mis = design.compress(mis, axis=0).take(others, axis=1)
+    M = A_obs.T @ A_obs
     reg = np.full(M.shape[0], ridge)
-    reg[0] = 0.0  # intercept stays unpenalized
+    reg[0] = 0.0
     M = M + np.diag(reg)
     if ridge == 0.0 and np.linalg.matrix_rank(M) < M.shape[0]:
         raise DataError("singular design; set ridge > 0 to regularize")
+    targets = [y] if cats is None else [(y == c).astype(np.float64) for c in cats]
     try:
-        return np.linalg.solve(M, A.T @ b)
+        scores = [A_mis @ np.linalg.solve(M, A_obs.T @ b) for b in targets]
     except np.linalg.LinAlgError as exc:
         raise DataError(f"normal equations failed ({exc}); set ridge > 0") from exc
+    if cats is None:
+        return scores[0]
+    return cats[np.argmax(np.column_stack(scores), axis=1)].astype(np.float64)
 
 
 def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
@@ -285,6 +299,9 @@ def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
     categorical columns take the argmax of one-vs-rest least-squares
     scores over the column's observed categories, ties to the smallest
     index.  No randomness is involved anywhere.
+
+    The design of all columns is expanded once.  A fit on column s reads
+    every block but s's; writing s refreshes s's block in its missing rows.
     """
     if table.is_complete():
         return table
@@ -299,25 +316,18 @@ def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
         j: np.unique(table.values[~mask[:, j], j]).astype(np.int64)
         for j in table.categorical_columns()
     }
+    plan = _design_columns(table.schema, range(table.n_cols))
+    design = _build_design(cur, plan)
+    source = np.array([-1] + [j for j, _ in plan])  # design column -> table column
 
     for _ in range(params.n_iter):
         for s in order:
             mis = mask[:, s]
             if not mis.any():
                 continue
-            obs = ~mis
-            plan = _design_columns(table.schema, [j for j in range(table.n_cols) if j != s])
-            A = _build_design(cur, plan)
-            if table.schema[s].kind is ColumnKind.CONTINUOUS:
-                w = _ridge_solve(A[obs], cur[obs, s], params.ridge)
-                cur[mis, s] = A[mis] @ w
-            else:
-                cats = observed_cats[int(s)]
-                scores = np.empty((int(mis.sum()), cats.size))
-                for i, c in enumerate(cats):
-                    w = _ridge_solve(A[obs], (cur[obs, s] == c).astype(np.float64),
-                                     params.ridge)
-                    scores[:, i] = A[mis] @ w
-                winner = np.argmax(scores, axis=1)  # ties to the smallest index
-                cur[mis, s] = cats[winner].astype(np.float64)
+            # a call, so the gathered rows are freed before the next fit gathers
+            cur[mis, s] = _ridge_fill(design, np.flatnonzero(source != s), mis,
+                                      cur[~mis, s], observed_cats.get(s), params.ridge)
+            block = [(j, k) for j, k in plan if j == s]
+            design[np.ix_(mis, source == s)] = _build_design(cur[mis], block)[:, 1:]
     return table.with_cells(cur)

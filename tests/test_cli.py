@@ -221,6 +221,21 @@ def test_data_errors(iris_csv, tmp_path, capsys):
     ]) == 2
 
 
+def test_malformed_inputs_exit_2(iris_csv, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(
+        {"dataset": "builtin:iris", "label": "species", "forest": {"n_trees": "a"}}))
+    assert cli_main(["experiment", "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert "'forest.n_trees'" in capsys.readouterr().err
+    for ridge in ("nan", "inf"):
+        assert cli_main([
+            "impute", str(iris_csv), "--method", "mice", "--ridge", ridge,
+            "--out-dir", str(tmp_path / "imp"),
+        ]) == 2
+        assert "ridge" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
     assert "labimpute" in capsys.readouterr().out

@@ -110,6 +110,36 @@ def test_config_rejections(tmp_path):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"repetitions": "abc"}, "repetitions"),
+    ({"repetitions": 2.5}, "repetitions"),
+    ({"rates": 5}, "rates"),
+    ({"rates": ["0.2"]}, "rates"),
+    ({"methods": [["cbmi"]]}, "methods"),
+    ({"seed": True}, "seed"),
+    ({"forest": {"n_trees": "a"}}, "forest.n_trees"),
+    ({"forest": {"bootstrap": "false"}}, "forest.bootstrap"),
+    ({"forest": [1]}, "forest"),
+    ({"mice": 5}, "mice"),
+    ({"mice": {"ridge": "nan"}}, "mice.ridge"),
+    ({"missforest": {"max_iter": None}}, "missforest.max_iter"),
+    ({"dataset": 3}, "dataset"),
+])
+def test_malformed_config_value_names_its_key(extra, key):
+    raw = {"dataset": "builtin:iris", "label": "species", **extra}
+    with pytest.raises(DataError, match=f"'{key}'"):
+        ExperimentConfig.from_json_dict(raw)
+
+
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+def test_config_rejects_non_finite_ridge(ridge):
+    with pytest.raises(DataError, match="ridge"):
+        small_config(mice_ridge=ridge)
+    with pytest.raises(DataError, match="ridge"):
+        ExperimentConfig.from_json_dict(
+            {"dataset": "builtin:iris", "label": "species", "mice": {"ridge": ridge}})
+
+
 def test_record_method_expansion():
     cfg = small_config(
         methods=("iul-vs-di-missforest", "cbmi", "iul-vs-di-mice")

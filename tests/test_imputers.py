@@ -14,6 +14,8 @@ from labimpute.imputers import (
     IterationTrace,
     MiceParams,
     MissForestParams,
+    _build_design,
+    _design_columns,
     delta_categorical,
     delta_continuous,
     init_impute,
@@ -286,3 +288,95 @@ def test_mice_categorical_tie_takes_smallest_index():
     out = mice_impute(t, MiceParams())
     # x is constant: both class scores equal their 0.5 prevalence, tie -> a
     assert out.values[2, 0] == 0.0
+
+
+def test_mice_singular_design_instructs_ridge_for_categorical_target():
+    # the same duplicated predictors, now with a categorical column to fill
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    schema = (cont("x0"), cont("x1"), cat("c", ["a", "b", "d"]))
+    vals = np.column_stack([x, x, np.array([0.0, np.nan, 1.0, 2.0, 1.0])])
+    miss = np.zeros((5, 3), dtype=bool)
+    miss[1, 2] = True
+    t = DataTable(schema, vals, miss)
+    with pytest.raises(DataError, match="ridge"):
+        mice_impute(t, MiceParams(ridge=0.0))
+    assert mice_impute(t, MiceParams(ridge=1e-8)).is_complete()
+
+
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1.0])
+def test_mice_params_reject_bad_ridge(ridge):
+    with pytest.raises(DataError, match="ridge"):
+        MiceParams(ridge=ridge)
+
+
+def _reference_ridge_solve(A, b, ridge):
+    M = A.T @ A
+    reg = np.full(M.shape[0], ridge)
+    reg[0] = 0.0
+    M = M + np.diag(reg)
+    if ridge == 0.0 and np.linalg.matrix_rank(M) < M.shape[0]:
+        raise DataError("singular design; set ridge > 0 to regularize")
+    return np.linalg.solve(M, A.T @ b)
+
+
+def _reference_mice(table, params):
+    """The naive loop: the design rebuilt for every column fit and one
+    normal matrix per one-vs-rest category."""
+    mask = table.missing
+    cur = init_impute(table).values.copy()
+    observed_cats = {
+        j: np.unique(table.values[~mask[:, j], j]).astype(np.int64)
+        for j in table.categorical_columns()
+    }
+    for _ in range(params.n_iter):
+        for s in order_columns_by_missing(table):
+            mis = mask[:, s]
+            if not mis.any():
+                continue
+            obs = ~mis
+            plan = _design_columns(table.schema, [j for j in range(table.n_cols) if j != s])
+            A = _build_design(cur, plan)
+            if table.schema[s].kind is ColumnKind.CONTINUOUS:
+                cur[mis, s] = A[mis] @ _reference_ridge_solve(A[obs], cur[obs, s], params.ridge)
+            else:
+                cats = observed_cats[int(s)]
+                scores = np.empty((int(mis.sum()), cats.size))
+                for i, c in enumerate(cats):
+                    b = (cur[obs, s] == c).astype(np.float64)
+                    scores[:, i] = A[mis] @ _reference_ridge_solve(A[obs], b, params.ridge)
+                cur[mis, s] = cats[np.argmax(scores, axis=1)].astype(np.float64)
+    return cur
+
+
+def mixed_k_table(seed, n, absent_category):
+    """Continuous columns and categoricals of k = 2..8 with shared signal;
+    with absent_category the k = 5 column never takes its last category."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 2))
+    schema, cols = [], []
+    for j in range(3):
+        schema.append(cont(f"x{j}"))
+        cols.append(z @ rng.normal(size=2) + 0.5 * rng.normal(size=n))
+    for k in range(2, 9):
+        used = k - 1 if absent_category and k == 5 else k
+        view = z @ rng.normal(size=2) + rng.normal(size=n)
+        codes = np.searchsorted(np.quantile(view, np.linspace(0, 1, used + 1)[1:-1]), view)
+        schema.append(cat(f"c{k}", [f"v{i}" for i in range(k)]))
+        cols.append(codes.astype(float))
+    t = DataTable(tuple(schema), np.column_stack(cols), np.zeros((n, len(cols)), dtype=bool))
+    return apply_mcar(t, 0.25, seed=seed + 1)[0]
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+@pytest.mark.parametrize("ridge", [0.0, 1e-8])
+def test_mice_matches_naive_loop_bit_for_bit(seed, ridge):
+    # a never-seen category leaves an all-zero design column, which only a
+    # positive ridge can carry
+    t = mixed_k_table(seed, 160, absent_category=ridge > 0)
+    params = MiceParams(n_iter=4, ridge=ridge)
+    expected = _reference_mice(t, params)
+    got = mice_impute(t, params).values
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    if ridge > 0:
+        j = [col.name for col in t.schema].index("c5")
+        assert 4.0 not in t.values[~t.missing[:, j], j]
