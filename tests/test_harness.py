@@ -451,3 +451,40 @@ def test_bundled_config_runs_csv_digest_pinned(tmp_path, threads):
     emit_report(run_experiment(cfg, threads=threads), tmp_path, formats=("csv",))
     digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
     assert digest == BUNDLED_RUNS_SHA256
+
+
+_ALL_METHODS = (
+    "cbmi", "iclf-missforest", "iclf-mice", "rf-missing",
+    "iul-vs-di-missforest", "iul-vs-di-mice",
+)
+
+# sha256 of runs.csv for grids the bundled config does not cover: every method
+# under test_observed, and the regression downstream_mse path on a continuous
+# label.  Every row of both is status=ok.
+_EXTRA_RUNS_SHA256 = {
+    "all-methods-test-observed": (
+        dict(label="species", scenario=Scenario.TEST_OBSERVED, rates=(0.0, 0.4),
+             seed=3, methods=_ALL_METHODS),
+        "1191eba31e34fffcccb4846d71db0d58949eaf837d9e4bc0ff0df099771eabf7",
+    ),
+    "regression-label": (
+        dict(label="petal_width", rates=(0.3,), seed=5,
+             methods=("iul-vs-di-missforest", "iul-vs-di-mice")),
+        "0cf368e9b443c476cdd0a934f434af19ed04bcc699a199e859c0ee20fd264a23",
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(_EXTRA_RUNS_SHA256))
+def test_uncovered_methods_runs_csv_digest_pinned(tmp_path, case, threads):
+    overrides, expected = _EXTRA_RUNS_SHA256[case]
+    cfg = ExperimentConfig(
+        dataset="builtin:iris", repetitions=2, forest=ForestParams(n_trees=5),
+        missforest_max_iter=3, mice_n_iter=3, **overrides,
+    )
+    report = run_experiment(cfg, threads=threads)
+    assert all(r.status == "ok" for r in report.records)
+    emit_report(report, tmp_path, formats=("csv",))
+    digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+    assert digest == expected
