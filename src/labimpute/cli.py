@@ -22,12 +22,7 @@ from .data import (
 from .errors import DataError, InvariantError
 from .forest import ForestParams
 from .harness import emit_report, load_experiment_config, run_experiment
-from .imputers import (
-    MiceParams,
-    MissForestParams,
-    mice_impute,
-    missforest_impute,
-)
+from .imputers import MiceParams, MissForestParams, impute
 from .strategies import cbmi_predict, stack_labels
 from .theory import sample_instance, verify_theorem1
 
@@ -137,43 +132,29 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _missforest_params(args) -> MissForestParams:
+    return MissForestParams(forest=ForestParams(n_trees=args.trees),
+                            max_iter=args.max_iter, seed=args.seed)
+
+
 def _cmd_impute(args) -> int:
     table = load_csv(args.input)
-    if args.method == "missforest":
-        params = MissForestParams(
-            forest=ForestParams(n_trees=args.trees),
-            max_iter=args.max_iter,
-            seed=args.seed,
-        )
-    else:
-        params = MiceParams(n_iter=args.n_iter, ridge=args.ridge)
-
+    params = (_missforest_params(args) if args.method == "missforest"
+              else MiceParams(n_iter=args.n_iter, ridge=args.ridge))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace = None
     if args.strategy == "iul":
         if not args.label:
             raise DataError("--strategy iul needs --label")
-        x, y = split_label(table, args.label)
-        stacked = stack_labels(x, y)
         # the completed table keeps the label as its last column
-        if args.method == "missforest":
-            completed, trace = missforest_impute(stacked.table, params)
-        else:
-            completed = mice_impute(stacked.table, params)
-        save_csv(completed, out / "imputed.csv")
-    else:
-        if args.method == "missforest":
-            completed, trace = missforest_impute(table, params)
-        else:
-            completed = mice_impute(table, params)
-        save_csv(completed, out / "imputed.csv")
+        table = stack_labels(*split_label(table, args.label)).table
+    completed, trace = impute(table, params)
+    save_csv(completed, out / "imputed.csv")
+    note = ""
     if trace is not None:
         trace.to_csv(out / "trace.csv")
-        print(f"imputed -> {out / 'imputed.csv'} "
-              f"({len(trace.sweeps)} sweeps, stopped: {trace.stop_reason})")
-    else:
-        print(f"imputed -> {out / 'imputed.csv'}")
+        note = f" ({len(trace.sweeps)} sweeps, stopped: {trace.stop_reason})"
+    print(f"imputed -> {out / 'imputed.csv'}{note}")
     return 0
 
 
@@ -181,12 +162,7 @@ def _cmd_cbmi(args) -> int:
     train = load_csv(args.train)
     test = load_csv(args.test)
     x_train, y_train = split_label(train, args.label)
-    params = MissForestParams(
-        forest=ForestParams(n_trees=args.trees),
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
-    res = cbmi_predict(x_train, y_train, test, params)
+    res = cbmi_predict(x_train, y_train, test, _missforest_params(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.csv"

@@ -45,12 +45,15 @@ import numpy as np
 
 from ._rng import make_rng
 from .data import ColumnKind, DataTable, LabelKind, LabelVector
-from .errors import DataError
+from .errors import DataError, _integer, _of, _optional_integer, check_fields
 
 _TREE_TAG = 769001   # stream separator for per-tree generators
 _TIE_RTOL = 1e-10    # gains closer than this times the node impurity tie
 _BATCH_ROWS = 1 << 13  # bootstrap rows of the trees grown together
 _BLOCK = 1 << 20     # elements per block of categorical subset sums
+_PARAM_FIELDS = {"n_trees": _integer, "mtry": _optional_integer,
+                 "min_leaf": _optional_integer, "max_depth": _optional_integer,
+                 "bootstrap": _of(bool)}
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,7 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
+        check_fields(self, _PARAM_FIELDS)
         if self.n_trees < 1:
             raise DataError("n_trees must be >= 1")
         if self.mtry is not None and self.mtry < 1:

@@ -49,8 +49,9 @@ from .data import (
     split_label,
     train_test_split,
 )
-from .errors import DataError
-from .forest import ForestParams, fit_forest, predict
+from .errors import (DataError, _integer, _number, _of, _tuple_of, check_fields,
+                     checked)
+from .forest import _PARAM_FIELDS, ForestParams, fit_forest, predict
 from .imputers import MiceParams, MissForestParams
 from .strategies import (
     Scenario,
@@ -63,18 +64,19 @@ from .strategies import (
 
 _REP_TAG = 565601
 
-# Config-level method names.  The two head-to-head entries expand into a pair
-# of result rows sharing one preparation but carrying independent seeds.
-_EXPANSION = {
-    "cbmi": ("cbmi",),
-    "iclf-missforest": ("iclf-missforest",),
-    "iclf-mice": ("iclf-mice",),
-    "rf-missing": ("rf-missing",),
-    "iul-vs-di-missforest": ("iul-missforest", "di-missforest"),
-    "iul-vs-di-mice": ("iul-mice", "di-mice"),
+# Config method -> its result rows as (row method, strategy, engine).  The
+# head-to-head entries yield a pair of rows sharing one preparation but
+# carrying independent seeds.  Strategies are named, not held, so the runner
+# looks each one up among this module's attributes at call time.
+_METHODS = {
+    "cbmi": (("cbmi", "cbmi", "missforest"),),
+    "iclf-missforest": (("iclf-missforest", "iclf", "missforest"),),
+    "iclf-mice": (("iclf-mice", "iclf", "mice"),),
+    "rf-missing": (("rf-missing", "rf-missing", None),),
+    "iul-vs-di-missforest": (("iul-missforest", "iul", "missforest"),
+                             ("di-missforest", "di", "missforest")),
+    "iul-vs-di-mice": (("iul-mice", "iul", "mice"), ("di-mice", "di", "mice")),
 }
-
-_CLASSIFICATION_METHODS = {"cbmi", "iclf-missforest", "iclf-mice", "rf-missing"}
 
 _BUILTIN_PREFIX = "builtin:"
 _BUILTIN_DATASETS = {"iris": ("iris.csv", "species")}
@@ -103,6 +105,10 @@ class ExperimentConfig:
     mice_ridge: float = 1e-8
 
     def __post_init__(self):
+        check_fields(self, {**_CONFIG_FIELDS, "forest": _of(ForestParams)})
+        for name in _FLAT_SECTIONS:
+            check_fields(self, {f"{name}_{k}": convert
+                                for k, convert in _CONFIG_SECTIONS[name].items()})
         if not self.dataset:
             raise DataError("dataset must be a CSV path or builtin:<name>")
         if not self.label:
@@ -110,17 +116,17 @@ class ExperimentConfig:
         if not self.rates:
             raise DataError("rates must be non-empty")
         for r in self.rates:
-            if not (0.0 <= float(r) < 1.0):
+            if not (0.0 <= r < 1.0):
                 raise DataError(f"rate {r} outside [0, 1)")
-        if len(set(self._rate_keys())) != len(self.rates):
+        if len({_rate_key(r) for r in self.rates}) != len(self.rates):
             raise DataError("duplicate rates in config")
         if self.repetitions < 1:
             raise DataError("repetitions must be >= 1")
         if not self.methods:
             raise DataError("methods must be non-empty")
         for m in self.methods:
-            if m not in _EXPANSION:
-                known = ", ".join(sorted(_EXPANSION))
+            if m not in _METHODS:
+                known = ", ".join(sorted(_METHODS))
                 raise DataError(f"unknown method {m!r}; known methods: {known}")
         if len(set(self.methods)) != len(self.methods):
             raise DataError("duplicate methods in config")
@@ -133,120 +139,74 @@ class ExperimentConfig:
         if not 0.0 <= self.mice_ridge < np.inf:
             raise DataError("mice_ridge must be finite and >= 0")
 
-    def _rate_keys(self) -> list[int]:
-        return [_rate_key(float(r)) for r in self.rates]
-
     def record_methods(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for m in self.methods:
-            out.extend(_EXPANSION[m])
-        return tuple(out)
+        return tuple(row for m in self.methods for row, _, _ in _METHODS[m])
 
     def to_json_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "label": self.label,
-            "scenario": self.scenario.value,
-            "rates": [float(r) for r in self.rates],
-            "repetitions": self.repetitions,
-            "methods": list(self.methods),
-            "seed": self.seed,
-            "train_ratio": self.train_ratio,
-            "forest": {
-                "n_trees": self.forest.n_trees,
-                "mtry": self.forest.mtry,
-                "min_leaf": self.forest.min_leaf,
-                "max_depth": self.forest.max_depth,
-                "bootstrap": self.forest.bootstrap,
-            },
-            "missforest": {"max_iter": self.missforest_max_iter},
-            "mice": {"n_iter": self.mice_n_iter, "ridge": self.mice_ridge},
-        }
+        doc = {k: _json_value(getattr(self, k)) for k in _CONFIG_FIELDS}
+        doc["forest"] = {k: getattr(self.forest, k) for k in _CONFIG_SECTIONS["forest"]}
+        for name in _FLAT_SECTIONS:
+            doc[name] = {k: getattr(self, f"{name}_{k}") for k in _CONFIG_SECTIONS[name]}
+        return doc
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise DataError("experiment config must be a JSON object")
-        extra = set(raw) - {"scenario", *_CONFIG_FIELDS, *_CONFIG_SECTIONS}
+        extra = set(raw) - {*_CONFIG_FIELDS, *_CONFIG_SECTIONS}
         if extra:
             raise DataError(f"unknown config keys: {sorted(extra)}")
         for req in ("dataset", "label"):
             if req not in raw:
                 raise DataError(f"config missing required key {req!r}")
-        kwargs: dict = {k: _config_value(raw, k, convert)
-                        for k, convert in _CONFIG_FIELDS.items() if k in raw}
-        if "scenario" in raw:
-            try:
-                kwargs["scenario"] = Scenario(raw["scenario"])
-            except ValueError:
-                vals = ", ".join(s.value for s in Scenario)
-                raise DataError(f"scenario must be one of: {vals}") from None
-        if "rates" not in raw and kwargs.get("scenario") is Scenario.TEST_OBSERVED:
+        kwargs: dict = {k: raw[k] for k in _CONFIG_FIELDS if k in raw}
+        if "rates" not in raw and raw.get("scenario") == Scenario.TEST_OBSERVED.value:
             # an untouched test side makes the zero-rate point meaningful
             kwargs["rates"] = (0.0, 0.2, 0.4, 0.6, 0.8)
         for name, fields in _CONFIG_SECTIONS.items():
             if name not in raw:
                 continue
-            section = _config_value(raw, name, _of(dict))
+            section = checked(raw[name], _of(dict), name)
             extra = set(section) - set(fields)
             if extra:
                 raise DataError(f"unknown {name} config keys: {sorted(extra)}")
-            vals = {k: _config_value(section, k, fields[k], name + ".") for k in section}
+            # checked here so that a message names the dotted key
+            vals = {k: checked(v, fields[k], f"{name}.{k}") for k, v in section.items()}
             if name == "forest":
                 kwargs["forest"] = ForestParams(**vals)
-            else:  # missforest.max_iter -> missforest_max_iter, and so on
+            else:
                 kwargs.update((f"{name}_{k}", v) for k, v in vals.items())
         return cls(**kwargs)
 
 
-def _config_value(raw: dict, key: str, convert, prefix: str = ""):
-    """convert(raw[key]); any failure is a DataError naming the key."""
+def _json_value(value):
+    if isinstance(value, Scenario):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _scenario(value) -> Scenario:
     try:
-        return convert(raw[key])
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"config key {prefix + key!r} has an invalid value: "
-                        f"{raw[key]!r}") from None
+        return Scenario(value)
+    except ValueError:
+        vals = ", ".join(s.value for s in Scenario)
+        raise DataError(f"scenario must be one of: {vals}") from None
 
 
-def _of(kind: type):
-    """A converter that passes only values of one JSON type."""
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}")
-        return value
-    return check
-
-
-def _number(value) -> float:
-    if isinstance(value, (bool, str)):
-        raise TypeError("expected a number")
-    return float(value)
-
-
-def _integer(value) -> int:
-    if _number(value) != int(value):
-        raise ValueError("expected an integer")
-    return int(value)
-
-
-def _optional_integer(value) -> int | None:
-    return None if value is None else _integer(value)
-
-
+# JSON keys of the config and their converters; ExperimentConfig runs its
+# fields through the same tables, so both ways in get the same checks.
 _CONFIG_FIELDS = {
-    "dataset": _of(str), "label": _of(str),
-    "rates": lambda v: tuple(_number(r) for r in _of(list)(v)),
-    "repetitions": _integer,
-    "methods": lambda v: tuple(_of(str)(m) for m in _of(list)(v)),
-    "seed": _integer, "train_ratio": _number,
+    "dataset": _of(str), "label": _of(str), "scenario": _scenario,
+    "rates": _tuple_of(_number), "repetitions": _integer,
+    "methods": _tuple_of(_of(str)), "seed": _integer, "train_ratio": _number,
 }
 _CONFIG_SECTIONS = {
-    "forest": {"n_trees": _integer, "mtry": _optional_integer,
-               "min_leaf": _optional_integer, "max_depth": _optional_integer,
-               "bootstrap": _of(bool)},
+    "forest": _PARAM_FIELDS,
     "missforest": {"max_iter": _integer},
     "mice": {"n_iter": _integer, "ridge": _number},
 }
+# sections held in flat fields: missforest.max_iter is missforest_max_iter
+_FLAT_SECTIONS = ("missforest", "mice")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -411,14 +371,6 @@ def _prepare_cell(
     )
 
 
-def _imputer_params(config: ExperimentConfig, engine: str, seed: int):
-    if engine == "missforest":
-        return MissForestParams(
-            forest=config.forest, max_iter=config.missforest_max_iter, seed=seed
-        )
-    return MiceParams(n_iter=config.mice_n_iter, ridge=config.mice_ridge)
-
-
 def _downstream_mse(
     x_imp_pool: DataTable,
     prep: _CellPrep,
@@ -441,66 +393,47 @@ def _downstream_mse(
     return float(diff @ diff / diff.size)
 
 
+_NO_METRICS = dict.fromkeys(
+    ("masked_mse", "masked_cells", "accuracy", "downstream_mse"))
+
+
 def _run_one_method(
-    method: str,
+    strategy: str,
+    engine: str | None,
     prep: _CellPrep,
     config: ExperimentConfig,
     seed: int,
     clf_seed: int,
 ) -> dict:
-    """Execute one result-row method; returns the metric fields for its record.
+    """Run one result row's strategy; returns the metric fields for its record.
 
     seed drives the method's own imputation randomness.  clf_seed drives any
     downstream forest and is shared by every method of the cell, so paired
     methods differ only through the data they hand that forest.
     """
-    out: dict = {
-        "masked_mse": None,
-        "masked_cells": None,
-        "accuracy": None,
-        "downstream_mse": None,
-    }
-    if method == "cbmi":
-        params = _imputer_params(config, "missforest", child_seed(seed, 1))
-        res = cbmi_predict(prep.x_train, prep.y_train, prep.x_test, params)
-        out["accuracy"] = accuracy(res.y_pred, prep.y_test)
-    elif method in ("iclf-missforest", "iclf-mice"):
-        engine = method.removeprefix("iclf-")
-        params = _imputer_params(config, engine, child_seed(seed, 1))
-        pred = iclf_predict(
-            prep.x_train,
-            prep.y_train,
-            prep.x_test,
-            params,
-            config.forest,
-            config.scenario,
-            clf_seed,
-        )
-        out["accuracy"] = accuracy(pred, prep.y_test)
-    elif method == "rf-missing":
-        pred = rf_missing_predict(
-            prep.x_train, prep.y_train, prep.x_test, config.forest, clf_seed
-        )
-        out["accuracy"] = accuracy(pred, prep.y_test)
-    elif method in ("iul-missforest", "iul-mice"):
-        engine = method.removeprefix("iul-")
-        params = _imputer_params(config, engine, child_seed(seed, 1))
-        x_imp, _ = iul_impute(prep.x_pool, prep.y_pool, params)
+    params = None
+    if engine == "missforest":
+        params = MissForestParams(forest=config.forest,
+                                  max_iter=config.missforest_max_iter,
+                                  seed=child_seed(seed, 1))
+    elif engine == "mice":
+        params = MiceParams(n_iter=config.mice_n_iter, ridge=config.mice_ridge)
+    if strategy in ("iul", "di"):
+        x_imp = (iul_impute(prep.x_pool, prep.y_pool, params)[0] if strategy == "iul"
+                 else di_impute(prep.x_pool, params))
         err = masked_mse(x_imp, prep.x_pool_reference, prep.pool_eval_mask)
-        out["masked_mse"] = err.value / _RANGE_SQ
-        out["masked_cells"] = err.n_cells
-        out["downstream_mse"] = _downstream_mse(x_imp, prep, config, clf_seed)
-    elif method in ("di-missforest", "di-mice"):
-        engine = method.removeprefix("di-")
-        params = _imputer_params(config, engine, child_seed(seed, 1))
-        x_imp = di_impute(prep.x_pool, params)
-        err = masked_mse(x_imp, prep.x_pool_reference, prep.pool_eval_mask)
-        out["masked_mse"] = err.value / _RANGE_SQ
-        out["masked_cells"] = err.n_cells
-        out["downstream_mse"] = _downstream_mse(x_imp, prep, config, clf_seed)
+        return {**_NO_METRICS, "masked_mse": err.value / _RANGE_SQ,
+                "masked_cells": err.n_cells,
+                "downstream_mse": _downstream_mse(x_imp, prep, config, clf_seed)}
+    if strategy == "cbmi":
+        pred = cbmi_predict(prep.x_train, prep.y_train, prep.x_test, params).y_pred
+    elif strategy == "iclf":
+        pred = iclf_predict(prep.x_train, prep.y_train, prep.x_test, params,
+                            config.forest, config.scenario, clf_seed)
     else:
-        raise DataError(f"unknown result method {method!r}")
-    return out
+        pred = rf_missing_predict(prep.x_train, prep.y_train, prep.x_test,
+                                  config.forest, clf_seed)
+    return {**_NO_METRICS, "accuracy": accuracy(pred, prep.y_test)}
 
 
 def _failure(exc: Exception) -> tuple[str, bool]:
@@ -529,8 +462,8 @@ def _run_cell(
         "rate": rate,
         "repetition": rep,
     }
-    methods = config.record_methods()
-    seeds = {m: child_seed(rep_seed, 4, rk, m) for m in methods}
+    rows = [row for m in config.methods for row in _METHODS[m]]
+    seeds = {m: child_seed(rep_seed, 4, rk, m) for m, _, _ in rows}
     clf_seed = child_seed(rep_seed, 5, rk)
     try:
         prep = _prepare_cell(x, y, config, rep_seed, rate)
@@ -538,25 +471,18 @@ def _run_cell(
         error, defect = _failure(exc)
         # one shared failure fails every method of the cell the same way
         return [
-            RunRecord(
-                method=m, seed=seeds[m], masked_mse=None, masked_cells=None,
-                accuracy=None, downstream_mse=None, status="error",
-                error=error, wall_time_seconds=0.0, defect=defect, **common,
-            )
-            for m in methods
+            RunRecord(method=m, seed=seeds[m], status="error", error=error,
+                      wall_time_seconds=0.0, defect=defect, **common, **_NO_METRICS)
+            for m in seeds
         ]
     records = []
-    for m in methods:
+    for m, strategy, engine in rows:
         t0 = time.perf_counter()
         try:
-            metrics = _run_one_method(m, prep, config, seeds[m], clf_seed)
+            metrics = _run_one_method(strategy, engine, prep, config, seeds[m], clf_seed)
             status, error, defect = "ok", "", False
         except Exception as exc:  # a failure stays in its cell
-            metrics = {
-                "masked_mse": None, "masked_cells": None,
-                "accuracy": None, "downstream_mse": None,
-            }
-            status = "error"
+            metrics, status = _NO_METRICS, "error"
             error, defect = _failure(exc)
         wall = time.perf_counter() - t0
         records.append(
@@ -570,28 +496,26 @@ def _run_cell(
 
 def _aggregate(config: ExperimentConfig, records: tuple[RunRecord, ...]):
     """Mean and sample sd per (method, rate, metric) over successful runs."""
+    metrics = ("masked_mse", "accuracy", "downstream_mse")
     groups: dict[tuple[str, float, str], list[float]] = {}
     for rec in records:
         if rec.status != "ok":
             continue
-        for metric in ("masked_mse", "accuracy", "downstream_mse"):
+        for metric in metrics:
             v = getattr(rec, metric)
             if v is not None:
                 groups.setdefault((rec.method, rec.rate, metric), []).append(v)
     rows = []
     for method in config.record_methods():
         for rate in config.rates:
-            for metric in ("masked_mse", "accuracy", "downstream_mse"):
+            for metric in metrics:
                 vals = groups.get((method, float(rate), metric))
                 if not vals:
                     continue
                 n = len(vals)
                 mean = sum(vals) / n
-                if n > 1:
-                    var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-                    sd = var ** 0.5
-                else:
-                    sd = 0.0
+                var = sum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0
+                sd = var ** 0.5
                 rows.append(
                     AggregateRow(
                         dataset=config.dataset,
@@ -654,7 +578,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     if not y.is_complete():
         raise DataError(f"label column {label!r} has missing entries")
     if y.kind is not LabelKind.CLASS:
-        bad = [m for m in config.methods if m in _CLASSIFICATION_METHODS]
+        bad = [m for m in config.methods
+               if any(s not in ("iul", "di") for _, s, _ in _METHODS[m])]
         if bad:
             raise DataError(
                 f"methods {bad} need a categorical label; {label!r} is continuous"
@@ -691,10 +616,6 @@ _CURVE_COLUMNS = ("metric", "method", "rate", "mean", "sd")
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
@@ -733,20 +654,15 @@ def emit_report(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if "csv" in formats:
-        runs = out / "runs.csv"
-        _write_csv(runs, _RUNS_COLUMNS, report.records)
-        written.append(runs)
-        timings = out / "timings.csv"
-        _write_csv(timings, _TIMINGS_COLUMNS, report.records)
-        written.append(timings)
-        agg = out / "aggregates.csv"
-        _write_csv(agg, _AGG_COLUMNS, report.aggregates)
-        written.append(agg)
-        curves = out / "curves.csv"
-        _write_csv(curves, _CURVE_COLUMNS, sorted(
-            report.aggregates, key=lambda a: (a.metric, a.method, a.rate)
-        ))
-        written.append(curves)
+        curves = sorted(report.aggregates, key=lambda a: (a.metric, a.method, a.rate))
+        for name, columns, rows in (
+            ("runs.csv", _RUNS_COLUMNS, report.records),
+            ("timings.csv", _TIMINGS_COLUMNS, report.records),
+            ("aggregates.csv", _AGG_COLUMNS, report.aggregates),
+            ("curves.csv", _CURVE_COLUMNS, curves),
+        ):
+            _write_csv(out / name, columns, rows)
+            written.append(out / name)
     if "json" in formats:
         doc = {
             "config": report.config.to_json_dict(),

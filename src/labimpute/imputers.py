@@ -16,6 +16,9 @@ with argmax per categorical column, a fixed number of sweeps, no sampling.
 Its one-hot design is expanded once per call and updated one column block
 at a time; each column fit gathers its rows once and forms one normal
 matrix, which serves every category of a categorical column.
+
+impute is the one entry point that picks an engine, from the type of the
+params it is given.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from ._rng import child_seed
 from .data import ColumnKind, ColumnSchema, DataTable, LabelKind, LabelVector, _freeze
-from .errors import DataError
+from .errors import DataError, _integer, _number, _of, check_fields
 from .forest import ForestParams, fit_forest, predict
 
 _COLUMN_TAG = 424243  # stream separator for per-column forest seeds
@@ -42,6 +45,8 @@ class MissForestParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, {"forest": _of(ForestParams), "max_iter": _integer,
+                            "seed": _integer})
         if self.max_iter < 1:
             raise DataError("max_iter must be >= 1")
 
@@ -52,6 +57,7 @@ class MiceParams:
     ridge: float = 1e-8
 
     def __post_init__(self):
+        check_fields(self, {"n_iter": _integer, "ridge": _number})
         if self.n_iter < 1:
             raise DataError("n_iter must be >= 1")
         if not 0.0 <= self.ridge < np.inf:
@@ -157,12 +163,9 @@ def _fit_predict_column(values: np.ndarray, table: DataTable, s: int,
     X_obs = DataTable._unsafe(schema, _freeze(values[np.ix_(obs, others)]),
                               _freeze(np.zeros((int(obs.sum()), len(others)), dtype=bool)))
     col = table.schema[s]
-    if col.kind is ColumnKind.CATEGORICAL:
-        y = LabelVector(LabelKind.CLASS, values[obs, s],
-                        np.zeros(int(obs.sum()), dtype=bool), col.categories, col.name)
-    else:
-        y = LabelVector(LabelKind.REGRESSION, values[obs, s],
-                        np.zeros(int(obs.sum()), dtype=bool), name=col.name)
+    kind = LabelKind.CLASS if col.kind is ColumnKind.CATEGORICAL else LabelKind.REGRESSION
+    y = LabelVector(kind, values[obs, s], np.zeros(int(obs.sum()), dtype=bool),
+                    col.categories, col.name)
     model = fit_forest(X_obs, y, forest_params, seed)
     X_mis = DataTable._unsafe(schema, _freeze(values[np.ix_(mis, others)]),
                               _freeze(np.zeros((int(mis.sum()), len(others)), dtype=bool)))
@@ -331,3 +334,17 @@ def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
             block = [(j, k) for j, k in plan if j == s]
             design[np.ix_(mis, source == s)] = _build_design(cur[mis], block)[:, 1:]
     return table.with_cells(cur)
+
+
+ImputerParams = MissForestParams | MiceParams
+
+
+def impute(table: DataTable, params: ImputerParams
+           ) -> tuple[DataTable, IterationTrace | None]:
+    """Fill every missing cell with the engine the type of params selects:
+    missforest_impute and its trace, or mice_impute and no trace (None)."""
+    if isinstance(params, MiceParams):
+        return mice_impute(table, params), None
+    if isinstance(params, MissForestParams):
+        return missforest_impute(table, params)
+    raise DataError(f"unknown imputer parameter type {type(params).__name__}")

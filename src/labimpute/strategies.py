@@ -30,15 +30,8 @@ from .data import (
 )
 from .errors import DataError
 from .forest import ForestParams, fit_forest, predict, predict_with_missing
-from .imputers import (
-    IterationTrace,
-    MiceParams,
-    MissForestParams,
-    mice_impute,
-    missforest_impute,
-)
-
-ImputerParams = MissForestParams | MiceParams
+from .imputers import (ImputerParams, IterationTrace, MissForestParams, impute,
+                       missforest_impute)
 
 
 class Scenario(enum.Enum):
@@ -62,11 +55,8 @@ def stack_labels(X: DataTable, y: LabelVector) -> StackedTable:
     name = y.name
     if name in X.column_names:
         name = name + "_target"
-    if y.kind is LabelKind.CLASS:
-        col = ColumnSchema(name, ColumnKind.CATEGORICAL, y.categories)
-    else:
-        col = ColumnSchema(name, ColumnKind.CONTINUOUS)
-    schema = X.schema + (col,)
+    kind = ColumnKind.CATEGORICAL if y.kind is LabelKind.CLASS else ColumnKind.CONTINUOUS
+    schema = X.schema + (ColumnSchema(name, kind, y.categories),)
     values = np.column_stack([X.values, y.values])
     missing = np.column_stack([X.missing, y.missing])
     return StackedTable(DataTable(schema, values, missing), y.kind, y.name)
@@ -76,23 +66,9 @@ def unstack(stacked: StackedTable) -> tuple[DataTable, LabelVector]:
     """Split the last column back off as the label vector."""
     t = stacked.table
     j = t.n_cols - 1
-    col = t.schema[j]
-    if stacked.label_kind is LabelKind.CLASS:
-        y = LabelVector(LabelKind.CLASS, t.values[:, j], t.missing[:, j],
-                        col.categories, stacked.label_name)
-    else:
-        y = LabelVector(LabelKind.REGRESSION, t.values[:, j], t.missing[:, j],
-                        name=stacked.label_name)
+    y = LabelVector(stacked.label_kind, t.values[:, j], t.missing[:, j],
+                    t.schema[j].categories, stacked.label_name)
     return t.drop_column(j), y
-
-
-def _run_imputer(table: DataTable, params: ImputerParams) -> DataTable:
-    if isinstance(params, MissForestParams):
-        out, _ = missforest_impute(table, params)
-        return out
-    if isinstance(params, MiceParams):
-        return mice_impute(table, params)
-    raise DataError(f"unknown imputer parameter type {type(params).__name__}")
 
 
 def iul_impute(X: DataTable, y: LabelVector, params: ImputerParams
@@ -103,13 +79,13 @@ def iul_impute(X: DataTable, y: LabelVector, params: ImputerParams
     everything else); a fully-observed label comes back bit-exact.
     """
     stacked = stack_labels(X, y)
-    completed = _run_imputer(stacked.table, params)
+    completed, _ = impute(stacked.table, params)
     return unstack(StackedTable(completed, stacked.label_kind, stacked.label_name))
 
 
 def di_impute(X: DataTable, params: ImputerParams) -> DataTable:
     """Impute X alone, without looking at any label."""
-    return _run_imputer(X, params)
+    return impute(X, params)[0]
 
 
 @dataclass(frozen=True)
@@ -143,11 +119,7 @@ def cbmi_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
     d_test = stack_labels(X_test, y_hidden)
     stacked = concat_rows(d_train.table, d_test.table)
     completed, trace = missforest_impute(stacked, params)
-    label_col = completed.n_cols - 1
-    col = completed.schema[label_col]
-    values = completed.values[:, label_col]
-    flags = completed.missing[:, label_col]
-    y_all = LabelVector(LabelKind.CLASS, values, flags, col.categories, y_train.name)
+    _, y_all = unstack(StackedTable(completed, LabelKind.CLASS, y_train.name))
     return CbmiResult(
         y_pred=y_all.take(np.arange(n_train, n_train + X_test.n_rows)),
         y_train_imputed=y_all.take(np.arange(n_train)),
@@ -176,15 +148,13 @@ def iclf_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
         raise DataError("train and test schemas differ")
     if scenario is Scenario.TEST_MISSING:
         merged = concat_rows(X_train, X_test)
-        merged_imp = di_impute(merged, imputer_params)
-        X_test_imp = merged_imp.take_rows(
+        X_test_imp = di_impute(merged, imputer_params).take_rows(
             np.arange(X_train.n_rows, merged.n_rows))
-        X_train_imp = di_impute(X_train, imputer_params)
+    elif X_test.missing.any():
+        raise DataError("test rows must be complete under test_observed")
     else:
-        if X_test.missing.any():
-            raise DataError("test rows must be complete under test_observed")
         X_test_imp = X_test
-        X_train_imp = di_impute(X_train, imputer_params)
+    X_train_imp = di_impute(X_train, imputer_params)
     model = fit_forest(X_train_imp, y_train, forest_params, seed)
     return predict(model, X_test_imp)
 

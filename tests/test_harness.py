@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import glob
 import hashlib
 import json
@@ -23,6 +24,7 @@ from labimpute.harness import (
     run_experiment,
     save_experiment_config,
 )
+from labimpute.imputers import MissForestParams
 from labimpute.strategies import Scenario
 
 
@@ -43,6 +45,12 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+_ALL_METHODS = (
+    "cbmi", "iclf-missforest", "iclf-mice", "rf-missing",
+    "iul-vs-di-missforest", "iul-vs-di-mice",
+)
+
+
 def records_without_time(report):
     return [
         dataclasses.replace(r, wall_time_seconds=0.0) for r in report.records
@@ -52,7 +60,8 @@ def records_without_time(report):
 # --- config ---
 
 def test_config_json_round_trip(tmp_path):
-    cfg = small_config(rates=(0.1, 0.5), forest=ForestParams(n_trees=7, mtry=2))
+    cfg = small_config(rates=(0.1, 0.5), forest=ForestParams(n_trees=7, mtry=2),
+                       seed=2**62 + 1)
     path = tmp_path / "cfg.json"
     save_experiment_config(cfg, path)
     loaded = load_experiment_config(path)
@@ -124,11 +133,20 @@ def test_config_rejections(tmp_path):
     ({"mice": {"ridge": "nan"}}, "mice.ridge"),
     ({"missforest": {"max_iter": None}}, "missforest.max_iter"),
     ({"dataset": 3}, "dataset"),
+    # direct construction runs the same checks
+    (functools.partial(small_config, repetitions="3"), "repetitions"),
+    (functools.partial(small_config, rates=0.2), "rates"),
+    (functools.partial(small_config, methods="cbmi"), "methods"),
+    (functools.partial(small_config, mice_n_iter=2.5), "mice_n_iter"),
+    (functools.partial(ForestParams, n_trees="5"), "n_trees"),
+    (functools.partial(MissForestParams, max_iter="2"), "max_iter"),
 ])
 def test_malformed_config_value_names_its_key(extra, key):
-    raw = {"dataset": "builtin:iris", "label": "species", **extra}
+    build = extra if callable(extra) else functools.partial(
+        ExperimentConfig.from_json_dict,
+        {"dataset": "builtin:iris", "label": "species", **extra})
     with pytest.raises(DataError, match=f"'{key}'"):
-        ExperimentConfig.from_json_dict(raw)
+        build()
 
 
 @pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
@@ -290,20 +308,33 @@ def _injected_fault(*args, **kwargs):
     raise RuntimeError(f"injected fault in pid {os.getpid()}")
 
 
+# the result rows that call each strategy entry point of the harness
+_ROWS_USING = {
+    "cbmi_predict": {"cbmi"},
+    "iclf_predict": {"iclf-missforest", "iclf-mice"},
+    "rf_missing_predict": {"rf-missing"},
+    "iul_impute": {"iul-missforest", "iul-mice"},
+    "di_impute": {"di-missforest", "di-mice"},
+}
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_unexpected_exception_stays_in_its_cell(monkeypatch, threads):
-    # forked workers inherit the patched module attribute
-    monkeypatch.setattr(harness, "rf_missing_predict", _injected_fault)
-    cfg = small_config(rates=(0.2, 0.5), methods=("rf-missing", "cbmi"))
+@pytest.mark.parametrize("target", sorted(_ROWS_USING))
+def test_unexpected_exception_stays_in_its_cell(monkeypatch, target, threads):
+    # the runner calls strategies through the module attributes, which
+    # forked workers inherit patched
+    monkeypatch.setattr(harness, target, _injected_fault)
+    cfg = small_config(rates=(0.2, 0.5), methods=_ALL_METHODS)
     report = run_experiment(cfg, threads=threads)
-    assert len(report.records) == 2 * 2 * 2
+    assert len(report.records) == 2 * 2 * 8
+    faulty = _ROWS_USING[target]
     for r in report.records:
-        if r.method == "rf-missing":
+        if r.method in faulty:
             assert r.status == "error" and r.defect
             assert r.error.startswith("RuntimeError: injected fault")
         else:
             assert r.status == "ok" and not r.defect and r.error == ""
-    assert {a.method for a in report.aggregates} == {"cbmi"}
+    assert {a.method for a in report.aggregates} == set(cfg.record_methods()) - faulty
 
 
 def _child_pids() -> list[int]:
@@ -452,11 +483,6 @@ def test_bundled_config_runs_csv_digest_pinned(tmp_path, threads):
     digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
     assert digest == BUNDLED_RUNS_SHA256
 
-
-_ALL_METHODS = (
-    "cbmi", "iclf-missforest", "iclf-mice", "rf-missing",
-    "iul-vs-di-missforest", "iul-vs-di-mice",
-)
 
 # sha256 of runs.csv for grids the bundled config does not cover: every method
 # under test_observed, and the regression downstream_mse path on a continuous

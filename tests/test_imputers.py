@@ -18,6 +18,7 @@ from labimpute.imputers import (
     _design_columns,
     delta_categorical,
     delta_continuous,
+    impute,
     init_impute,
     mice_impute,
     missforest_impute,
@@ -172,6 +173,25 @@ def test_missforest_is_deterministic():
     assert tra.sweeps == trb.sweeps and tra.stop_reason == trb.stop_reason
 
 
+def test_impute_picks_the_engine_from_the_params_type():
+    rng = np.random.default_rng(4)
+    t, _ = random_mixed(rng, 30, 4, 0.25)
+    out, trace = impute(t, small_params(seed=9))
+    ref, ref_trace = missforest_impute(t, small_params(seed=9))
+    assert tables_equal(out, ref) and trace == ref_trace
+    out, trace = impute(t, MiceParams(n_iter=3))
+    assert tables_equal(out, mice_impute(t, MiceParams(n_iter=3))) and trace is None
+    with pytest.raises(DataError, match="unknown imputer parameter type"):
+        impute(t, ForestParams())
+
+
+def test_params_keep_exact_integers():
+    # a 63-bit seed is exact as an int but not as a float
+    assert small_params(seed=2**62 + 1).seed == 2**62 + 1
+    n_iter = MiceParams(n_iter=3.0).n_iter
+    assert n_iter == 3 and type(n_iter) is int
+
+
 def test_missforest_returns_previous_matrix_on_delta_increase():
     rng = np.random.default_rng(4)
     found = False
@@ -303,7 +323,7 @@ def test_mice_singular_design_instructs_ridge_for_categorical_target():
     assert mice_impute(t, MiceParams(ridge=1e-8)).is_complete()
 
 
-@pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1.0, "a"])
 def test_mice_params_reject_bad_ridge(ridge):
     with pytest.raises(DataError, match="ridge"):
         MiceParams(ridge=ridge)
