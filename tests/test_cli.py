@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -46,6 +47,21 @@ def test_simulate_deterministic(iris_csv, tmp_path):
         ])
     assert (tmp_path / "a" / "masked.csv").read_bytes() == \
         (tmp_path / "b" / "masked.csv").read_bytes()
+
+
+def test_simulate_output_bytes_pinned(tmp_path):
+    # The bytes simulate writes for the bundled iris table; any change to
+    # the MCAR draw, the mask file's order or the CSV format moves them.
+    ref = resources.files("labimpute") / "_assets" / "iris.csv"
+    with resources.as_file(ref) as p:
+        assert cli_main(["simulate", str(p), "--rate", "0.3", "--seed", "4",
+                         "--out-dir", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("mask.csv", "masked.csv")}
+    assert digests == {
+        "mask.csv": "c564839aabd26e06b7f2723131f6cd3c34bab3f2a7403d33718274371ecf41fd",
+        "masked.csv": "8b72e62fdd6859cd29df6feaf3f0aaaee49ad044ed8975dfd851a9745b6e4edc",
+    }
 
 
 def test_impute_missforest(iris_csv, tmp_path):
