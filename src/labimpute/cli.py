@@ -125,9 +125,8 @@ def _cmd_simulate(args) -> int:
     with open(out / "mask.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("row", "col"))
-        for r, c in zip(mask.rows, mask.cols):
-            writer.writerow((int(r), int(c)))
-    print(f"masked {mask.count} of {table.n_rows * table.n_cols} cells "
+        writer.writerows(zip(*mask.nonzero()))
+    print(f"masked {mask.sum()} of {table.n_rows * table.n_cols} cells "
           f"-> {out / 'masked.csv'}")
     return 0
 

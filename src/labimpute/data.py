@@ -9,7 +9,8 @@ stored behind a flagged cell is a tripwire, never an input).
 
 The module also provides CSV ingestion with schema inference, seeded
 train/test splitting, exact-count MCAR masking, min-max scaling to [-1, 1],
-and the two evaluation metrics (masked MSE, accuracy).
+and the two evaluation metrics (masked MSE, accuracy).  Masks are (n, p)
+boolean flag arrays, the same type as DataTable.missing.
 """
 
 from __future__ import annotations
@@ -286,49 +287,6 @@ def labels_equal(a: LabelVector, b: LabelVector) -> bool:
     return bool(np.array_equal(a.values[present], b.values[present]))
 
 
-@dataclass(frozen=True)
-class MissingMask:
-    """A set of (row, col) coordinates inside a known table shape."""
-
-    n_rows: int
-    n_cols: int
-    rows: np.ndarray
-    cols: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.intp)
-        cols = np.asarray(self.cols, dtype=np.intp)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise DataError("mask rows/cols must be matching 1-D arrays")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.n_rows:
-                raise DataError("mask row index out of range")
-            if cols.min() < 0 or cols.max() >= self.n_cols:
-                raise DataError("mask col index out of range")
-        flat = rows * self.n_cols + cols
-        order = np.argsort(flat)
-        flat = flat[order]
-        if flat.size and np.any(np.diff(flat) == 0):
-            raise DataError("duplicate coordinates in mask")
-        object.__setattr__(self, "rows", _freeze(rows[order].copy()))
-        object.__setattr__(self, "cols", _freeze(cols[order].copy()))
-
-    @classmethod
-    def from_bool(cls, flags: np.ndarray) -> "MissingMask":
-        flags = np.asarray(flags, dtype=bool)
-        r, c = np.nonzero(flags)
-        return cls(flags.shape[0], flags.shape[1], r, c)
-
-    @property
-    def count(self) -> int:
-        return int(self.rows.size)
-
-    def as_bool(self) -> np.ndarray:
-        flags = np.zeros((self.n_rows, self.n_cols), dtype=bool)
-        flags[self.rows, self.cols] = True
-        return flags
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion and emission
 # ---------------------------------------------------------------------------
@@ -455,14 +413,29 @@ def save_csv(table: DataTable, path: str | Path, missing_token: str = "NA") -> N
 
 
 def schema_from_json(path: str | Path) -> tuple[ColumnSchema, ...]:
-    """Read a sidecar JSON list of {name, kind, categories} into schemas."""
+    """Read a sidecar JSON list of {name, kind, categories} into schemas.
+
+    Text that is not such a list is a SchemaError naming the bad entry.
+    """
     with open(path) as fh:
-        spec_list = json.load(fh)
+        try:
+            spec_list = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(spec_list, list):
+        raise SchemaError(f"{path}: expected a JSON list of column entries")
     out = []
-    for entry in spec_list:
-        kind = ColumnKind(entry["kind"])
-        out.append(ColumnSchema(entry["name"], kind,
-                                tuple(entry.get("categories", ()))))
+    for i, entry in enumerate(spec_list):
+        try:
+            name, cats = entry["name"], entry.get("categories", [])
+            if not (isinstance(name, str) and isinstance(cats, list)
+                    and all(isinstance(c, str) for c in cats)):
+                raise TypeError
+            out.append(ColumnSchema(name, ColumnKind(entry["kind"]), tuple(cats)))
+        except (KeyError, TypeError, ValueError):
+            raise SchemaError(
+                f"{path}: column entry {i} {entry!r} needs a string name, a kind in "
+                f"{[k.value for k in ColumnKind]} and a list of category names") from None
     return tuple(out)
 
 
@@ -518,10 +491,12 @@ def train_test_split(table: DataTable, labels: LabelVector, ratio: float,
             (table.take_rows(te), labels.take(te)))
 
 
-def apply_mcar(table: DataTable, rate: float, seed: int) -> tuple[DataTable, MissingMask]:
+def apply_mcar(table: DataTable, rate: float, seed: int) -> tuple[DataTable, np.ndarray]:
     """Blank exactly round(rate * n * p) distinct cells, chosen uniformly.
 
-    The input must be fully observed; rate must lie in [0, 1).
+    Returns the masked table and its (n, p) boolean missingness flags, which
+    are ``masked.missing`` itself.  The input must be fully observed; rate
+    must lie in [0, 1).
     """
     if not 0.0 <= rate < 1.0:
         raise DataError(f"missing rate must lie in [0, 1), got {rate}")
@@ -529,16 +504,12 @@ def apply_mcar(table: DataTable, rate: float, seed: int) -> tuple[DataTable, Mis
         raise DataError("table already has missing cells; refusing to re-mask")
     n, p = table.n_rows, table.n_cols
     k = round_half_away(rate * n * p)
-    if k == 0:
-        empty = MissingMask(n, p, np.array([], dtype=np.intp), np.array([], dtype=np.intp))
-        return table, empty
-    flat = make_rng(seed).choice(n * p, size=k, replace=False)
-    rows, cols = np.divmod(flat, p)
-    mask = MissingMask(n, p, rows, cols)
-    flags = mask.as_bool()
+    flags = np.zeros((n, p), dtype=bool)
+    flags.flat[make_rng(seed).choice(n * p, size=k, replace=False)] = True
     values = table.values.copy()
     values[flags] = np.nan
-    return DataTable._unsafe(table.schema, _freeze(values), _freeze(flags)), mask
+    masked = DataTable._unsafe(table.schema, _freeze(values), _freeze(flags))
+    return masked, masked.missing
 
 
 @dataclass(frozen=True)
@@ -628,28 +599,29 @@ class MaskedMse:
         return f"MaskedMse(value={self.value!r}, n_cells={self.n_cells})"
 
 
-def masked_mse(imputed: DataTable, original: DataTable, mask: MissingMask) -> MaskedMse:
+def masked_mse(imputed: DataTable, original: DataTable, mask: np.ndarray) -> MaskedMse:
     """MSE between imputed and original over the masked continuous cells.
 
+    mask is an (n, p) boolean array shaped like the tables, such as the
+    flags apply_mcar returns; the cells are averaged in row-major order.
     With no masked continuous cell the value is 0 and n_cells records that.
     """
     if imputed.schema != original.schema:
         raise SchemaError("imputed/original schemas differ")
     if imputed.values.shape != original.values.shape:
         raise DataError("imputed/original shapes differ")
-    if (mask.n_rows, mask.n_cols) != imputed.values.shape:
-        raise DataError("mask shape does not match the tables")
-    cont = np.zeros(imputed.n_cols, dtype=bool)
-    cont[imputed.continuous_columns()] = True
-    keep = cont[mask.cols]
-    rows, cols = mask.rows[keep], mask.cols[keep]
-    if rows.size == 0:
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+            and mask.shape == imputed.values.shape):
+        raise DataError("mask must be a boolean array of the tables' shape")
+    cells = mask.copy()
+    cells[:, imputed.categorical_columns()] = False
+    if not cells.any():
         return MaskedMse(0.0, 0)
-    a = imputed.values[rows, cols]
-    b = original.values[rows, cols]
+    a = imputed.values[cells]
+    b = original.values[cells]
     if np.any(np.isnan(a)) or np.any(np.isnan(b)):
         raise DataError("masked cells must be filled in both tables to score")
-    return MaskedMse(float(np.mean((a - b) ** 2)), int(rows.size))
+    return MaskedMse(float(np.mean((a - b) ** 2)), a.size)
 
 
 def accuracy(pred: LabelVector, truth: LabelVector) -> float:

@@ -8,6 +8,8 @@ algebraic identity failing beyond tolerance.  The CLI maps DataError to
 exit code 2 and InvariantError to exit code 3.
 """
 
+import numpy as np
+
 
 class DataError(Exception):
     """Invalid or degenerate input data, configuration, or file contents."""
@@ -34,7 +36,7 @@ def _of(kind: type):
 
 
 def _number(value) -> float:
-    if isinstance(value, (bool, str)):
+    if isinstance(value, (bool, np.bool_, str)):
         raise TypeError("expected a number")
     return float(value)
 

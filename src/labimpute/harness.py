@@ -39,7 +39,6 @@ from .data import (
     DataTable,
     LabelKind,
     LabelVector,
-    MissingMask,
     accuracy,
     apply_mcar,
     concat_rows,
@@ -309,7 +308,7 @@ class _CellPrep:
     x_pool: DataTable           # masked train rows + test rows, scaled
     x_pool_reference: DataTable
     y_pool: LabelVector
-    pool_eval_mask: MissingMask
+    pool_eval_mask: np.ndarray  # (n_pool, p) bool: the cells to score
     n_train: int
 
 
@@ -323,15 +322,6 @@ def _concat_labels(a: LabelVector, b: LabelVector) -> LabelVector:
     )
 
 
-def _offset_mask(mask: MissingMask, row_offset: int, n_rows: int) -> MissingMask:
-    return MissingMask(
-        n_rows=n_rows,
-        n_cols=mask.n_cols,
-        rows=mask.rows + row_offset,
-        cols=mask.cols,
-    )
-
-
 def _prepare_cell(
     x: DataTable,
     y: LabelVector,
@@ -342,22 +332,20 @@ def _prepare_cell(
     split_seed = child_seed(rep_seed, 1)
     (x_tr, y_tr), (x_te, y_te) = train_test_split(x, y, config.train_ratio, split_seed)
     rk = _rate_key(rate)
-    x_tr_masked, train_mask = apply_mcar(x_tr, rate, child_seed(rep_seed, 2, rk))
-    if config.scenario is Scenario.TEST_MISSING:
-        x_te_used, test_mask = apply_mcar(x_te, rate, child_seed(rep_seed, 3, rk))
-    else:
-        x_te_used, test_mask = x_te, None
+    x_tr_masked, _ = apply_mcar(x_tr, rate, child_seed(rep_seed, 2, rk))
+    test_missing = config.scenario is Scenario.TEST_MISSING
+    x_te_used = (apply_mcar(x_te, rate, child_seed(rep_seed, 3, rk))[0]
+                 if test_missing else x_te)
     scaled, _ = scale_minmax(x_tr_masked, [x_tr_masked, x_te_used])
 
     pool = concat_rows(x_tr_masked, x_te_used)
     pool_ref = concat_rows(x_tr, x_te)
     pool_scaled, _ = scale_minmax(pool, [pool, pool_ref])
-    if test_mask is not None:
+    eval_mask = pool.missing.copy()
+    if test_missing:
         # score where held-back truth exists on the test side (the paired
         # test mask), so the error is read off rows the classifiers predict
-        eval_mask = _offset_mask(test_mask, x_tr.n_rows, pool.n_rows)
-    else:
-        eval_mask = _offset_mask(train_mask, 0, pool.n_rows)
+        eval_mask[:x_tr.n_rows] = False
     return _CellPrep(
         x_train=scaled[0],
         y_train=y_tr,

@@ -283,7 +283,7 @@ def test_acceptance_07_mcar_mask_cardinality_exact(capsys):
         table = DataTable(schema, vals, np.zeros_like(vals, dtype=bool))
         masked, mask = apply_mcar(table, r, int(rng.integers(0, 2**31)))
         want = round_half_away(r * n * p)
-        assert mask.count == want, f"(n={n}, p={p}, r={r}): {mask.count} != {want}"
+        assert mask.sum() == want, f"(n={n}, p={p}, r={r}): {mask.sum()} != {want}"
         assert int(masked.missing.sum()) == want
     elapsed = time.perf_counter() - t0
     ok = elapsed < 1.0

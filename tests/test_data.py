@@ -8,7 +8,6 @@ from labimpute.data import (
     DataTable,
     LabelKind,
     LabelVector,
-    MissingMask,
     accuracy,
     apply_mcar,
     concat_rows,
@@ -125,17 +124,6 @@ def test_label_vector_class_range():
     assert y.as_ints().tolist() == [0, 1, 1]
 
 
-def test_missing_mask_rejects_duplicates_and_range():
-    with pytest.raises(DataError):
-        MissingMask(2, 2, np.array([0, 0]), np.array([1, 1]))
-    with pytest.raises(DataError):
-        MissingMask(2, 2, np.array([2]), np.array([0]))
-    m = MissingMask(2, 3, np.array([1, 0]), np.array([0, 2]))
-    assert m.count == 2
-    flags = m.as_bool()
-    assert flags[1, 0] and flags[0, 2] and flags.sum() == 2
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -240,6 +228,22 @@ def test_schema_sidecar_round_trip(tmp_path):
     assert schema_from_json(path) == schema
 
 
+@pytest.mark.parametrize("text, match", [
+    ('[{"name": "x", "kind": "continuous"}, {"name": "a"}]', r"entry 1 \{'name': 'a'\}"),
+    ('{"name": "a", "kind": "continuous"}', "JSON list"),
+    ('[{"name": "a", "kind": "ordinal"}]', "entry 0 .*'ordinal'"),
+    ("name,kind\n", "not valid JSON"),
+    ('[{"name": 5, "kind": "continuous"}]', "entry 0 .*string name"),
+    ('[{"name": "c", "kind": "categorical", "categories": "ab"}]', "entry 0 .*list"),
+], ids=["no-kind", "not-a-list", "unknown-kind", "not-json", "int-name",
+        "string-categories"])
+def test_schema_from_json_malformed_is_schema_error(tmp_path, text, match):
+    path = tmp_path / "schema.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=match):
+        schema_from_json(path)
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------
@@ -297,21 +301,20 @@ def test_mcar_exact_count_and_determinism():
     rng = np.random.default_rng(3)
     t = random_table(rng, 90, 4)
     masked, mask = apply_mcar(t, 0.8, seed=17)
-    assert mask.count == 288  # round(0.8 * 360)
-    assert masked.missing.sum() == 288
+    assert mask.dtype == bool and np.array_equal(mask, masked.missing)
+    assert mask.sum() == 288  # round(0.8 * 360)
     again, mask2 = apply_mcar(t, 0.8, seed=17)
-    assert np.array_equal(mask.rows, mask2.rows)
-    assert np.array_equal(mask.cols, mask2.cols)
+    assert np.array_equal(mask, mask2)
     # observed cells untouched
-    flags = mask.as_bool()
-    assert np.array_equal(masked.values[~flags], t.values[~flags])
+    assert np.array_equal(masked.values[~mask], t.values[~mask])
 
 
 def test_mcar_rate_zero_is_identity():
     rng = np.random.default_rng(4)
     t = random_table(rng, 10, 3)
     masked, mask = apply_mcar(t, 0.0, seed=1)
-    assert mask.count == 0
+    assert mask.sum() == 0
+    assert mask.dtype == bool and np.array_equal(mask, masked.missing)
     assert tables_equal(masked, t)
 
 
@@ -337,10 +340,10 @@ def test_mcar_cardinality_property(n, p, rate, seed):
     if expect >= n * p:  # rate < 1 but rounding could hit every cell
         expect = min(expect, n * p)
         masked, mask = apply_mcar(t, rate, seed)
-        assert mask.count == expect
+        assert mask.sum() == expect
         return
     masked, mask = apply_mcar(t, rate, seed)
-    assert mask.count == expect
+    assert mask.sum() == expect
     assert masked.missing.sum() == expect
 
 
@@ -406,17 +409,22 @@ def test_masked_mse_hand_value():
     # two masked cells with errors 0.1 and 0.3: (0.01 + 0.09) / 2 = 0.05
     orig = make_table([[1.0, 2.0], [3.0, 4.0]])
     imp = make_table([[1.1, 2.0], [3.0, 4.3]])
-    mask = MissingMask(2, 2, np.array([0, 1]), np.array([0, 1]))
+    mask = np.array([[True, False], [False, True]])
     r = masked_mse(imp, orig, mask)
     assert r.n_cells == 2
     assert abs(r.value - 0.05) < 1e-12
+    # only a boolean array of the tables' shape is a mask: not 0/1 integers,
+    # not (row, col) coordinates, not flags of another shape
+    for bad in (mask.astype(int), np.argwhere(mask), mask[:1]):
+        with pytest.raises(DataError, match="mask"):
+            masked_mse(imp, orig, bad)
 
 
 def test_masked_mse_skips_categorical_cells():
     schema = (cont("x"), cat("c", ["a", "b"]))
     orig = DataTable(schema, np.array([[1.0, 0.0]]), np.zeros((1, 2), dtype=bool))
     imp = DataTable(schema, np.array([[1.5, 1.0]]), np.zeros((1, 2), dtype=bool))
-    mask = MissingMask(1, 2, np.array([0, 0]), np.array([0, 1]))
+    mask = np.ones((1, 2), dtype=bool)
     r = masked_mse(imp, orig, mask)
     assert r.n_cells == 1
     assert abs(r.value - 0.25) < 1e-12
@@ -424,7 +432,7 @@ def test_masked_mse_skips_categorical_cells():
 
 def test_masked_mse_empty_mask_flags_zero_cells():
     t = make_table([[1.0]])
-    mask = MissingMask(1, 1, np.array([], dtype=int), np.array([], dtype=int))
+    mask = np.zeros((1, 1), dtype=bool)
     r = masked_mse(t, t, mask)
     assert r.value == 0.0 and r.n_cells == 0
 

@@ -140,6 +140,7 @@ def test_config_rejections(tmp_path):
     (functools.partial(small_config, mice_n_iter=2.5), "mice_n_iter"),
     (functools.partial(ForestParams, n_trees="5"), "n_trees"),
     (functools.partial(MissForestParams, max_iter="2"), "max_iter"),
+    (functools.partial(ForestParams, n_trees=np.True_), "n_trees"),
 ])
 def test_malformed_config_value_names_its_key(extra, key):
     build = extra if callable(extra) else functools.partial(

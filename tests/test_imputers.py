@@ -225,9 +225,9 @@ def test_missforest_recovers_strong_linear_signal():
     t = DataTable(tuple(cont(f"x{j}") for j in range(3)), vals, np.zeros((n, 3), dtype=bool))
     masked, mask = apply_mcar(t, 0.2, seed=6)
     out, _ = missforest_impute(masked, MissForestParams(ForestParams(n_trees=40), seed=1))
-    err = out.values[mask.as_bool()] - t.values[mask.as_bool()]
+    err = out.values[mask] - t.values[mask]
     baseline = init_impute(masked)
-    err0 = baseline.values[mask.as_bool()] - t.values[mask.as_bool()]
+    err0 = baseline.values[mask] - t.values[mask]
     assert np.mean(err ** 2) < 0.35 * np.mean(err0 ** 2)
 
 
@@ -323,7 +323,7 @@ def test_mice_singular_design_instructs_ridge_for_categorical_target():
     assert mice_impute(t, MiceParams(ridge=1e-8)).is_complete()
 
 
-@pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1.0, "a"])
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1.0, "a", np.True_])
 def test_mice_params_reject_bad_ridge(ridge):
     with pytest.raises(DataError, match="ridge"):
         MiceParams(ridge=ridge)
