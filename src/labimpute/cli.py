@@ -41,13 +41,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="master random seed (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for experiment cells, at most "
-                             "one per cell (default 1)")
     common.add_argument("--out-dir", default=".",
                         help="directory for output files (default .)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="master random seed (default 0)")
 
     parser = _Parser(
         prog="labimpute",
@@ -57,7 +55,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser(
-        "simulate", parents=[common],
+        "simulate", parents=[seeded],
         help="knock out a uniform random fraction of cells in a complete CSV",
     )
     p.add_argument("input", help="complete input CSV")
@@ -65,7 +63,7 @@ def _build_parser() -> _Parser:
                    help="fraction of cells to blank, in [0, 1)")
 
     p = sub.add_parser(
-        "impute", parents=[common],
+        "impute", parents=[seeded],
         help="fill every missing cell of a CSV",
     )
     p.add_argument("input", help="input CSV with missing cells")
@@ -86,7 +84,7 @@ def _build_parser() -> _Parser:
                    help="ridge penalty (mice only)")
 
     p = sub.add_parser(
-        "cbmi", parents=[common],
+        "cbmi", parents=[seeded],
         help="classify test rows by imputing their blanked-out labels "
              "jointly with the training rows",
     )
@@ -100,12 +98,16 @@ def _build_parser() -> _Parser:
         "experiment", parents=[common],
         help="run a configured experiment and write its result tables",
     )
-    p.add_argument("--config", required=True, help="experiment config JSON")
+    p.add_argument("--config", required=True,
+                   help="experiment config JSON; its seed drives every draw")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for experiment cells, at most "
+                        "one per cell (default 1)")
     p.add_argument("--formats", default="csv,json",
                    help="comma-separated output formats (csv,json)")
 
     p = sub.add_parser(
-        "theorem-check", parents=[common],
+        "theorem-check", parents=[seeded],
         help="verify the label-stacking error decomposition on random instances",
     )
     p.add_argument("--instances", type=int, default=1000)
@@ -146,7 +148,7 @@ def _cmd_impute(args) -> int:
         if not args.label:
             raise DataError("--strategy iul needs --label")
         # the completed table keeps the label as its last column
-        table = stack_labels(*split_label(table, args.label)).table
+        table = stack_labels(*split_label(table, args.label))
     completed, trace = impute(table, params)
     save_csv(completed, out / "imputed.csv")
     note = ""

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -394,22 +394,32 @@ def _infer_schema(header: Sequence[str], rows: Sequence[Sequence[str]],
     return tuple(schema)
 
 
-def save_csv(table: DataTable, path: str | Path, missing_token: str = "NA") -> None:
-    """Write a DataTable back to CSV; floats use shortest round-trip form."""
-    path = Path(path)
+def save_csv(table: DataTable, path: str | Path) -> None:
+    """Write a DataTable to CSV that load_csv, given the table's schema,
+    reads back to the same table; floats use shortest round-trip form and
+    missing cells ``NA``.
+
+    A present categorical cell whose label is a missing token would read
+    back as missing, so it is a DataError naming the column and the label,
+    raised before the file is opened.
+    """
+    rows = [table.column_names]
+    for i in range(table.n_rows):
+        row = []
+        for j, col in enumerate(table.schema):
+            if table.missing[i, j]:
+                row.append("NA")
+            elif col.kind is ColumnKind.CONTINUOUS:
+                row.append(repr(float(table.values[i, j])))
+            else:
+                label = col.categories[int(table.values[i, j])]
+                if label in MISSING_TOKENS:
+                    raise DataError(f"{path}: column {col.name!r} has category "
+                                    f"{label!r}, which reads back as missing")
+                row.append(label)
+        rows.append(row)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.column_names)
-        for i in range(table.n_rows):
-            row = []
-            for j, col in enumerate(table.schema):
-                if table.missing[i, j]:
-                    row.append(missing_token)
-                elif col.kind is ColumnKind.CONTINUOUS:
-                    row.append(repr(float(table.values[i, j])))
-                else:
-                    row.append(col.categories[int(table.values[i, j])])
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
 
 
 def schema_from_json(path: str | Path) -> tuple[ColumnSchema, ...]:
@@ -450,18 +460,15 @@ def schema_to_json(schema: Sequence[ColumnSchema], path: str | Path) -> None:
 
 
 def split_label(table: DataTable, label: str | int) -> tuple[DataTable, LabelVector]:
-    """Peel one column off a table as the target vector."""
+    """Peel one column off a table as the target vector: a categorical
+    column becomes class labels, a continuous one regression targets."""
     j = table.column_index(label) if isinstance(label, str) else int(label)
     if not 0 <= j < table.n_cols:
         raise DataError(f"label column index {j} out of range")
     col = table.schema[j]
-    if col.kind is ColumnKind.CATEGORICAL:
-        y = LabelVector(LabelKind.CLASS, table.values[:, j], table.missing[:, j],
-                        col.categories, col.name)
-    else:
-        y = LabelVector(LabelKind.REGRESSION, table.values[:, j],
-                        table.missing[:, j], name=col.name)
-    return table.drop_column(j), y
+    kind = LabelKind.CLASS if col.kind is ColumnKind.CATEGORICAL else LabelKind.REGRESSION
+    return table.drop_column(j), LabelVector(kind, table.values[:, j], table.missing[:, j],
+                                             col.categories, col.name)
 
 
 # ---------------------------------------------------------------------------
@@ -512,91 +519,47 @@ def apply_mcar(table: DataTable, rate: float, seed: int) -> tuple[DataTable, np.
     return masked, masked.missing
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Per-column observed min/max from the fit table; NaN for categorical."""
-
-    col_min: np.ndarray
-    col_max: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "col_min", _freeze(np.asarray(self.col_min, dtype=np.float64).copy()))
-        object.__setattr__(self, "col_max", _freeze(np.asarray(self.col_max, dtype=np.float64).copy()))
-
-
 def scale_minmax(fit_table: DataTable, apply_tables: Sequence[DataTable]
-                 ) -> tuple[list[DataTable], ScalingParams]:
+                 ) -> list[DataTable]:
     """Map continuous cells to [-1, 1] using the fit table's observed range.
 
     v -> 2 * (v - min) / (max - min) - 1; a constant column maps to 0.
     Categorical and missing cells pass through untouched.  Every apply
     table must share the fit table's schema.
     """
-    p = fit_table.n_cols
-    col_min = np.full(p, np.nan)
-    col_max = np.full(p, np.nan)
+    ranges = {}
     for j, col in enumerate(fit_table.schema):
         if col.kind is not ColumnKind.CONTINUOUS:
             continue
         obs = fit_table.observed_column(j)
         if obs.size == 0:
             raise DataError(f"continuous column {col.name!r} is fully missing; cannot fit scale")
-        col_min[j] = obs.min()
-        col_max[j] = obs.max()
-    params = ScalingParams(col_min, col_max)
-    return [scale_apply(t, fit_table.schema, params) for t in apply_tables], params
-
-
-def scale_apply(table: DataTable, fit_schema: tuple[ColumnSchema, ...],
-                params: ScalingParams) -> DataTable:
-    if table.schema != tuple(fit_schema):
-        raise SchemaError("apply table schema differs from the fit table")
-    values = table.values.copy()
-    for j, col in enumerate(table.schema):
-        if col.kind is not ColumnKind.CONTINUOUS:
-            continue
-        lo, hi = params.col_min[j], params.col_max[j]
-        obs = ~table.missing[:, j]
-        if hi == lo:
-            values[obs, j] = 0.0
-        else:
-            values[obs, j] = 2.0 * (values[obs, j] - lo) / (hi - lo) - 1.0
-    return DataTable._unsafe(table.schema, _freeze(values), _freeze(table.missing.copy()))
-
-
-def inverse_scale(table: DataTable, params: ScalingParams) -> DataTable:
-    """Undo scale_apply; constant columns recover their fitted value."""
-    values = table.values.copy()
-    for j, col in enumerate(table.schema):
-        if col.kind is not ColumnKind.CONTINUOUS:
-            continue
-        lo, hi = params.col_min[j], params.col_max[j]
-        obs = ~table.missing[:, j]
-        if hi == lo:
-            values[obs, j] = lo
-        else:
-            values[obs, j] = (values[obs, j] + 1.0) / 2.0 * (hi - lo) + lo
-    return DataTable._unsafe(table.schema, _freeze(values), _freeze(table.missing.copy()))
+        ranges[j] = obs.min(), obs.max()
+    out = []
+    for table in apply_tables:
+        if table.schema != fit_table.schema:
+            raise SchemaError("apply table schema differs from the fit table")
+        values = table.values.copy()
+        for j, (lo, hi) in ranges.items():
+            obs = ~table.missing[:, j]
+            if hi == lo:
+                values[obs, j] = 0.0
+            else:
+                values[obs, j] = 2.0 * (values[obs, j] - lo) / (hi - lo) - 1.0
+        out.append(DataTable._unsafe(table.schema, _freeze(values),
+                                     _freeze(table.missing.copy())))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
 
-class MaskedMse:
+class MaskedMse(NamedTuple):
     """Masked-cell mean squared error plus the number of cells it averaged."""
 
-    __slots__ = ("value", "n_cells")
-
-    def __init__(self, value: float, n_cells: int):
-        self.value = float(value)
-        self.n_cells = int(n_cells)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"MaskedMse(value={self.value!r}, n_cells={self.n_cells})"
+    value: float
+    n_cells: int
 
 
 def masked_mse(imputed: DataTable, original: DataTable, mask: np.ndarray) -> MaskedMse:

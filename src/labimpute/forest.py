@@ -113,12 +113,6 @@ class ForestModel:
     classes: np.ndarray | None       # original class ids, ascending
     label_categories: tuple[str, ...]
     label_name: str
-    params: ForestParams
-    seed: int
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_signature)
 
 
 def _signature(schema) -> tuple:
@@ -471,8 +465,6 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
         classes=classes,
         label_categories=y.categories,
         label_name=y.name,
-        params=params,
-        seed=seed,
     )
 
 
@@ -526,11 +518,8 @@ def _check_arity(model: ForestModel, X: DataTable) -> None:
 
 
 def _wrap_predictions(model: ForestModel, raw: np.ndarray) -> LabelVector:
-    flags = np.zeros(raw.shape, dtype=bool)
-    if model.kind is LabelKind.CLASS:
-        return LabelVector(LabelKind.CLASS, raw, flags, model.label_categories,
-                           model.label_name)
-    return LabelVector(LabelKind.REGRESSION, raw, flags, name=model.label_name)
+    return LabelVector(model.kind, raw, np.zeros(raw.shape, dtype=bool),
+                       model.label_categories, model.label_name)
 
 
 def predict(model: ForestModel, X: DataTable) -> LabelVector:

@@ -336,11 +336,11 @@ def _prepare_cell(
     test_missing = config.scenario is Scenario.TEST_MISSING
     x_te_used = (apply_mcar(x_te, rate, child_seed(rep_seed, 3, rk))[0]
                  if test_missing else x_te)
-    scaled, _ = scale_minmax(x_tr_masked, [x_tr_masked, x_te_used])
+    scaled = scale_minmax(x_tr_masked, [x_tr_masked, x_te_used])
 
     pool = concat_rows(x_tr_masked, x_te_used)
     pool_ref = concat_rows(x_tr, x_te)
-    pool_scaled, _ = scale_minmax(pool, [pool, pool_ref])
+    pool_scaled = scale_minmax(pool, [pool, pool_ref])
     eval_mask = pool.missing.copy()
     if test_missing:
         # score where held-back truth exists on the test side (the paired

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._rng import child_seed
-from .data import ColumnKind, ColumnSchema, DataTable, LabelKind, LabelVector, _freeze
+from .data import ColumnKind, ColumnSchema, DataTable, _freeze, split_label
 from .errors import DataError, _integer, _number, _of, check_fields
 from .forest import ForestParams, fit_forest, predict
 
@@ -122,26 +122,21 @@ def order_columns_by_missing(table: DataTable) -> list[int]:
     return [int(j) for j in np.argsort(counts, kind="stable")]
 
 
-def delta_continuous(new: DataTable | np.ndarray, old: DataTable | np.ndarray,
-                     columns: Iterable[int]) -> float:
+def delta_continuous(new: np.ndarray, old: np.ndarray, columns: Iterable[int]) -> float:
     """Relative squared change over the given continuous columns."""
-    new_v = new.values if isinstance(new, DataTable) else np.asarray(new)
-    old_v = old.values if isinstance(old, DataTable) else np.asarray(old)
     cols = np.asarray(list(columns), dtype=np.intp)
     if cols.size == 0:
         raise DataError("delta_continuous needs at least one column")
-    num = float(((new_v[:, cols] - old_v[:, cols]) ** 2).sum())
-    den = float((new_v[:, cols] ** 2).sum())
+    num = float(((new[:, cols] - old[:, cols]) ** 2).sum())
+    den = float((new[:, cols] ** 2).sum())
     if den == 0.0:
         raise DataError("delta_continuous denominator is zero")
     return num / den
 
 
-def delta_categorical(new: DataTable | np.ndarray, old: DataTable | np.ndarray,
-                      columns: Iterable[int], missing: np.ndarray) -> float:
+def delta_categorical(new: np.ndarray, old: np.ndarray, columns: Iterable[int],
+                      missing: np.ndarray) -> float:
     """Fraction of originally-missing categorical cells that changed."""
-    new_v = new.values if isinstance(new, DataTable) else np.asarray(new)
-    old_v = old.values if isinstance(old, DataTable) else np.asarray(old)
     cols = np.asarray(list(columns), dtype=np.intp)
     if cols.size == 0:
         raise DataError("delta_categorical needs at least one column")
@@ -149,27 +144,22 @@ def delta_categorical(new: DataTable | np.ndarray, old: DataTable | np.ndarray,
     total = int(holes.sum())
     if total == 0:
         raise DataError("delta_categorical needs at least one missing cell")
-    changed = int((new_v[:, cols][holes] != old_v[:, cols][holes]).sum())
+    changed = int((new[:, cols][holes] != old[:, cols][holes]).sum())
     return changed / total
 
 
-def _fit_predict_column(values: np.ndarray, table: DataTable, s: int,
-                        obs: np.ndarray, mis: np.ndarray,
+def _fit_predict_column(values: np.ndarray, table: DataTable, s: int, mis: np.ndarray,
                         forest_params: ForestParams, seed: int) -> np.ndarray:
     """Forest-regress column s on all other columns; return predictions for
     the rows flagged in `mis`."""
-    others = [j for j in range(table.n_cols) if j != s]
-    schema = tuple(table.schema[j] for j in others)
-    X_obs = DataTable._unsafe(schema, _freeze(values[np.ix_(obs, others)]),
-                              _freeze(np.zeros((int(obs.sum()), len(others)), dtype=bool)))
-    col = table.schema[s]
-    kind = LabelKind.CLASS if col.kind is ColumnKind.CATEGORICAL else LabelKind.REGRESSION
-    y = LabelVector(kind, values[obs, s], np.zeros(int(obs.sum()), dtype=bool),
-                    col.categories, col.name)
+    def rows(flags):
+        block = values[flags]
+        return DataTable._unsafe(table.schema, _freeze(block),
+                                 _freeze(np.zeros(block.shape, dtype=bool)))
+
+    X_obs, y = split_label(rows(~mis), s)
     model = fit_forest(X_obs, y, forest_params, seed)
-    X_mis = DataTable._unsafe(schema, _freeze(values[np.ix_(mis, others)]),
-                              _freeze(np.zeros((int(mis.sum()), len(others)), dtype=bool)))
-    return predict(model, X_mis).values
+    return predict(model, rows(mis).drop_column(s)).values
 
 
 def missforest_impute(table: DataTable, params: MissForestParams
@@ -205,9 +195,8 @@ def missforest_impute(table: DataTable, params: MissForestParams
             mis = mask[:, s]
             if not mis.any():
                 continue
-            obs = ~mis
-            cur[mis, s] = _fit_predict_column(cur, table, s, obs, mis,
-                                              params.forest, col_seeds[s])
+            cur[mis, s] = _fit_predict_column(cur, table, s, mis, params.forest,
+                                              col_seeds[s])
         dc: float | None = None
         if cont_cols:
             try:

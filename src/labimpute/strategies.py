@@ -16,7 +16,7 @@ imputation engine can exploit it, then peel it back off.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .data import (
     LabelKind,
     LabelVector,
     concat_rows,
+    split_label,
 )
 from .errors import DataError
 from .forest import ForestParams, fit_forest, predict, predict_with_missing
@@ -39,17 +40,9 @@ class Scenario(enum.Enum):
     TEST_MISSING = "test_missing"
 
 
-@dataclass(frozen=True)
-class StackedTable:
-    """A feature table with its label appended as the last column."""
-
-    table: DataTable
-    label_kind: LabelKind
-    label_name: str
-
-
-def stack_labels(X: DataTable, y: LabelVector) -> StackedTable:
-    """Append y as the last column of X."""
+def stack_labels(X: DataTable, y: LabelVector) -> DataTable:
+    """Append y as the last column of X, renamed ``<name>_target`` if X
+    already has a column of its name."""
     if y.n != X.n_rows:
         raise DataError("label length does not match table rows")
     name = y.name
@@ -59,16 +52,13 @@ def stack_labels(X: DataTable, y: LabelVector) -> StackedTable:
     schema = X.schema + (ColumnSchema(name, kind, y.categories),)
     values = np.column_stack([X.values, y.values])
     missing = np.column_stack([X.missing, y.missing])
-    return StackedTable(DataTable(schema, values, missing), y.kind, y.name)
+    return DataTable(schema, values, missing)
 
 
-def unstack(stacked: StackedTable) -> tuple[DataTable, LabelVector]:
-    """Split the last column back off as the label vector."""
-    t = stacked.table
-    j = t.n_cols - 1
-    y = LabelVector(stacked.label_kind, t.values[:, j], t.missing[:, j],
-                    t.schema[j].categories, stacked.label_name)
-    return t.drop_column(j), y
+def unstack(table: DataTable, name: str) -> tuple[DataTable, LabelVector]:
+    """Split the last column back off as the label vector called `name`."""
+    X, y = split_label(table, table.n_cols - 1)
+    return X, replace(y, name=name)
 
 
 def iul_impute(X: DataTable, y: LabelVector, params: ImputerParams
@@ -78,9 +68,7 @@ def iul_impute(X: DataTable, y: LabelVector, params: ImputerParams
     The label may itself have missing entries (they are imputed along with
     everything else); a fully-observed label comes back bit-exact.
     """
-    stacked = stack_labels(X, y)
-    completed, _ = impute(stacked.table, params)
-    return unstack(StackedTable(completed, stacked.label_kind, stacked.label_name))
+    return unstack(impute(stack_labels(X, y), params)[0], y.name)
 
 
 def di_impute(X: DataTable, params: ImputerParams) -> DataTable:
@@ -113,13 +101,11 @@ def cbmi_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
     if bool(y_train.missing.all()) and y_train.n > 0:
         raise DataError("all training labels are missing; nothing to learn from")
     n_train = X_train.n_rows
-    d_train = stack_labels(X_train, y_train)
     y_hidden = LabelVector.all_missing(X_test.n_rows, LabelKind.CLASS,
                                        y_train.categories, y_train.name)
-    d_test = stack_labels(X_test, y_hidden)
-    stacked = concat_rows(d_train.table, d_test.table)
+    stacked = concat_rows(stack_labels(X_train, y_train), stack_labels(X_test, y_hidden))
     completed, trace = missforest_impute(stacked, params)
-    _, y_all = unstack(StackedTable(completed, LabelKind.CLASS, y_train.name))
+    _, y_all = unstack(completed, y_train.name)
     return CbmiResult(
         y_pred=y_all.take(np.arange(n_train, n_train + X_test.n_rows)),
         y_train_imputed=y_all.take(np.arange(n_train)),

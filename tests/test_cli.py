@@ -212,6 +212,9 @@ def test_usage_errors():
     assert cli_main(["bogus"]) == 1
     assert cli_main(["simulate", "--rate", "0.1"]) == 1  # missing --input
     assert cli_main(["simulate", "x.csv", "--rate", "abc"]) == 1
+    # --threads belongs to experiment alone, whose seed comes from its config
+    assert cli_main(["simulate", "x.csv", "--rate", "0.1", "--threads", "2"]) == 1
+    assert cli_main(["experiment", "--config", "x.json", "--seed", "3"]) == 1
 
 
 def test_data_errors(iris_csv, tmp_path, capsys):

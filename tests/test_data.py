@@ -11,7 +11,6 @@ from labimpute.data import (
     accuracy,
     apply_mcar,
     concat_rows,
-    inverse_scale,
     load_csv,
     masked_mse,
     round_half_away,
@@ -221,6 +220,23 @@ def test_csv_round_trip(tmp_path):
     assert tables_equal(masked, back)
 
 
+def test_save_csv_reads_back_and_refuses_missing_token_labels(tmp_path):
+    schema = (cont("x"), cat("c", ["u", "v"]), cont("z"))
+    t = DataTable(schema, np.array([[0.5, 0.0, 1.0], [np.nan, 1.0, -3.25],
+                                    [-2.0, np.nan, np.nan]]),
+                  np.array([[False, False, False], [True, False, False],
+                            [False, True, True]]))
+    out = tmp_path / "holes.csv"
+    save_csv(t, out)
+    assert tables_equal(load_csv(out, schema=schema), t)
+    assert tables_equal(load_csv(out), t)  # inference recovers every kind
+    bad = DataTable((cont("x"), cat("grade", ["A", "NA"])),
+                    np.array([[1.0, 0.0], [2.0, 1.0]]), np.zeros((2, 2), dtype=bool))
+    with pytest.raises(DataError, match="'grade'.*'NA'"):
+        save_csv(bad, tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_schema_sidecar_round_trip(tmp_path):
     schema = (cont("x"), cat("c", ["u", "v", "w"]))
     path = tmp_path / "schema.json"
@@ -353,14 +369,13 @@ def test_mcar_cardinality_property(n, p, rate, seed):
 
 def test_scale_fixed_points():
     t = make_table([[2.0], [6.0], [4.0]])
-    [s], params = scale_minmax(t, [t])
+    [s] = scale_minmax(t, [t])
     assert s.values[:, 0].tolist() == [-1.0, 1.0, 0.0]
-    assert params.col_min[0] == 2.0 and params.col_max[0] == 6.0
 
 
 def test_scale_constant_column_maps_to_zero():
     t = make_table([[5.0], [5.0]])
-    [s], _ = scale_minmax(t, [t])
+    [s] = scale_minmax(t, [t])
     assert s.values[:, 0].tolist() == [0.0, 0.0]
 
 
@@ -368,7 +383,7 @@ def test_scale_leaves_categorical_and_missing_untouched():
     schema = (cont("x"), cat("c", ["a", "b"]))
     t = DataTable(schema, np.array([[0.0, 1.0], [10.0, 0.0]]),
                   np.array([[False, False], [True, False]]))
-    [s], _ = scale_minmax(t, [t])
+    [s] = scale_minmax(t, [t])
     assert s.values[0, 1] == 1.0 and s.values[1, 1] == 0.0
     assert s.missing[1, 0]
     # single observed cell in x: constant range, maps to 0
@@ -384,7 +399,7 @@ def test_scale_errors_on_fully_missing_continuous_column():
 def test_scale_applies_train_range_to_test():
     train = make_table([[0.0], [10.0]])
     test = make_table([[5.0], [20.0]])
-    [str_, ste], _ = scale_minmax(train, [train, test])
+    [str_, ste] = scale_minmax(train, [train, test])
     assert str_.values[:, 0].tolist() == [-1.0, 1.0]
     assert ste.values[0, 0] == 0.0
     assert ste.values[1, 0] == 3.0  # out-of-range test values extrapolate
@@ -392,13 +407,20 @@ def test_scale_applies_train_range_to_test():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_scale_round_trip_property(seed):
+def test_scale_matches_documented_map_property(seed):
     rng = np.random.default_rng(seed)
     n, p = int(rng.integers(2, 30)), int(rng.integers(1, 6))
     t = random_table(rng, n, p)
-    [s], params = scale_minmax(t, [t])
-    back = inverse_scale(s, params)
-    assert np.allclose(back.values, t.values, atol=1e-12)
+    [s] = scale_minmax(t, [t])
+    assert np.array_equal(s.missing, t.missing)
+    for j, col in enumerate(t.schema):
+        v = t.values[:, j]
+        if col.kind is ColumnKind.CATEGORICAL:
+            assert np.array_equal(s.values[:, j], v)
+            continue
+        lo, hi = v.min(), v.max()
+        want = np.zeros(n) if hi == lo else 2.0 * (v - lo) / (hi - lo) - 1.0
+        assert np.array_equal(s.values[:, j].view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,6 @@ def test_forest_vote_tie_breaks_to_smallest_class():
         classes=base.classes,
         label_categories=base.label_categories,
         label_name=base.label_name,
-        params=base.params,
-        seed=0,
     )
     pred = predict(tied, cont_table([[0.5]]))
     assert pred.values[0] == 0.0

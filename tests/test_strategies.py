@@ -55,9 +55,9 @@ def test_stack_unstack_round_trip():
     X = cont_table(rng.normal(size=(12, 3)))
     y = class_labels(rng.integers(0, 2, 12).tolist(), k=2)
     st = stack_labels(X, y)
-    assert st.table.n_cols == 4
-    assert st.table.schema[3].kind is ColumnKind.CATEGORICAL
-    X2, y2 = unstack(st)
+    assert st.n_cols == 4
+    assert st.schema[3].kind is ColumnKind.CATEGORICAL
+    X2, y2 = unstack(st, y.name)
     assert tables_equal(X, X2)
     assert labels_equal(y, y2)
 
@@ -67,9 +67,9 @@ def test_stack_regression_label_and_missing_labels():
     y = LabelVector(LabelKind.REGRESSION, np.array([0.5, np.nan]),
                     np.array([False, True]))
     st = stack_labels(X, y)
-    assert st.table.schema[1].kind is ColumnKind.CONTINUOUS
-    assert st.table.missing[1, 1]
-    _, y2 = unstack(st)
+    assert st.schema[1].kind is ColumnKind.CONTINUOUS
+    assert st.missing[1, 1]
+    _, y2 = unstack(st, y.name)
     assert labels_equal(y, y2)
 
 
@@ -78,7 +78,10 @@ def test_stack_renames_colliding_label():
                   np.array([[1.0]]), np.array([[False]]))
     y = class_labels([0], k=1)
     st = stack_labels(X, y)
-    assert st.table.schema[1].name == "label_target"
+    assert st.schema[1].name == "label_target"
+    X2, y2 = unstack(st, "label")
+    assert y2.name == "label" and labels_equal(y, y2)
+    assert tables_equal(X, X2)
 
 
 # ---------------------------------------------------------------------------
