@@ -19,7 +19,7 @@ from .data import (
     save_csv,
     split_label,
 )
-from .errors import DataError, InvariantError
+from .errors import DataError, InvariantError, _positive, checked
 from .forest import ForestParams
 from .harness import emit_report, load_experiment_config, run_experiment
 from .imputers import MiceParams, MissForestParams, impute
@@ -193,8 +193,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_theorem_check(args) -> int:
-    if args.instances < 1:
-        raise DataError("--instances must be >= 1")
+    checked(args.instances, _positive, "--instances")
     if not (3 <= args.n_min <= args.n_max):
         raise DataError("need 3 <= --n-min <= --n-max")
     rng = make_rng(args.seed, _THEOREM_TAG)

@@ -26,11 +26,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._rng import make_rng
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, _number, _where, checked
 
 #: Field tokens read as a missing cell, per common UCI and numpy/pandas
 #: export conventions.
-MISSING_TOKENS = ("", "NA", "?", "nan", "NaN")
+MISSING_TOKENS = frozenset({"", "NA", "?", "nan", "NaN"})
 
 
 def round_half_away(x: float) -> int:
@@ -299,8 +299,7 @@ def _parse_real(token: str) -> float | None:
         return None
 
 
-def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
-             missing_tokens: Sequence[str] = MISSING_TOKENS) -> DataTable:
+def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None) -> DataTable:
     """Read an RFC-4180 CSV with a header row into a DataTable.
 
     Without a schema, each column is inferred Continuous iff every
@@ -311,7 +310,6 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
     unknown categories are schema violations.
     """
     path = Path(path)
-    miss = set(missing_tokens)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -337,7 +335,7 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
                 f"{path}: header {tuple(header)} does not match schema names {names}"
             )
     else:
-        schema = _infer_schema(header, rows, miss)
+        schema = _infer_schema(header, rows)
 
     n = len(rows)
     values = np.zeros((n, p), dtype=np.float64)
@@ -349,7 +347,7 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
     ]
     for i, row in enumerate(rows):
         for j, token in enumerate(row):
-            if token in miss:
+            if token in MISSING_TOKENS:
                 missing[i, j] = True
                 continue
             col = schema[j]
@@ -372,11 +370,11 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None,
     return DataTable(schema, values, missing)
 
 
-def _infer_schema(header: Sequence[str], rows: Sequence[Sequence[str]],
-                  miss: set) -> tuple[ColumnSchema, ...]:
+def _infer_schema(header: Sequence[str], rows: Sequence[Sequence[str]]
+                  ) -> tuple[ColumnSchema, ...]:
     schema = []
     for j, name in enumerate(header):
-        tokens = [row[j] for row in rows if row[j] not in miss]
+        tokens = [row[j] for row in rows if row[j] not in MISSING_TOKENS]
         if all(_parse_real(t) is not None for t in tokens):
             schema.append(ColumnSchema(name, ColumnKind.CONTINUOUS))
         else:
@@ -475,6 +473,10 @@ def split_label(table: DataTable, label: str | int) -> tuple[DataTable, LabelVec
 # Splitting, masking, scaling
 # ---------------------------------------------------------------------------
 
+_rate = _where(_number, lambda r: 0.0 <= r < 1.0, "outside [0, 1)")
+_ratio = _where(_number, lambda r: 0.0 < r < 1.0, "outside (0, 1)")
+
+
 def train_test_split(table: DataTable, labels: LabelVector, ratio: float,
                      seed: int) -> tuple[tuple[DataTable, LabelVector],
                                          tuple[DataTable, LabelVector]]:
@@ -487,8 +489,7 @@ def train_test_split(table: DataTable, labels: LabelVector, ratio: float,
         raise DataError("labels length does not match table rows")
     if n < 2:
         raise DataError("need at least 2 rows to split")
-    if not 0.0 < ratio < 1.0:
-        raise DataError(f"split ratio must lie in (0, 1), got {ratio}")
+    ratio = checked(ratio, _ratio, "ratio")
     k = round_half_away(ratio * n)
     if k == 0 or k == n:
         raise DataError(f"split ratio {ratio} leaves an empty side for n={n}")
@@ -505,8 +506,7 @@ def apply_mcar(table: DataTable, rate: float, seed: int) -> tuple[DataTable, np.
     are ``masked.missing`` itself.  The input must be fully observed; rate
     must lie in [0, 1).
     """
-    if not 0.0 <= rate < 1.0:
-        raise DataError(f"missing rate must lie in [0, 1), got {rate}")
+    rate = checked(rate, _rate, "rate")
     if table.missing.any():
         raise DataError("table already has missing cells; refusing to re-mask")
     n, p = table.n_rows, table.n_cols

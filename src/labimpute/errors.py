@@ -24,7 +24,8 @@ class InvariantError(Exception):
 
 
 # Field converters return the value in its canonical type or raise the
-# TypeError or ValueError that checked() turns into a DataError.
+# TypeError or ValueError, with the reason as its message, that checked()
+# turns into a DataError.
 
 def _of(kind: type):
     """A converter that passes only values of one type."""
@@ -35,21 +36,40 @@ def _of(kind: type):
     return check
 
 
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
 def _number(value) -> float:
-    if isinstance(value, (bool, np.bool_, str)):
-        raise TypeError("expected a number")
-    return float(value)
+    try:
+        if not isinstance(value, _NOT_NUMBERS):
+            return float(value)
+    except TypeError:
+        pass
+    raise TypeError("expected a number")
 
 
 def _integer(value) -> int:
-    _number(value)  # bools and strings are not integers
-    if int(value) != value:
-        raise ValueError("expected an integer")
-    return int(value)
+    try:
+        if not isinstance(value, _NOT_NUMBERS) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise TypeError("expected an integer")
 
 
-def _optional_integer(value) -> int | None:
-    return None if value is None else _integer(value)
+def _where(convert, ok, rule: str):
+    """convert, then require ok(converted value); rule says what failed."""
+    def check(value):
+        out = convert(value)
+        if not ok(out):
+            raise ValueError(rule)
+        return out
+    return check
+
+
+def _optional(convert):
+    """convert, letting None through."""
+    return lambda value: None if value is None else convert(value)
 
 
 def _tuple_of(convert):
@@ -61,12 +81,16 @@ def _tuple_of(convert):
     return check
 
 
+_positive = _where(_integer, lambda n: n >= 1, "must be >= 1")
+_non_negative = _where(_integer, lambda n: n >= 0, "must be >= 0")
+
+
 def checked(value, convert, key: str):
-    """convert(value); any failure is a DataError naming key."""
+    """convert(value); any failure is a DataError naming key and the reason."""
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"{key!r} has an invalid value: {value!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{key!r} has an invalid value: {value!r}; {exc}") from None
 
 
 def check_fields(obj, converters: dict) -> None:

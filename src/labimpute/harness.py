@@ -39,6 +39,8 @@ from .data import (
     DataTable,
     LabelKind,
     LabelVector,
+    _rate,
+    _ratio,
     accuracy,
     apply_mcar,
     concat_rows,
@@ -48,10 +50,10 @@ from .data import (
     split_label,
     train_test_split,
 )
-from .errors import (DataError, _integer, _number, _of, _tuple_of, check_fields,
-                     checked)
+from .errors import (DataError, _integer, _of, _positive, _tuple_of, _where,
+                     check_fields, checked)
 from .forest import _PARAM_FIELDS, ForestParams, fit_forest, predict
-from .imputers import MiceParams, MissForestParams
+from .imputers import _MICE_FIELDS, _MISSFOREST_FIELDS, MiceParams, MissForestParams
 from .strategies import (
     Scenario,
     cbmi_predict,
@@ -108,35 +110,6 @@ class ExperimentConfig:
         for name in _FLAT_SECTIONS:
             check_fields(self, {f"{name}_{k}": convert
                                 for k, convert in _CONFIG_SECTIONS[name].items()})
-        if not self.dataset:
-            raise DataError("dataset must be a CSV path or builtin:<name>")
-        if not self.label:
-            raise DataError("label column name must be non-empty")
-        if not self.rates:
-            raise DataError("rates must be non-empty")
-        for r in self.rates:
-            if not (0.0 <= r < 1.0):
-                raise DataError(f"rate {r} outside [0, 1)")
-        if len({_rate_key(r) for r in self.rates}) != len(self.rates):
-            raise DataError("duplicate rates in config")
-        if self.repetitions < 1:
-            raise DataError("repetitions must be >= 1")
-        if not self.methods:
-            raise DataError("methods must be non-empty")
-        for m in self.methods:
-            if m not in _METHODS:
-                known = ", ".join(sorted(_METHODS))
-                raise DataError(f"unknown method {m!r}; known methods: {known}")
-        if len(set(self.methods)) != len(self.methods):
-            raise DataError("duplicate methods in config")
-        if not (0.0 < self.train_ratio < 1.0):
-            raise DataError("train_ratio must be in (0, 1)")
-        if self.missforest_max_iter < 1:
-            raise DataError("missforest_max_iter must be >= 1")
-        if self.mice_n_iter < 1:
-            raise DataError("mice_n_iter must be >= 1")
-        if not 0.0 <= self.mice_ridge < np.inf:
-            raise DataError("mice_ridge must be finite and >= 0")
 
     def record_methods(self) -> tuple[str, ...]:
         return tuple(row for m in self.methods for row, _, _ in _METHODS[m])
@@ -166,9 +139,9 @@ class ExperimentConfig:
             if name not in raw:
                 continue
             section = checked(raw[name], _of(dict), name)
-            extra = set(section) - set(fields)
+            extra = [f"{name}.{k}" for k in section if k not in fields]
             if extra:
-                raise DataError(f"unknown {name} config keys: {sorted(extra)}")
+                raise DataError(f"unknown config keys: {sorted(extra)}")
             # checked here so that a message names the dotted key
             vals = {k: checked(v, fields[k], f"{name}.{k}") for k, v in section.items()}
             if name == "forest":
@@ -192,17 +165,28 @@ def _scenario(value) -> Scenario:
         raise DataError(f"scenario must be one of: {vals}") from None
 
 
+def _list_of(convert, key, what: str):
+    """A non-empty list of convert's values, no two alike under key."""
+    return _where(_where(_tuple_of(convert), bool, "must be non-empty"),
+                  lambda vs: len({key(v) for v in vs}) == len(vs), f"duplicate {what}")
+
+
+_text = _where(_of(str), bool, "must be non-empty")
+_method = _where(_of(str), _METHODS.__contains__,
+                 f"unknown method; known methods: {', '.join(sorted(_METHODS))}")
+
 # JSON keys of the config and their converters; ExperimentConfig runs its
 # fields through the same tables, so both ways in get the same checks.
 _CONFIG_FIELDS = {
-    "dataset": _of(str), "label": _of(str), "scenario": _scenario,
-    "rates": _tuple_of(_number), "repetitions": _integer,
-    "methods": _tuple_of(_of(str)), "seed": _integer, "train_ratio": _number,
+    "dataset": _text, "label": _text, "scenario": _scenario,
+    "rates": _list_of(_rate, _rate_key, "rates"), "repetitions": _positive,
+    "methods": _list_of(_method, str, "methods"), "seed": _integer,
+    "train_ratio": _ratio,
 }
 _CONFIG_SECTIONS = {
     "forest": _PARAM_FIELDS,
-    "missforest": {"max_iter": _integer},
-    "mice": {"n_iter": _integer, "ridge": _number},
+    "missforest": _MISSFOREST_FIELDS,
+    "mice": _MICE_FIELDS,
 }
 # sections held in flat fields: missforest.max_iter is missforest_max_iter
 _FLAT_SECTIONS = ("missforest", "mice")
@@ -214,7 +198,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise DataError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers too long to parse
         raise DataError(f"config is not valid JSON: {exc}") from None
     return ExperimentConfig.from_json_dict(raw)
 
@@ -558,8 +542,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     report is a pure function of the config: worker count and scheduling
     order never change any emitted value, only wall times.
     """
-    if threads < 1:
-        raise DataError("threads must be >= 1")
+    threads = checked(threads, _positive, "threads")
     table, _ = resolve_dataset(config.dataset)
     label = config.label
     x, y = split_label(table, label)

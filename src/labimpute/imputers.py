@@ -32,10 +32,17 @@ import numpy as np
 
 from ._rng import child_seed
 from .data import ColumnKind, ColumnSchema, DataTable, _freeze, split_label
-from .errors import DataError, _integer, _number, _of, check_fields
+from .errors import DataError, _integer, _number, _of, _positive, _where, check_fields
 from .forest import ForestParams, fit_forest, predict
 
 _COLUMN_TAG = 424243  # stream separator for per-column forest seeds
+
+
+# Fields of each engine's params that an experiment config also sets.
+_MISSFOREST_FIELDS = {"max_iter": _positive}
+_MICE_FIELDS = {"n_iter": _positive,
+                "ridge": _where(_number, lambda r: 0.0 <= r < np.inf,
+                                "must be finite and >= 0")}
 
 
 @dataclass(frozen=True)
@@ -45,10 +52,8 @@ class MissForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, {"forest": _of(ForestParams), "max_iter": _integer,
+        check_fields(self, {"forest": _of(ForestParams), **_MISSFOREST_FIELDS,
                             "seed": _integer})
-        if self.max_iter < 1:
-            raise DataError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -57,11 +62,7 @@ class MiceParams:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        check_fields(self, {"n_iter": _integer, "ridge": _number})
-        if self.n_iter < 1:
-            raise DataError("n_iter must be >= 1")
-        if not 0.0 <= self.ridge < np.inf:
-            raise DataError("ridge must be finite and >= 0")
+        check_fields(self, _MICE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class SweepRecord:
     iteration: int
     delta_continuous: float | None
     delta_categorical: float | None
-    na_count_categorical: int
 
 
 @dataclass
@@ -182,7 +182,7 @@ def missforest_impute(table: DataTable, params: MissForestParams
     order = order_columns_by_missing(table)
     cont_cols = [int(j) for j in table.continuous_columns()]
     cat_cols = [int(j) for j in table.categorical_columns()]
-    cat_na = int(mask[:, cat_cols].sum()) if cat_cols else 0
+    cat_holes = bool(mask[:, cat_cols].any())
     col_seeds = {s: child_seed(params.seed, _COLUMN_TAG, s) for s in order}
 
     cur = init_impute(table).values.copy()
@@ -203,8 +203,8 @@ def missforest_impute(table: DataTable, params: MissForestParams
                 dc = delta_continuous(cur, old, cont_cols)
             except DataError:
                 dc = None  # zero denominator: criterion unusable this run
-        dg = delta_categorical(cur, old, cat_cols, mask) if cat_na else None
-        trace.sweeps.append(SweepRecord(it, dc, dg, cat_na))
+        dg = delta_categorical(cur, old, cat_cols, mask) if cat_holes else None
+        trace.sweeps.append(SweepRecord(it, dc, dg))
 
         worsened = ((dc is not None and prev_dc is not None and dc > prev_dc)
                     or (dg is not None and prev_dg is not None and dg > prev_dg))

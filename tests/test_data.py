@@ -307,6 +307,8 @@ def test_split_rejects_tiny_or_bad_ratio():
     y2 = LabelVector.from_ints([0, 1], ["a", "b"])
     with pytest.raises(DataError):
         train_test_split(t2, y2, 1.0, seed=0)
+    with pytest.raises(DataError, match="'ratio'"):
+        train_test_split(t2, y2, "0.5", seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,8 @@ def test_mcar_rejects_bad_rate_and_premasked():
         apply_mcar(t, 1.0, seed=0)
     with pytest.raises(DataError):
         apply_mcar(t, -0.1, seed=0)
+    with pytest.raises(DataError, match="'rate'"):
+        apply_mcar(t, "0.3", seed=0)
     masked, _ = apply_mcar(t, 0.25, seed=0)
     with pytest.raises(DataError):
         apply_mcar(masked, 0.1, seed=0)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labimpute import harness
 from labimpute.data import load_csv, save_csv
@@ -24,7 +25,7 @@ from labimpute.harness import (
     run_experiment,
     save_experiment_config,
 )
-from labimpute.imputers import MissForestParams
+from labimpute.imputers import MiceParams, MissForestParams
 from labimpute.strategies import Scenario
 
 
@@ -141,6 +142,12 @@ def test_config_rejections(tmp_path):
     (functools.partial(ForestParams, n_trees="5"), "n_trees"),
     (functools.partial(MissForestParams, max_iter="2"), "max_iter"),
     (functools.partial(ForestParams, n_trees=np.True_), "n_trees"),
+    (functools.partial(run_experiment, small_config(), threads="2"), "threads"),
+    # range rules name the dotted key too
+    ({"forest": {"n_trees": 0}}, "forest.n_trees"),
+    ({"missforest": {"max_iter": 0}}, "missforest.max_iter"),
+    ({"mice": {"ridge": -1}}, "mice.ridge"),
+    ({"forest": {"bogus": 1}}, "forest.bogus"),
 ])
 def test_malformed_config_value_names_its_key(extra, key):
     build = extra if callable(extra) else functools.partial(
@@ -148,6 +155,107 @@ def test_malformed_config_value_names_its_key(extra, key):
         {"dataset": "builtin:iris", "label": "species", **extra})
     with pytest.raises(DataError, match=f"'{key}'"):
         build()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"forest": {"n_trees": "a"}}, "'forest.n_trees' has an invalid value: 'a'; expected an integer"),
+    ({"forest": {"max_depth": -1}}, "'forest.max_depth' has an invalid value: -1; must be >= 0"),
+    ({"rates": [0.2, 1.0]}, "'rates' has an invalid value: [0.2, 1.0]; outside [0, 1)"),
+    ({"label": ""}, "'label' has an invalid value: ''; must be non-empty"),
+    ({"train_ratio": 1}, "'train_ratio' has an invalid value: 1; outside (0, 1)"),
+])
+def test_config_error_states_the_rule(extra, message):
+    with pytest.raises(DataError) as info:
+        ExperimentConfig.from_json_dict(
+            {"dataset": "builtin:iris", "label": "species", **extra})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe{}",  # not UTF-8
+    b'{"dataset": "x.csv", "label": "y", "seed": ' + b"9" * 5000 + b"}",
+], ids=["not-utf8", "5000-digit-integer"])
+def test_config_file_json_cannot_read_is_a_data_error(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_experiment_config(path)
+
+
+# Arbitrary JSON values, nan and huge integers included ...
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**53, 2**80)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# ... and, by field name, values near the valid ones, so that configs load.
+_NEAR_VALID = {
+    "dataset": st.text(max_size=6), "label": st.text(max_size=6),
+    "scenario": st.sampled_from(["test_missing", "test_observed", "x"]),
+    "rates": st.lists(st.floats(-0.25, 1.0), max_size=4),
+    "methods": st.lists(st.sampled_from([*harness._METHODS, "x"]), max_size=3),
+    "train_ratio": st.floats(0.0, 1.0), "ridge": st.floats(-1.0, 1e300),
+    "bootstrap": st.booleans(), "forest": st.builds(ForestParams),
+}
+_NEAR_INTEGER = st.none() | st.integers(-1, 2**70) | st.integers(-1, 8).map(float)
+
+
+def _values_for(name: str):
+    return _JSON_VALUES | _NEAR_VALID.get(name, _NEAR_INTEGER)
+
+
+_SECTION_KEYS = {name: [*fields, "bogus"]
+                 for name, fields in harness._CONFIG_SECTIONS.items()}
+_CONFIG_KEYS = [*harness._CONFIG_FIELDS, *_SECTION_KEYS, "bogus",
+                *(f"{name}.{k}" for name, keys in _SECTION_KEYS.items() for k in keys)]
+
+
+@st.composite
+def _config_entry(draw):
+    key = draw(st.sampled_from(_CONFIG_KEYS))
+    if key in _SECTION_KEYS:
+        section = st.fixed_dictionaries(
+            {}, optional={k: _values_for(k) for k in _SECTION_KEYS[key]})
+        return key, draw(_JSON_VALUES | section)
+    return key, draw(_values_for(key.rpartition(".")[2]))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(entry=_config_entry())
+def test_config_json_fuzz_loads_back_or_names_its_key(entry):
+    key, value = entry
+    raw = {"dataset": "builtin:iris", "label": "species"}
+    name, _, sub = key.partition(".")
+    raw[name] = {sub: value} if sub else value
+    try:
+        cfg = ExperimentConfig.from_json_dict(raw)
+    except DataError as exc:
+        assert key in str(exc)
+        return
+    text = json.dumps(cfg.to_json_dict(), allow_nan=False)
+    assert ExperimentConfig.from_json_dict(json.loads(text)) == cfg
+
+
+@st.composite
+def _params_entry(draw):
+    cls = draw(st.sampled_from([ForestParams, MissForestParams, MiceParams]))
+    key = draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))
+    return cls, key, draw(_values_for(key))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(entry=_params_entry())
+def test_params_fuzz_rebuild_equal_or_name_their_key(entry):
+    cls, key, value = entry
+    try:
+        params = cls(**{key: value})
+    except DataError as exc:
+        assert key in str(exc)
+        return
+    fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(cls)}
+    assert cls(**fields) == params
 
 
 @pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
