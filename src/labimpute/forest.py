@@ -86,13 +86,13 @@ class _Leaf:
 class _Split:
     __slots__ = ("feature", "threshold", "left_cats", "majority_left", "left", "right")
 
-    def __init__(self, feature, threshold, left_cats, majority_left):
+    def __init__(self, feature, threshold, left_cats, majority_left, left, right):
         self.feature = feature
         self.threshold = threshold      # float for continuous splits, else None
         self.left_cats = left_cats      # int64 array of category ids, else None
         self.majority_left = majority_left
-        self.left = None
-        self.right = None
+        self.left = left
+        self.right = right
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,20 @@ def _subset_masks(k: int) -> np.ndarray:
     return (np.arange(1, 1 << (k - 1))[:, None] >> np.arange(k)) & 1
 
 
+_GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_R30, _R27, _R31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64 of every element of a uint64 array."""
-    z = z + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = z + _GOLDEN
+    z ^= z >> _R30
+    z *= _MIX1
+    z ^= z >> _R27
+    z *= _MIX2
+    z ^= z >> _R31
+    return z
 
 
 class _Grower:
@@ -149,30 +157,40 @@ class _Grower:
     def __init__(self, Xv, miss, cat_sizes, y, n_classes, mtry, min_leaf, max_depth):
         # codes: a continuous cell's dense rank among its column's distinct
         # observed values, a categorical cell's category id, and for a
-        # missing cell the code one past the column's last
+        # missing cell the code one past the column's last.  One sort ranks
+        # every continuous column; a missing cell sorts last, as +inf.
         self.n, self.p = Xv.shape
+        cont, cat = (cat_sizes == 0).nonzero()[0], cat_sizes.nonzero()[0]
+        v = Xv[:, cont] if miss is None else np.where(miss[:, cont], np.inf, Xv[:, cont])
+        order = v.argsort(axis=0)
+        v = v[order, np.arange(cont.size)]
+        new = np.ones(v.shape, dtype=bool)
+        np.not_equal(v[1:], v[:-1], out=new[1:])
         self.codes = np.empty((self.n, self.p), dtype=np.int64)
-        self.miss_code = cat_sizes.copy()
-        uniq = []
-        for j in range(self.p):
-            obs = np.ones(self.n, dtype=bool) if miss is None else ~miss[:, j]
-            u = np.zeros(0)
-            if cat_sizes[j]:
-                self.codes[:, j] = np.where(obs, Xv[:, j], cat_sizes[j])
-            else:
-                u, self.codes[obs, j] = np.unique(Xv[obs, j], return_inverse=True)
-                self.codes[~obs, j] = self.miss_code[j] = u.size
-            uniq.append(u)
-        self.values = np.concatenate(uniq)    # distinct continuous values
-        self.offsets = np.cumsum([0] + [u.size for u in uniq[:-1]])
+        self.codes[order, cont] = new.cumsum(axis=0) - 1
+        self.codes[:, cat] = Xv[:, cat] if miss is None else np.where(
+            miss[:, cat], cat_sizes[cat], Xv[:, cat])
+        new &= v < np.inf
+        self.values = v.T[new.T]              # distinct continuous values
+        sizes = np.zeros(self.p, dtype=np.int64)
+        sizes[cont] = new.sum(axis=0)
+        self.offsets = sizes.cumsum() - sizes
+        self.miss_code = cat_sizes + sizes
         self.K1 = int(self.miss_code.max()) + 1
+        self.slot_keys = np.arange(mtry) * self.K1
         self.cat_sizes = cat_sizes            # 0 for continuous columns
-        self.is_cat = cat_sizes > 0
+        self.cat_ks = sorted(set(cat_sizes[cat].tolist()))
+        self.masks = {k: _subset_masks(k) for k in self.cat_ks if k <= 10}
+        self.n_cut = max([k - 1 if k > 10 else (1 << (k - 1)) - 1 for k in self.cat_ks] or [0])
+        self.width = max(self.cat_ks or [0]) + 1   # category codes and the miss code
+        self.has_miss = miss is not None
         self.y = y
         self.C = n_classes                    # 0 for regression
+        self.onehot = np.eye(n_classes, dtype=np.int64)
         self.mtry = mtry
         self.min_leaf = min_leaf
         self.max_depth = max_depth
+        self.features = np.arange(self.p)
         # regression sums are exact in 2^-shift fixed point: a node holds at
         # most n targets scaled into [-1, 1]
         self.shift = 0 if n_classes else 62 - self.n.bit_length()
@@ -180,221 +198,257 @@ class _Grower:
     def grow(self, rows: np.ndarray, tree_keys: np.ndarray) -> list:
         """Grow one tree per key; rows holds each tree's n bootstrap rows
         back to back.  Returns the roots in key order."""
-        T = tree_keys.size
-        pos = np.tile(np.arange(self.n), T)   # bootstrap position
-        node = np.repeat(np.arange(T), self.n)
-        keys = tree_keys                      # tree key of each open node
+        n, T, C, ml = self.n, tree_keys.size, self.C, self.min_leaf
+        # a node's draw starts from the hash of (tree key, depth); no tree
+        # over n rows opens a node at depth n
+        depth_hash = _mix(tree_keys[:, None] ^ np.arange(n, dtype=np.uint64))
+        pos = np.arange(T * n, dtype=np.uint64) % np.uint64(n)   # bootstrap position
+        node = np.arange(T).repeat(n)
+        tree = np.arange(T)                   # tree of each node
+        m = np.full(T, n)                     # rows of each node
         levels = []
         depth = 0
         while True:
-            F = keys.size
-            m = np.bincount(node, minlength=F)
-            start = np.cumsum(m) - m
+            F = m.size
             y = self.y[rows]
-            if self.C:
-                counts = np.bincount(node * self.C + y, minlength=F * self.C)
-                counts = counts.reshape(F, self.C)
-                value = counts.argmax(axis=1)   # ties go to the smallest class
-                open_ = counts.max(axis=1) < m
+            if C:
+                counts = np.bincount(y * F + node, minlength=C * F).reshape(C, F)
+                value = counts.argmax(axis=0)   # ties go to the smallest class
+                open_ = counts.max(axis=0) < m
             else:
+                start = m.cumsum() - m
                 value = np.bincount(node, weights=y, minlength=F) / m
                 dev = y - value[node]
                 scale = np.maximum.reduceat(np.abs(dev), start)
                 open_ = np.maximum.reduceat(y, start) > np.minimum.reduceat(y, start)
-            open_ &= m >= 2 * self.min_leaf
-            if self.max_depth is not None and depth >= self.max_depth:
+            open_ &= m >= 2 * ml
+            if depth == self.max_depth:
                 open_[:] = False
-            split = np.zeros(F, dtype=bool)
-            level = [value, split, None]
-            levels.append(level)
-            sidx = np.flatnonzero(open_)
-            if sidx.size == 0:
+            sidx = open_.nonzero()[0]
+            levels.append((value, ()))
+            if not sidx.size:
                 break
 
-            inside = open_[node]
-            snode = (np.cumsum(open_) - 1)[node[inside]]
-            srows, spos = rows[inside], pos[inside]
-            feats = self._draw(keys[sidx], depth, pos[start[sidx]])
-            if self.C:
-                chan = np.eye(self.C, dtype=np.int32)[y[inside]]
-                impurity = m[sidx] - (counts[sidx] ** 2).sum(axis=1) / m[sidx]
+            if sidx.size < F:                 # keep the rows of open nodes
+                inside = open_[node]
+                node = (open_.cumsum() - 1)[node[inside]]
+                rows, pos, y = rows[inside], pos[inside], y[inside]
+                if not C:
+                    dev, scale = dev[inside], scale[sidx]
+            m, tree = m[sidx], tree[sidx]
+            feats = self._draw(depth_hash[tree, depth], pos[m.cumsum() - m])
+            if C:
+                held = counts.take(sidx, axis=1)
+                impurity = m - (held * held).sum(axis=0) / m
+                chan = y
             else:
-                z = dev[inside] / scale[node[inside]]
-                chan = np.rint(np.ldexp(z, self.shift)).astype(np.int64)[:, None]
-                impurity = np.bincount(snode, weights=z * z, minlength=sidx.size)
-            best = self._score(srows, snode, chan, y[inside], feats, _TIE_RTOL * impurity)
+                z = dev / scale[node]
+                chan = np.rint(np.ldexp(z, self.shift)).astype(np.int64)
+                impurity = np.bincount(node, weights=z * z, minlength=m.size)
+            best = self._score(rows, node, m, chan, y, feats, _TIE_RTOL * impurity)
             if best is None:
                 break
-            ok, feat, cut, thr, left_tab, cats, major = best
-            split[sidx] = ok
-            level[2] = [(int(feat[i]), float(thr[i]), cats[i], bool(major[i]))
-                        for i in np.flatnonzero(ok)]
+            ok, spec, left_tab = best
+            levels[-1] = (value, sidx[ok].tolist(), spec.compress(ok, axis=1),
+                          None if left_tab is None else left_tab[ok & (spec[1] < 0)])
 
-            go = ok[snode]
-            s, r = snode[go], srows[go]
-            f = feat[s]
-            c = self.codes[r, f]
-            left = c <= cut[s]
+            s = node                          # route the rows of split nodes
+            if not ok.all():
+                go = ok[node]
+                s, rows, pos = node[go], rows[go], pos[go]
+                node = (ok.cumsum() - 1)[s]
+            f, cut, _, major = spec.take(s, axis=1)
+            c = self.codes[rows, f]
+            right = c > cut
             if left_tab is not None:
-                left = np.where(self.is_cat[f],
-                                left_tab[s, np.minimum(c, left_tab.shape[1] - 1)], left)
-            left = np.where(c == self.miss_code[f], major[s], left)
-            child = 2 * (np.cumsum(ok) - 1)[s] + ~left
-            sizes = np.bincount(child, minlength=2 * int(ok.sum()))
-            assert sizes.min() >= self.min_leaf, "a split left a child below min_leaf"
-            order = np.argsort(child, kind="stable")
-            rows, pos, node = r[order], spos[go][order], child[order]
-            keys = np.repeat(keys[sidx[ok]], 2)
+                right &= ~left_tab[s, np.minimum(c, self.width - 1)]
+            if self.has_miss:
+                right = np.where(c == self.miss_code[f], major == 0, right)
+            child = 2 * node + right
+            m = np.bincount(child, minlength=2 * len(levels[-1][1]))
+            assert m.min() >= ml, "a split left a child below min_leaf"
+            order = child.argsort(kind="stable")
+            rows, pos, node = rows[order], pos[order], child[order]
+            tree = tree[ok].repeat(2)
             depth += 1
         return self._build(levels)
 
-    def _draw(self, tree_keys, depth, min_pos) -> np.ndarray:
-        """The mtry candidate features of each node, ascending."""
+    def _draw(self, node_hash, min_pos) -> np.ndarray:
+        """The mtry candidate features of each node, ascending.  A node's
+        hashes are distinct (splitmix64 is a bijection), so its mtry
+        smallest are exactly those at most the mtry-th smallest."""
         if self.mtry == self.p:
-            return np.broadcast_to(np.arange(self.p), (tree_keys.size, self.p))
-        h = _mix(_mix(tree_keys ^ np.uint64(depth)) ^ min_pos.astype(np.uint64))
-        h = _mix(h[:, None] ^ np.arange(self.p, dtype=np.uint64))
-        return np.sort(np.argsort(h, axis=1)[:, :self.mtry], axis=1)
+            return np.broadcast_to(self.features, (min_pos.size, self.p))
+        h = _mix(_mix(node_hash ^ min_pos)[:, None] ^ self.features.astype(np.uint64))
+        kth = h.copy()
+        kth.partition(self.mtry - 1, axis=1)
+        return (h <= kth[:, self.mtry - 1, None]).nonzero()[1].reshape(-1, self.mtry)
 
-    def _score(self, rows, snode, chan, y, feats, tol):
+    def _gain(self, left, nl, no, total, parent):
+        """Impurity decrease, in count units, of cuts with integer left sums
+        `left` (channels first) over nl of a pair's no observed rows; -inf
+        where a child would fall below min_leaf."""
+        if not self.C:
+            left = left * 2.0 ** -self.shift
+        right = total - left
+        nr = no - nl
+        g = (self._sq(left) / np.maximum(nl, 1) - parent
+             + self._sq(right) / np.maximum(nr, 1))
+        return np.where(np.minimum(nl, nr) >= self.min_leaf, g, -np.inf)
+
+    def _sq(self, a):
+        return (a * a).sum(axis=0) if self.C else a * a
+
+    def _score(self, rows, snode, m, chan, y, feats, tol):
         """Best split of every open node, by the tie rule of the module.
 
-        Each node s scores the pairs (s, feature) of its drawn features; a
-        pair's observed entries are sorted by rank code once, and the
-        integer cumulative sums of `chan` (one-hot classes, or fixed-point
-        targets) give every candidate's left sums.
+        Node s scores the pairs (s, feature) of its drawn features, pair id
+        s * mtry + slot.  One sort of (pair, code) keys orders every pair's
+        entries by rank code, a missing cell last, and the integer
+        cumulative sums of the channels (one-hot classes, or fixed-point
+        targets) give every run of equal codes its left sums.  A continuous
+        pair cuts at its run ends.  The runs of all categorical pairs fill
+        one histogram, scored per category count k, and each pair's best
+        cut stands in at its first run.  A node then takes the first run,
+        in (slot, code) order, that passes its tolerance.
         """
         S, mtry = feats.shape
-        n_pairs = S * mtry
-        pair_feat = feats.T.ravel()                # pair id = slot * S + node
-        ft = feats[snode].T
-        ct = self.codes[rows, ft]
-        slot, ent = np.nonzero(ct != self.miss_code[ft])
-        pair = slot * S + snode[ent]
-        code = ct[slot, ent]
-        n_obs = np.bincount(pair, minlength=n_pairs)
-        first = np.cumsum(n_obs) - n_obs           # sorted offset of each pair
-        key = pair * self.K1 + code
-        order = np.argsort(key)
+        K1, N = self.K1, rows.size * mtry
+        pair_feat = feats.ravel()
+        codes = self.codes[rows[:, None], feats[snode]]
+        key = ((snode * (mtry * K1))[:, None] + self.slot_keys + codes).ravel()
+        order = key.argsort()
         key = key[order]
-        csum = np.zeros((key.size + 1, chan.shape[1]), dtype=chan.dtype)
-        np.cumsum(chan[ent[order]], axis=0, out=csum[1:])
-        base = csum[first]
-        total = (csum[first + n_obs] - base) * 2.0 ** -self.shift
-        with np.errstate(divide="ignore", invalid="ignore"):
-            parent = np.einsum("pc,pc->p", total, total) / n_obs
+        ent = order // mtry
+        ch = self.onehot.take(y.take(ent), axis=1) if self.C else chan.take(ent)
+        csum = np.zeros(ch.shape[:-1] + (N + 1,), dtype=np.int64)
+        ch.cumsum(axis=-1, out=csum[..., 1:])
+        bounds = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1, [N]))
+        r_start, r_end = bounds[:-1], bounds[1:]            # runs of equal keys
+        r_pair, r_code = np.divmod(key[r_start], K1)
+        edges = np.concatenate(([0], m.repeat(mtry).cumsum()))
+        first, upper = edges[:-1], edges[1:]                # where each pair starts and ends
+        if self.has_miss:                                   # its observed entries end
+            hole = (r_code == self.miss_code[pair_feat[r_pair]]).nonzero()[0]
+            upper = upper.copy()
+            upper[r_pair[hole]] = r_start[hole]
+        n_obs = upper - first
+        total = csum.take(upper, axis=-1) - csum.take(first, axis=-1)
+        if not self.C:
+            total = total * 2.0 ** -self.shift
+        parent = self._sq(total) / np.maximum(n_obs, 1)
+        fr = first[r_pair]
+        g = self._gain(csum.take(r_end, axis=-1) - csum.take(fr, axis=-1), r_end - fr,
+                       n_obs[r_pair], total.take(r_pair, axis=-1), parent[r_pair])
+        pair_run = r_start.searchsorted(first)              # first run of each pair
 
-        def gain(left, nl, cp):
-            """Impurity decrease, in count units, of the cuts of pairs cp
-            with integer left sums `left` over nl observed rows."""
-            left = left * 2.0 ** -self.shift
-            right = total[cp] - left
-            return (np.einsum("ic,ic->i", left, left) / nl - parent[cp]
-                    + np.einsum("ic,ic->i", right, right) / (n_obs[cp] - nl))
+        cq = ()
+        if self.cat_ks:
+            pair_k = self.cat_sizes[pair_feat]
+            cq = pair_k.nonzero()[0]
+        if len(cq):
+            qk = pair_k[cq]
+            if len(self.cat_ks) > 1:                        # group the pairs by k
+                by_k = qk.argsort(kind="stable")
+                cq, qk = cq[by_k], qk[by_k]
+            q_of = np.zeros(pair_k.size, dtype=np.int64)
+            q_of[cq] = np.arange(cq.size)
+            on_cat = (pair_k[r_pair] > 0).nonzero()[0]
+            g[on_cat] = -np.inf
+            at = q_of[r_pair[on_cat]], r_code[on_cat]
+            hist = np.zeros(csum.shape[:-1] + (cq.size, self.width), dtype=np.int64)
+            hist[..., at[0], at[1]] = (csum.take(r_end[on_cat], axis=-1)
+                                       - csum.take(r_start[on_cat], axis=-1))
+            cnt = np.zeros((cq.size, self.width), dtype=np.int64)
+            cnt[at] = (r_end - r_start)[on_cat]
+            no, tot, par = n_obs[cq, None], total.take(cq, axis=-1)[..., None], parent[cq, None]
+            cat_gain = np.full((cq.size, self.n_cut), -np.inf)
+            ranks = np.zeros((cq.size, self.width), dtype=np.int64)
+            lims = qk.searchsorted(self.cat_ks + [qk[-1] + 1]).tolist()
+            for k, lo, hi in zip(self.cat_ks, lims, lims[1:]):
+                if k > 10 and hi > lo:
+                    # prefixes of the categories ordered by mean target;
+                    # absent categories sort last
+                    if self.C:
+                        sums = (hist[:, lo:hi, :k] * np.arange(self.C)[:, None, None]).sum(axis=0)
+                    else:
+                        row = np.full(pair_k.size, -1)
+                        row[cq[lo:hi]] = np.arange(hi - lo)
+                        row = row[(snode * mtry)[:, None] + np.arange(mtry)]
+                        use = (row >= 0) & (codes < k)
+                        sums = np.bincount(row[use] * k + codes[use], minlength=(hi - lo) * k,
+                                           weights=np.broadcast_to(y[:, None], use.shape)[use])
+                        sums = sums.reshape(hi - lo, k)
+                    mean = np.divide(sums, cnt[lo:hi, :k], out=np.full(sums.shape, np.inf),
+                                     where=cnt[lo:hi, :k] > 0)
+                    ranks[lo:hi, :k] = mean.argsort(axis=1, kind="stable").argsort(axis=1)
+                n_cut = k - 1 if k > 10 else (1 << (k - 1)) - 1
+                step = max(1, _BLOCK // (n_cut * (k + (self.C or 1))))
+                for q0 in range(lo, hi, step):
+                    q = slice(q0, min(q0 + step, hi))
+                    masks = (self.masks[k] if k <= 10 else
+                             (ranks[q, None, :k] <= np.arange(k - 1)[:, None]).astype(np.int64))
+                    cat_gain[q, :n_cut] = self._gain(
+                        (masks @ hist[..., q, :k, None])[..., 0], (masks @ cnt[q, :k, None])[..., 0],
+                        no[q], tot[..., q, :], par[q])
+            g[pair_run[cq]] = cat_gain.max(axis=1)
 
-        end = np.flatnonzero(np.append(key[1:] != key[:-1], key.size > 0)) + 1
-        r_pair, r_code = np.divmod(key[end - 1], self.K1)
-
-        # candidates: pair, gain, observed left/right sizes and two ints that
-        # name the cut (continuous: its code and the next; categorical: the
-        # pair's row in its block and the mask or prefix index)
-        cands = []
-        ml = self.min_leaf
-        c = np.flatnonzero((r_pair[1:] == r_pair[:-1]) & ~self.is_cat[pair_feat[r_pair[:-1]]])
-        cp = r_pair[c]
-        nl = end[c] - first[cp]
-        good = (nl >= ml) & (n_obs[cp] - nl >= ml)
-        c, cp, nl = c[good], cp[good], nl[good]
-        cands.append((cp, gain(csum[end[c]] - base[cp], nl, cp), nl, n_obs[cp] - nl,
-                      r_code[c], r_code[c + 1]))
-
-        ranks = {}
-        r_len = end.copy()
-        r_len[1:] -= end[:-1]
-        for f in np.flatnonzero(self.is_cat & (np.bincount(feats.ravel(), minlength=self.p) > 0)):
-            k, pf = int(self.cat_sizes[f]), np.flatnonzero(pair_feat == f)
-            q_of = np.zeros(n_pairs, dtype=np.int64)
-            q_of[pf] = np.arange(pf.size)
-            runs = np.flatnonzero(pair_feat[r_pair] == f)
-            at = q_of[r_pair[runs]], r_code[runs]
-            hist = np.zeros((pf.size, k, chan.shape[1]), dtype=np.int64)
-            cnt = np.zeros((pf.size, k, 1), dtype=np.int64)
-            hist[at] = csum[end[runs]] - csum[end[runs] - r_len[runs]]
-            cnt[at] = r_len[runs, None]
-            if k > 10:
-                # prefixes of the categories ordered by mean target; absent
-                # categories sort last
-                if self.C:
-                    mean = hist @ np.arange(self.C)
-                else:
-                    sel = pair_feat[pair] == f
-                    mean = np.bincount(q_of[pair[sel]] * k + code[sel], weights=y[ent[sel]],
-                                       minlength=pf.size * k).reshape(pf.size, k)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    mean = np.where(cnt[..., 0] > 0, mean / cnt[..., 0], np.inf)
-                rank = ranks[f] = np.argsort(np.argsort(mean, axis=1, kind="stable"), axis=1)
-            n_cut = k - 1 if k > 10 else (1 << (k - 1)) - 1
-            step = max(1, _BLOCK // (n_cut * (k + chan.shape[1])))
-            for q0 in range(0, pf.size, step):
-                q = slice(q0, q0 + step)
-                masks = (_subset_masks(k)[None] if k <= 10 else
-                         (rank[q, None, :] <= np.arange(k - 1)[:, None]).astype(np.int64))
-                nl = (masks @ cnt[q])[..., 0]
-                no = n_obs[pf[q], None]
-                qi, j = np.nonzero((nl >= ml) & (no - nl >= ml))
-                nl, no, cp = nl[qi, j], no[qi, 0], pf[q][qi]
-                cands.append((cp, gain((masks @ hist[q])[qi, j], nl, cp), nl, no - nl,
-                              qi + q0, j))
-
-        cp, gains, c_nl, c_nr, c_a, c_b = (np.concatenate(a) for a in zip(*cands))
-        cs = cp % S
-        best = np.full(S, -np.inf)
-        np.maximum.at(best, cs, gains)
+        node_run = pair_run[::mtry]
+        best = np.maximum.reduceat(g, node_run)
         ok = best > tol
         if not ok.any():
             return None
-        passing = np.flatnonzero(gains >= (best - tol)[cs])
-        pick = np.full(n_pairs, gains.size)
-        np.minimum.at(pick, cp[passing], passing)
-        pick = pick.reshape(mtry, S)
-        slot = (pick < gains.size).argmax(axis=0)
-        ch = np.where(ok, pick[slot, np.arange(S)], 0)
-        feat = feats[np.arange(S), slot]
-        a, b = c_a[ch], c_b[ch]
-        cat = ok & self.is_cat[feat]
-        num = ok & ~cat
-        thr = np.zeros(S)
-        if num.any():
-            lo = self.values[self.offsets[feat[num]] + a[num]]
-            hi = self.values[self.offsets[feat[num]] + b[num]]
-            with np.errstate(over="ignore"):
-                mid = (lo + hi) / 2.0
-            thr[num] = np.where(mid < hi, mid, lo)
-        left_tab, cats = None, [None] * S
-        if cat.any():
-            left_tab = np.zeros((S, int(self.cat_sizes.max()) + 1), dtype=bool)
-            for s in np.flatnonzero(cat):
-                f, k = feat[s], int(self.cat_sizes[feat[s]])
-                left_tab[s, :k] = (_subset_masks(k)[b[s]] if k <= 10 else
-                                   ranks[f][a[s]] <= b[s])
-                cats[s] = np.flatnonzero(left_tab[s]).astype(np.int64)
-        return ok, feat, np.where(num, a, -1), thr, left_tab, cats, c_nl[ch] >= c_nr[ch]
+        lim = best - tol
+        run = np.minimum.reduceat(np.where(g >= lim[r_pair // mtry], np.arange(g.size), g.size),
+                                  node_run)
+        cp = r_pair[run]
+        spec = np.empty((4, S), dtype=np.int64)  # feature, cut code (-1: categorical),
+        spec[0] = pair_feat[cp]                  # next code, majority goes left
+        is_cat = ok & (self.cat_sizes[spec[0]] > 0)
+        spec[1] = np.where(is_cat, -1, r_code[run])
+        spec[2] = r_code[np.minimum(run + 1, g.size - 1)]
+        nl = r_end[run] - first[cp]
+        left_tab = None
+        if is_cat.any():
+            # the first passing subset or prefix of the pair
+            cn = is_cat.nonzero()[0]
+            q = q_of[cp[cn]]
+            j = (cat_gain[q] >= lim[cn, None]).argmax(axis=1)
+            left_tab = np.zeros((S, self.width), dtype=bool)
+            kn = qk[q]
+            for k in set(kn.tolist()):
+                w = kn == k
+                left_tab[cn[w], :k] = (self.masks[k][j[w]] if k <= 10 else
+                                       ranks[q[w], :k] <= j[w, None])
+            nl[cn] = (left_tab[cn] * cnt[q]).sum(axis=1)
+        spec[3] = nl >= n_obs[cp] - nl
+        return ok, spec, left_tab
 
-    @staticmethod
-    def _build(levels) -> list:
-        """Linked _Split/_Leaf trees from the per-level node arrays."""
+    def _build(self, levels) -> list:
+        """Linked _Split/_Leaf trees from the per-level node arrays.  The
+        thresholds and category sets of all levels are made at once."""
+        specs = [lv[2] for lv in levels if len(lv) > 2]
+        feat, cut, nxt, major = np.concatenate(specs, axis=1) if specs else np.zeros((4, 0), int)
+        num = (cut >= 0).nonzero()[0]
+        at = self.offsets[feat[num]]
+        lo, hi = self.values[at + cut[num]], self.values[at + nxt[num]]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        thr = np.zeros(cut.size)
+        thr[num] = np.where(mid < hi, mid, lo)
+        tab = np.concatenate([lv[3] for lv in levels if len(lv) > 2 and lv[3] is not None]
+                             or [np.zeros((0, 0), dtype=bool)])
+        cats = iter(np.split(tab.nonzero()[1], tab.sum(axis=1).cumsum()[:-1]))
+        specs = list(zip(feat.tolist(), thr.tolist(),
+                         [None if c >= 0 else next(cats) for c in cut.tolist()],
+                         major.astype(bool).tolist()))
         below = []
-        for value, split, specs in reversed(levels):
-            kids, specs = iter(below), iter(specs or ())
-            nodes = []
-            for v, is_split in zip(value.tolist(), split.tolist()):
-                if not is_split:
-                    nodes.append(_Leaf(v))
-                    continue
-                f, t, cats, mj = next(specs)
-                node = _Split(f, None if cats is not None else t, cats, mj)
-                node.left, node.right = next(kids), next(kids)
-                nodes.append(node)
+        for value, where, *_ in reversed(levels):
+            nodes = list(map(_Leaf, value.tolist()))
+            kids = iter(below)
+            for i, (f, t, c, mj) in zip(where, specs[len(specs) - len(where):]):
+                nodes[i] = _Split(f, None if c is not None else t, c, mj, next(kids), next(kids))
+            del specs[len(specs) - len(where):]
             below = nodes
         return below
 
@@ -427,9 +481,7 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
         raise DataError("too many classes for mean-target category ordering")
 
     if y.kind is LabelKind.CLASS:
-        raw = y.values.astype(np.int64)
-        classes = np.unique(raw)
-        y_arr = np.searchsorted(classes, raw)
+        classes, y_arr = np.unique(y.values.astype(np.int64), return_inverse=True)
         n_classes = int(classes.size)
     else:
         classes = None
