@@ -242,6 +242,18 @@ class LabelVector:
         object.__setattr__(self, "missing", _freeze(missing))
 
     @classmethod
+    def _unsafe(cls, kind: LabelKind, values: np.ndarray, missing: np.ndarray,
+                categories: tuple[str, ...], name: str) -> "LabelVector":
+        # Fast-path constructor for labels the package built itself from
+        # checked data; skips validation, as DataTable._unsafe does.
+        obj = object.__new__(cls)
+        for field, value in (("kind", kind), ("values", _freeze(values)),
+                             ("missing", _freeze(missing)), ("categories", categories),
+                             ("name", name)):
+            object.__setattr__(obj, field, value)
+        return obj
+
+    @classmethod
     def from_ints(cls, labels: Sequence[int], categories: Sequence[str] = (),
                   name: str = "label") -> "LabelVector":
         arr = np.asarray(labels, dtype=np.float64)
@@ -310,13 +322,15 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None) -> 
     unknown categories are schema violations.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file, header row required")
     p = len(header)
     if p == 0:
         raise DataError(f"{path}: header row has no columns")
@@ -416,7 +430,7 @@ def save_csv(table: DataTable, path: str | Path) -> None:
                                     f"{label!r}, which reads back as missing")
                 row.append(label)
         rows.append(row)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
 
 
@@ -425,11 +439,11 @@ def schema_from_json(path: str | Path) -> tuple[ColumnSchema, ...]:
 
     Text that is not such a list is a SchemaError naming the bad entry.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             spec_list = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except ValueError as exc:  # bad JSON, bad UTF-8, integers too long to parse
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(spec_list, list):
         raise SchemaError(f"{path}: expected a JSON list of column entries")
     out = []
@@ -452,7 +466,7 @@ def schema_to_json(schema: Sequence[ColumnSchema], path: str | Path) -> None:
         {"name": c.name, "kind": c.kind.value, "categories": list(c.categories)}
         for c in schema
     ]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -465,8 +479,9 @@ def split_label(table: DataTable, label: str | int) -> tuple[DataTable, LabelVec
         raise DataError(f"label column index {j} out of range")
     col = table.schema[j]
     kind = LabelKind.CLASS if col.kind is ColumnKind.CATEGORICAL else LabelKind.REGRESSION
-    return table.drop_column(j), LabelVector(kind, table.values[:, j], table.missing[:, j],
-                                             col.categories, col.name)
+    # a table column already satisfies every label invariant
+    return table.drop_column(j), LabelVector._unsafe(
+        kind, table.values[:, j].copy(), table.missing[:, j].copy(), col.categories, col.name)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,19 @@ def _tuple_of(convert):
 
 _positive = _where(_integer, lambda n: n >= 1, "must be >= 1")
 _non_negative = _where(_integer, lambda n: n >= 0, "must be >= 0")
+# every seed is folded to 64 bits, and a 64-bit integer survives JSON
+_seed = _where(_integer, lambda n: -(1 << 63) <= n < 1 << 64, "outside [-2**63, 2**64)")
+
+
+def _shown(value) -> str:
+    """repr(value), or a description where repr fails (an int too long
+    for str, an object whose __repr__ raises)."""
+    try:
+        return repr(value)
+    except Exception:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} that cannot be shown"
 
 
 def checked(value, convert, key: str):
@@ -90,7 +103,7 @@ def checked(value, convert, key: str):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{key!r} has an invalid value: {value!r}; {exc}") from None
+        raise DataError(f"{key!r} has an invalid value: {_shown(value)}; {exc}") from None
 
 
 def check_fields(obj, converters: dict) -> None:

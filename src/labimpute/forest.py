@@ -562,8 +562,9 @@ def _check_arity(model: ForestModel, X: DataTable) -> None:
 
 
 def _wrap_predictions(model: ForestModel, raw: np.ndarray) -> LabelVector:
-    return LabelVector(model.kind, raw, np.zeros(raw.shape, dtype=bool),
-                       model.label_categories, model.label_name)
+    # forest outputs are training labels or their means: valid by construction
+    return LabelVector._unsafe(model.kind, raw, np.zeros(raw.shape, dtype=bool),
+                               model.label_categories, model.label_name)
 
 
 def predict(model: ForestModel, X: DataTable) -> LabelVector:

@@ -50,7 +50,7 @@ from .data import (
     split_label,
     train_test_split,
 )
-from .errors import (DataError, _integer, _of, _positive, _tuple_of, _where,
+from .errors import (DataError, _of, _positive, _seed, _tuple_of, _where,
                      check_fields, checked)
 from .forest import _PARAM_FIELDS, ForestParams, fit_forest, predict
 from .imputers import _MICE_FIELDS, _MISSFOREST_FIELDS, MiceParams, MissForestParams
@@ -180,7 +180,7 @@ _method = _where(_of(str), _METHODS.__contains__,
 _CONFIG_FIELDS = {
     "dataset": _text, "label": _text, "scenario": _scenario,
     "rates": _list_of(_rate, _rate_key, "rates"), "repetitions": _positive,
-    "methods": _list_of(_method, str, "methods"), "seed": _integer,
+    "methods": _list_of(_method, str, "methods"), "seed": _seed,
     "train_ratio": _ratio,
 }
 _CONFIG_SECTIONS = {

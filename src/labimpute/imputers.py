@@ -32,7 +32,7 @@ import numpy as np
 
 from ._rng import child_seed
 from .data import ColumnKind, ColumnSchema, DataTable, _freeze, split_label
-from .errors import DataError, _integer, _number, _of, _positive, _where, check_fields
+from .errors import DataError, _number, _of, _positive, _seed, _where, check_fields
 from .forest import ForestParams, fit_forest, predict
 
 _COLUMN_TAG = 424243  # stream separator for per-column forest seeds
@@ -53,7 +53,7 @@ class MissForestParams:
 
     def __post_init__(self):
         check_fields(self, {"forest": _of(ForestParams), **_MISSFOREST_FIELDS,
-                            "seed": _integer})
+                            "seed": _seed})
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,15 @@ def test_data_errors(iris_csv, tmp_path, capsys):
     ]) == 2
 
 
+def test_simulate_on_non_utf8_csv_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"a,b\n1.0,\xff\n2.0,x\n")
+    assert cli_main(["simulate", str(bad), "--rate", "0.2", "--seed", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "latin.csv: not UTF-8" in err and "Traceback" not in err
+
+
 def test_malformed_inputs_exit_2(iris_csv, tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(

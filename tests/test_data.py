@@ -260,6 +260,44 @@ def test_schema_from_json_malformed_is_schema_error(tmp_path, text, match):
         schema_from_json(path)
 
 
+def test_csv_and_schema_files_are_utf8(tmp_path):
+    # written and read as UTF-8 whatever the locale; other bytes are a
+    # DataError that names the file, not a UnicodeDecodeError
+    schema = (cont("x"), cat("città", ["é", "ß"]))
+    table = make_table([[1.5, 0.0], [2.0, 1.0]], schema=schema)
+    save_csv(table, tmp_path / "t.csv")
+    schema_to_json(schema, tmp_path / "s.json")
+    data = (tmp_path / "t.csv").read_bytes()
+    assert "città".encode("utf-8") in data and "é".encode("utf-8") in data
+    assert tables_equal(load_csv(tmp_path / "t.csv", schema_from_json(tmp_path / "s.json")),
+                        table)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b\n1,\xff\n")
+    with pytest.raises(DataError, match="bad.csv: not UTF-8"):
+        load_csv(bad)
+    bad_schema = tmp_path / "bad.json"
+    bad_schema.write_bytes(b'[{"name": "\xff", "kind": "continuous"}]')
+    with pytest.raises(SchemaError, match="bad.json: not valid JSON"):
+        schema_from_json(bad_schema)
+
+
+def test_split_label_equals_the_checked_label():
+    # split_label skips the label checks; its result must equal the label
+    # the checked constructor builds from the same column
+    schema = (cont("x"), cat("c", ["u", "v", "w"]), cont("r"))
+    missing = np.array([[False, True, False], [False, False, True], [True, False, False]])
+    table = make_table([[1.0, 0.0, 0.5], [2.0, 2.0, 0.0], [0.0, 1.0, -1.5]], missing, schema)
+    for j, kind in ((1, LabelKind.CLASS), (2, LabelKind.REGRESSION)):
+        X, y = split_label(table, j)
+        checked = LabelVector(kind, table.values[:, j], table.missing[:, j],
+                              schema[j].categories, schema[j].name)
+        assert y.kind is kind and y.name == schema[j].name and y.categories == checked.categories
+        assert np.array_equal(y.values, checked.values, equal_nan=True)
+        assert np.array_equal(y.missing, checked.missing)
+        assert not y.values.flags.writeable and not y.missing.flags.writeable
+        assert y.values.flags.c_contiguous and X.n_cols == 2
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------

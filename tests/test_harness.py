@@ -182,6 +182,25 @@ def test_config_file_json_cannot_read_is_a_data_error(tmp_path, text):
         load_experiment_config(path)
 
 
+def test_rejected_huge_integer_is_a_data_error():
+    # an int of over 4,300 digits has no repr; the error describes it
+    with pytest.raises(DataError, match=r"'n_trees' has an invalid value: "
+                                        r"an integer of 16610 bits; must be >= 1"):
+        ForestParams(n_trees=-10**5000)
+    for make in (lambda seed: ExperimentConfig("builtin:iris", "species", seed=seed),
+                 lambda seed: MissForestParams(seed=seed)):
+        for seed in (10**5000, 1 << 64, -(1 << 63) - 1):
+            with pytest.raises(DataError, match=r"'seed' .*outside \[-2\*\*63, 2\*\*64\)"):
+                make(seed)
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1, -(1 << 63), 2**53 + 1])
+def test_config_round_trips_every_accepted_seed(tmp_path, seed):
+    cfg = ExperimentConfig("builtin:iris", "species", seed=seed)
+    save_experiment_config(cfg, tmp_path / "cfg.json")
+    assert load_experiment_config(tmp_path / "cfg.json") == cfg
+
+
 # Arbitrary JSON values, nan and huge integers included ...
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(2**53, 2**80)
