@@ -8,10 +8,12 @@ mean target beyond that.  Regression trees score splits by sum-of-squares
 reduction, classification trees by Gini impurity decrease.
 
 Growth is level-wise, the exact-histogram scheme of LightGBM applied to
-CART: columns are rank-coded once per fit, and one step advances every open
-node of a batch of trees by one depth.  One sort of (node, feature, rank)
-keys and one integer cumulative sum give the class counts or target sums
-left of every cut, and the categorical histograms.  Regression targets are
+CART: one sort per fit rank-codes every continuous column, and one step
+advances every open node of a batch of trees by one depth in a fixed number
+of array passes, with no loop over nodes.  One sort of (node, feature, rank)
+keys and one integer cumulative sum give the left class counts or target
+sums of every run of equal codes: continuous cuts are scored at run ends,
+and all categorical runs fill one histogram.  Regression targets are
 centred and scaled per node and summed in fixed point, so every sum is
 exact whichever nodes and trees share a step.
 
@@ -108,10 +110,8 @@ class ForestModel:
 
 
 def _signature(schema) -> tuple:
-    return tuple(
-        (c.kind, c.n_categories if c.kind is ColumnKind.CATEGORICAL else 0)
-        for c in schema
-    )
+    return tuple((c.kind, c.n_categories if c.kind is ColumnKind.CATEGORICAL else 0)
+                 for c in schema)
 
 
 def _resolve(params: ForestParams, p: int, kind: LabelKind) -> tuple[int, int]:
@@ -135,9 +135,8 @@ def _subset_masks(k: int) -> np.ndarray:
     return (np.arange(1, 1 << (k - 1))[:, None] >> np.arange(k)) & 1
 
 
-_GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in (
-    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-_R30, _R27, _R31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_GOLDEN, _MIX1, _MIX2, _R30, _R27, _R31 = map(np.uint64, (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -184,13 +183,12 @@ class _Grower:
         self.n_cut = max([k - 1 if k > 10 else (1 << (k - 1)) - 1 for k in self.cat_ks] or [0])
         self.width = max(self.cat_ks or [0]) + 1   # category codes and the miss code
         self.has_miss = miss is not None
-        self.y = y
-        self.C = n_classes                    # 0 for regression
+        self.y, self.C = y, n_classes         # C is 0 for regression
+        self.mtry, self.min_leaf, self.max_depth = mtry, min_leaf, max_depth
         self.onehot = np.eye(n_classes, dtype=np.int64)
-        self.mtry = mtry
-        self.min_leaf = min_leaf
-        self.max_depth = max_depth
+        self._sq = (lambda a: (a * a).sum(axis=0)) if n_classes else (lambda a: a * a)
         self.features = np.arange(self.p)
+        self.hash_features = self.features.astype(np.uint64)
         # regression sums are exact in 2^-shift fixed point: a node holds at
         # most n targets scaled into [-1, 1]
         self.shift = 0 if n_classes else 62 - self.n.bit_length()
@@ -221,9 +219,7 @@ class _Grower:
                 dev = y - value[node]
                 scale = np.maximum.reduceat(np.abs(dev), start)
                 open_ = np.maximum.reduceat(y, start) > np.minimum.reduceat(y, start)
-            open_ &= m >= 2 * ml
-            if depth == self.max_depth:
-                open_[:] = False
+            open_ &= (m >= 2 * ml) & (depth != self.max_depth)
             sidx = open_.nonzero()[0]
             levels.append((value, ()))
             if not sidx.size:
@@ -279,38 +275,30 @@ class _Grower:
         smallest are exactly those at most the mtry-th smallest."""
         if self.mtry == self.p:
             return np.broadcast_to(self.features, (min_pos.size, self.p))
-        h = _mix(_mix(node_hash ^ min_pos)[:, None] ^ self.features.astype(np.uint64))
+        h = _mix(_mix(node_hash ^ min_pos)[:, None] ^ self.hash_features)
         kth = h.copy()
         kth.partition(self.mtry - 1, axis=1)
         return (h <= kth[:, self.mtry - 1, None]).nonzero()[1].reshape(-1, self.mtry)
 
     def _gain(self, left, nl, no, total, parent):
         """Impurity decrease, in count units, of cuts with integer left sums
-        `left` (channels first) over nl of a pair's no observed rows; -inf
-        where a child would fall below min_leaf."""
+        `left` (channels first) over nl of no observed rows; -inf below min_leaf."""
         if not self.C:
             left = left * 2.0 ** -self.shift
-        right = total - left
-        nr = no - nl
+        right, nr = total - left, no - nl
         g = (self._sq(left) / np.maximum(nl, 1) - parent
              + self._sq(right) / np.maximum(nr, 1))
         return np.where(np.minimum(nl, nr) >= self.min_leaf, g, -np.inf)
-
-    def _sq(self, a):
-        return (a * a).sum(axis=0) if self.C else a * a
 
     def _score(self, rows, snode, m, chan, y, feats, tol):
         """Best split of every open node, by the tie rule of the module.
 
         Node s scores the pairs (s, feature) of its drawn features, pair id
-        s * mtry + slot.  One sort of (pair, code) keys orders every pair's
-        entries by rank code, a missing cell last, and the integer
-        cumulative sums of the channels (one-hot classes, or fixed-point
-        targets) give every run of equal codes its left sums.  A continuous
-        pair cuts at its run ends.  The runs of all categorical pairs fill
-        one histogram, scored per category count k, and each pair's best
-        cut stands in at its first run.  A node then takes the first run,
-        in (slot, code) order, that passes its tolerance.
+        s * mtry + slot, whose entries one sort orders by rank code, missing
+        cells last.  Cumulative sums of the channels (one-hot classes, or
+        fixed-point targets) give each run of equal codes its left sums.  A
+        node takes the first run, in (slot, code) order, that passes its
+        tolerance; a categorical pair's best cut stands at its first run.
         """
         S, mtry = feats.shape
         K1, N = self.K1, rows.size * mtry
@@ -342,11 +330,9 @@ class _Grower:
                        n_obs[r_pair], total.take(r_pair, axis=-1), parent[r_pair])
         pair_run = r_start.searchsorted(first)              # first run of each pair
 
-        cq = ()
-        if self.cat_ks:
-            pair_k = self.cat_sizes[pair_feat]
-            cq = pair_k.nonzero()[0]
-        if len(cq):
+        pair_k = self.cat_sizes[pair_feat]
+        cq = pair_k.nonzero()[0]
+        if cq.size:
             qk = pair_k[cq]
             if len(self.cat_ks) > 1:                        # group the pairs by k
                 by_k = qk.argsort(kind="stable")
@@ -391,7 +377,7 @@ class _Grower:
                     cat_gain[q, :n_cut] = self._gain(
                         (masks @ hist[..., q, :k, None])[..., 0], (masks @ cnt[q, :k, None])[..., 0],
                         no[q], tot[..., q, :], par[q])
-            g[pair_run[cq]] = cat_gain.max(axis=1)
+            g[pair_run[cq]] = cat_gain.max(axis=1)      # stands in for the pair
 
         node_run = pair_run[::mtry]
         best = np.maximum.reduceat(g, node_run)
@@ -436,9 +422,8 @@ class _Grower:
             mid = (lo + hi) / 2.0
         thr = np.zeros(cut.size)
         thr[num] = np.where(mid < hi, mid, lo)
-        tab = np.concatenate([lv[3] for lv in levels if len(lv) > 2 and lv[3] is not None]
-                             or [np.zeros((0, 0), dtype=bool)])
-        cats = iter(np.split(tab.nonzero()[1], tab.sum(axis=1).cumsum()[:-1]))
+        cats = iter([row.nonzero()[0] for lv in levels if len(lv) > 2 and lv[3] is not None
+                     for row in lv[3]])
         specs = list(zip(feat.tolist(), thr.tolist(),
                          [None if c >= 0 else next(cats) for c in cut.tolist()],
                          major.astype(bool).tolist()))
@@ -472,24 +457,17 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
 
     p = X.n_cols
     mtry, min_leaf = _resolve(params, p, y.kind)
-    cat_sizes = np.array(
-        [c.n_categories if c.kind is ColumnKind.CATEGORICAL else 0 for c in X.schema],
-        dtype=np.int64,
-    )
-    big_cat = cat_sizes.max(initial=0)
-    if big_cat > 10 and y.kind is LabelKind.CLASS and len(np.unique(y.values)) > 64:
+    cat_sizes = np.array([c.n_categories if c.kind is ColumnKind.CATEGORICAL else 0
+                          for c in X.schema], dtype=np.int64)
+    if cat_sizes.max(initial=0) > 10 and y.kind is LabelKind.CLASS and len(np.unique(y.values)) > 64:
         raise DataError("too many classes for mean-target category ordering")
 
+    classes, n_classes, y_arr = None, 0, y.values
     if y.kind is LabelKind.CLASS:
         classes, y_arr = np.unique(y.values.astype(np.int64), return_inverse=True)
         n_classes = int(classes.size)
-    else:
-        classes = None
-        y_arr = y.values.astype(np.float64)
-        n_classes = 0
 
-    miss = X.missing if (allow_missing and X.missing.any()) else None
-    n = X.n_rows
+    n, miss = X.n_rows, (X.missing if allow_missing and X.missing.any() else None)
     grower = _Grower(X.values, miss, cat_sizes, y_arr, n_classes, mtry, min_leaf,
                      params.max_depth)
     trees = []
@@ -502,14 +480,8 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
             keys.append(int(rng.integers(1 << 63)))
         trees += grower.grow(np.concatenate(boot), np.array(keys, dtype=np.uint64))
 
-    return ForestModel(
-        kind=y.kind,
-        trees=tuple(trees),
-        feature_signature=_signature(X.schema),
-        classes=classes,
-        label_categories=y.categories,
-        label_name=y.name,
-    )
+    return ForestModel(y.kind, tuple(trees), _signature(X.schema), classes, y.categories,
+                       y.name)
 
 
 def _route_tree(node, Xv, miss, out):
