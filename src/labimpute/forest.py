@@ -429,12 +429,13 @@ class _Grower:
                          major.astype(bool).tolist()))
         below = []
         for value, where, *_ in reversed(levels):
-            nodes = list(map(_Leaf, value.tolist()))
-            kids = iter(below)
-            for i, (f, t, c, mj) in zip(where, specs[len(specs) - len(where):]):
-                nodes[i] = _Split(f, None if c is not None else t, c, mj, next(kids), next(kids))
+            kids = iter(below)        # split j of a level owns children 2j, 2j + 1
+            splits = (_Split(f, None if c is not None else t, c, mj, next(kids), next(kids))
+                      for f, t, c, mj in specs[len(specs) - len(where):])
+            split_at = set(where)
+            below = [next(splits) if i in split_at else _Leaf(v)
+                     for i, v in enumerate(value.tolist())]
             del specs[len(specs) - len(where):]
-            below = nodes
         return below
 
 
