@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._rng import child_seed
-from .data import ColumnKind, ColumnSchema, DataTable, _freeze, split_label
+from .data import ColumnKind, ColumnSchema, DataTable, LabelKind, LabelVector
 from .errors import DataError, _number, _of, _positive, _seed, _where, check_fields
 from .forest import ForestParams, fit_forest, predict
 
@@ -151,15 +151,20 @@ def delta_categorical(new: np.ndarray, old: np.ndarray, columns: Iterable[int],
 def _fit_predict_column(values: np.ndarray, table: DataTable, s: int, mis: np.ndarray,
                         forest_params: ForestParams, seed: int) -> np.ndarray:
     """Forest-regress column s on all other columns; return predictions for
-    the rows flagged in `mis`."""
-    def rows(flags):
-        block = values[flags]
-        return DataTable._unsafe(table.schema, _freeze(block),
-                                 _freeze(np.zeros(block.shape, dtype=bool)))
+    the rows flagged in `mis`.  Each block is gathered once; `values` is
+    complete, so no block has a missing cell."""
+    keep = np.flatnonzero(np.arange(values.shape[1]) != s)
+    schema, col = tuple(table.schema[j] for j in keep), table.schema[s]
 
-    X_obs, y = split_label(rows(~mis), s)
-    model = fit_forest(X_obs, y, forest_params, seed)
-    return predict(model, rows(mis).drop_column(s)).values
+    def rows(flags):
+        block = values[np.ix_(flags, keep)]
+        return DataTable._unsafe(schema, block, np.zeros(block.shape, dtype=bool))
+
+    kind = LabelKind.CLASS if col.kind is ColumnKind.CATEGORICAL else LabelKind.REGRESSION
+    target = values[~mis, s]
+    y = LabelVector._unsafe(kind, target, np.zeros(target.shape, dtype=bool),
+                            col.categories, col.name)
+    return predict(fit_forest(rows(~mis), y, forest_params, seed), rows(mis)).values
 
 
 def missforest_impute(table: DataTable, params: MissForestParams
