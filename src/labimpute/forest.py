@@ -509,24 +509,20 @@ def _route_tree(node, Xv, miss, out):
 
 def _predict_arrays(model: ForestModel, Xv: np.ndarray, miss: np.ndarray | None
                     ) -> np.ndarray:
+    """Route every tree into one row of a (trees x rows) table, then take a
+    majority vote (ties to the smallest class) or a sum in tree order."""
     n = Xv.shape[0]
     if miss is not None:
         Xv = np.where(miss, 0.0, Xv)
-    if model.kind is LabelKind.CLASS:
+    is_class = model.kind is LabelKind.CLASS
+    out = np.empty((len(model.trees), n), dtype=np.int64 if is_class else np.float64)
+    for tree, row in zip(model.trees, out):
+        _route_tree(tree, Xv, miss, row)
+    if is_class:
         C = int(model.classes.size)
-        votes = np.zeros((n, C), dtype=np.int64)
-        buf = np.zeros(n, dtype=np.int64)
-        for tree in model.trees:
-            _route_tree(tree, Xv, miss, buf)
-            votes[np.arange(n), buf] += 1
-        winner = np.argmax(votes, axis=1)  # ties go to the smallest class
-        return model.classes[winner].astype(np.float64)
-    acc = np.zeros(n, dtype=np.float64)
-    buf = np.zeros(n, dtype=np.float64)
-    for tree in model.trees:
-        _route_tree(tree, Xv, miss, buf)
-        acc += buf
-    return acc / len(model.trees)
+        votes = np.bincount((out + np.arange(n) * C).ravel(), minlength=n * C)
+        return model.classes[votes.reshape(n, C).argmax(axis=1)].astype(np.float64)
+    return sum(out, 0.0) / len(model.trees)   # in tree order: np.sum may add pairwise
 
 
 def _check_arity(model: ForestModel, X: DataTable) -> None:

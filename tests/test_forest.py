@@ -74,6 +74,18 @@ def test_regression_predictions_stay_in_target_range():
     assert pred.values.max() <= yv.max() + 1e-12
 
 
+def test_regression_mean_does_not_depend_on_batch_size():
+    # the trees are summed in order whatever the batch; numpy sums one row's
+    # 30 tree outputs pairwise, which moves the last bits
+    rng = np.random.default_rng(4)
+    X = cont_table(rng.uniform(-2, 2, size=(60, 2)))
+    yv = np.exp(3 * X.values[:, 0]) + rng.normal(size=60)
+    model = fit_forest(X, reg_labels(yv), ForestParams(n_trees=30), seed=5)
+    together = predict(model, X).values
+    alone = [predict(model, cont_table(X.values[i:i + 1])).values[0] for i in range(60)]
+    assert together.tobytes() == np.array(alone).tobytes()
+
+
 def test_classification_predictions_stay_in_training_classes():
     rng = np.random.default_rng(2)
     X = cont_table(rng.normal(size=(30, 2)))
