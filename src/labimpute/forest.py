@@ -17,11 +17,12 @@ and all categorical runs fill one histogram.  Regression targets are
 centred and scaled per node and summed in fixed point, so every sum is
 exact whichever nodes and trees share a step.
 
-Randomness: tree t draws its bootstrap, then a 63-bit tree key, from the
-generator keyed by (seed, t).  Feature draws are keyed per node: a node
-takes the mtry features with the smallest splitmix64 hashes of (tree key,
-depth, smallest bootstrap position in the node, feature).  A tree is thus a
-pure function of (seed, tree index, data), whatever the batching.
+Randomness: every draw is a splitmix64 hash of counters (Random123 style).
+Tree t's key hashes (seed mod 2**64, t); row i of its bootstrap is the high
+word of n times the hash of (key, i), Lemire's range reduction; a node takes
+the mtry features with the smallest hashes of (key, depth, smallest bootstrap
+position in the node, feature).  A tree is thus a pure function of (seed,
+tree index, data), whatever the batching.
 
 Tie rule: gains within 1e-10 times the node's impurity of its best gain
 tie, and the tie goes to the smallest feature index, then to the first cut
@@ -45,11 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import make_rng
 from .data import ColumnKind, DataTable, LabelKind, LabelVector
 from .errors import DataError, _non_negative, _of, _optional, _positive, check_fields
 
-_TREE_TAG = 769001   # stream separator for per-tree generators
 _TIE_RTOL = 1e-10    # gains closer than this times the node impurity tie
 _BATCH_ROWS = 1 << 13  # bootstrap rows of the trees grown together
 _BLOCK = 1 << 20     # elements per block of categorical subset sums
@@ -115,12 +114,9 @@ def _signature(schema) -> tuple:
 
 
 def _resolve(params: ForestParams, p: int, kind: LabelKind) -> tuple[int, int]:
-    if kind is LabelKind.CLASS:
-        mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(p))
-        min_leaf = params.min_leaf if params.min_leaf is not None else 1
-    else:
-        mtry = params.mtry if params.mtry is not None else math.ceil(p / 3)
-        min_leaf = params.min_leaf if params.min_leaf is not None else 5
+    is_class = kind is LabelKind.CLASS
+    mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(p) if is_class else p / 3)
+    min_leaf = params.min_leaf if params.min_leaf is not None else (1 if is_class else 5)
     if mtry > p:
         raise DataError(f"mtry={mtry} exceeds feature count {p}")
     return mtry, min_leaf
@@ -135,8 +131,10 @@ def _subset_masks(k: int) -> np.ndarray:
     return (np.arange(1, 1 << (k - 1))[:, None] >> np.arange(k)) & 1
 
 
-_GOLDEN, _MIX1, _MIX2, _R30, _R27, _R31 = map(np.uint64, (
-    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31))
+_GOLDEN, _MIX1, _MIX2, _R30, _R27, _R31, _R32, _LO32 = map(np.uint64, (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31, 32, (1 << 32) - 1))
+# hash inputs of tree keys, and of bootstrap draws (node draws XOR in positions < n)
+_TREE_TAG, _BOOT_TAG = np.uint64(769001), np.uint64(1 << 32)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -148,6 +146,14 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z *= _MIX2
     z ^= z >> _R31
     return z
+
+
+def _below(h: np.ndarray, n: int) -> np.ndarray:
+    """floor(h * n / 2**64) of every uint64 hash h, exactly: the high word of
+    the 128-bit product, from 32-bit halves so that no product overflows."""
+    hi, lo, n_hi, n_lo = h >> _R32, h & _LO32, np.uint64(n >> 32), np.uint64(n & (1 << 32) - 1)
+    mid = (lo * n_lo >> _R32) + (hi * n_lo & _LO32) + lo * n_hi
+    return hi * n_hi + (hi * n_lo >> _R32) + (mid >> _R32)
 
 
 class _Grower:
@@ -193,19 +199,19 @@ class _Grower:
         # most n targets scaled into [-1, 1]
         self.shift = 0 if n_classes else 62 - self.n.bit_length()
 
-    def grow(self, rows: np.ndarray, tree_keys: np.ndarray) -> list:
-        """Grow one tree per key; rows holds each tree's n bootstrap rows
-        back to back.  Returns the roots in key order."""
+    def grow(self, tree_keys: np.ndarray, bootstrap: bool) -> list:
+        """Grow one tree per key; returns the roots in key order."""
         n, T, C, ml = self.n, tree_keys.size, self.C, self.min_leaf
-        # a node's draw starts from the hash of (tree key, depth); no tree
-        # over n rows opens a node at depth n
+        # hashes of (tree key, position < n): a node's draw starts from the one
+        # at its depth (no tree opens a node at depth n), bootstrap row i's at i
         depth_hash = _mix(tree_keys[:, None] ^ np.arange(n, dtype=np.uint64))
+        rows = (_below(_mix(depth_hash ^ _BOOT_TAG), n).astype(np.int64).ravel() if bootstrap
+                else np.tile(np.arange(n), T))    # each tree's n rows, back to back
         pos = np.arange(T * n, dtype=np.uint64) % np.uint64(n)   # bootstrap position
         node = np.arange(T).repeat(n)
         tree = np.arange(T)                   # tree of each node
         m = np.full(T, n)                     # rows of each node
-        levels = []
-        depth = 0
+        levels, depth = [], 0
         while True:
             F = m.size
             y = self.y[rows]
@@ -456,8 +462,7 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
     if not allow_missing and X.missing.any():
         raise DataError("X has missing cells; impute first or allow missing routing")
 
-    p = X.n_cols
-    mtry, min_leaf = _resolve(params, p, y.kind)
+    mtry, min_leaf = _resolve(params, X.n_cols, y.kind)
     cat_sizes = np.array([c.n_categories if c.kind is ColumnKind.CATEGORICAL else 0
                           for c in X.schema], dtype=np.int64)
     if cat_sizes.max(initial=0) > 10 and y.kind is LabelKind.CLASS and len(np.unique(y.values)) > 64:
@@ -471,15 +476,11 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
     n, miss = X.n_rows, (X.missing if allow_missing and X.missing.any() else None)
     grower = _Grower(X.values, miss, cat_sizes, y_arr, n_classes, mtry, min_leaf,
                      params.max_depth)
-    trees = []
-    per_batch = max(1, _BATCH_ROWS // n)
+    z = _mix(_mix(np.array([int(seed) % (1 << 64)], dtype=np.uint64)) ^ _TREE_TAG)
+    keys = _mix(z ^ np.arange(params.n_trees, dtype=np.uint64))   # of (seed, tag, t)
+    per_batch, trees = max(1, _BATCH_ROWS // n), []
     for t0 in range(0, params.n_trees, per_batch):
-        boot, keys = [], []
-        for t in range(t0, min(t0 + per_batch, params.n_trees)):
-            rng = make_rng(seed, _TREE_TAG, t)
-            boot.append(rng.integers(0, n, n) if params.bootstrap else np.arange(n))
-            keys.append(int(rng.integers(1 << 63)))
-        trees += grower.grow(np.concatenate(boot), np.array(keys, dtype=np.uint64))
+        trees += grower.grow(keys[t0:t0 + per_batch], params.bootstrap)
 
     return ForestModel(y.kind, tuple(trees), _signature(X.schema), classes, y.categories,
                        y.name)
@@ -496,21 +497,16 @@ def _route_tree(node, Xv, miss, out):
             out[idx] = node.value
             continue
         x = Xv[idx, node.feature]
-        if node.threshold is not None:
-            go_left = x <= node.threshold
-        else:
-            go_left = np.isin(x, node.left_cats)
+        go_left = x <= node.threshold if node.left_cats is None else np.isin(x, node.left_cats)
         if miss is not None:
-            hole = miss[idx, node.feature]
-            go_left = np.where(hole, node.majority_left, go_left)
+            go_left = np.where(miss[idx, node.feature], node.majority_left, go_left)
         stack.append((node.left, idx[go_left]))
         stack.append((node.right, idx[~go_left]))
 
 
 def _predict_arrays(model: ForestModel, Xv: np.ndarray, miss: np.ndarray | None
                     ) -> np.ndarray:
-    """Route every tree into one row of a (trees x rows) table, then take a
-    majority vote (ties to the smallest class) or a sum in tree order."""
+    """Each tree's outputs fill one row of a table: one vote, or one mean."""
     n = Xv.shape[0]
     if miss is not None:
         Xv = np.where(miss, 0.0, Xv)

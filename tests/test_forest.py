@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -212,6 +214,45 @@ def test_trees_do_not_depend_on_batching(kind, monkeypatch):
         monkeypatch.setattr(forest_module, "_BATCH_ROWS", rows)
         apart = fit_forest(X, y, params, seed=3, allow_missing=True)
         assert [_spec(t) for t in apart.trees] == [_spec(t) for t in together.trees]
+
+
+@pytest.mark.parametrize("n", [1, 2, 90, 2000, 2 ** 32])
+def test_range_reduction_is_the_exact_multiply_high(n):
+    hashes = [0, 1, 2 ** 63, 2 ** 64 - 1]
+    got = forest_module._below(np.array(hashes, dtype=np.uint64), n)
+    assert got.tolist() == [(h * n) >> 64 for h in hashes]
+
+
+def test_bootstrap_rows_are_in_range_and_cover_the_table(monkeypatch):
+    below, drawn = forest_module._below, []
+
+    def spy(h, n):
+        drawn.append((n, below(h, n)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(forest_module, "_below", spy)
+    X, y = _mixed_problem("class")
+    fit_forest(X, y, ForestParams(n_trees=100), seed=8, allow_missing=True)
+    assert {n for n, _ in drawn} == {X.n_rows}
+    rows = np.concatenate([r for _, r in drawn])   # (tree, bootstrap position)
+    assert rows.shape == (100, X.n_rows) and rows.max() < X.n_rows
+    assert np.unique(rows).size == X.n_rows        # every row drawn somewhere
+    assert len({r.tobytes() for r in rows}) == 100
+    distinct = np.mean([np.unique(r).size for r in rows]) / X.n_rows
+    assert 0.6 < distinct < 0.67                   # 1 - (1 - 1/90)**90 = 0.634
+    drawn.clear()
+    fit_forest(X, y, ForestParams(n_trees=3, bootstrap=False), seed=8, allow_missing=True)
+    assert drawn == []
+
+
+def test_extreme_seeds_draw_distinct_trees_without_warnings():
+    X, y = _mixed_problem("regression")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        specs = [[_spec(t) for t in fit_forest(X, y, ForestParams(n_trees=3), seed=seed,
+                                               allow_missing=True).trees]
+                 for seed in (-2 ** 63, 0, 2 ** 64 - 1)]
+    assert specs[0] != specs[1] and specs[1] != specs[2] and specs[0] != specs[2]
 
 
 def test_fit_on_missing_predictors_with_majority_routing():

@@ -598,7 +598,7 @@ def test_runs_csv_byte_identical_across_threads(tmp_path):
 # sha256 of the bundled iris experiment's runs.csv.  A change that alters the
 # results on purpose re-pins it and says why in CHANGES.md.
 BUNDLED_RUNS_SHA256 = (
-    "674e815d0cf59952a6a8c4ba77e757d626824ce272a0ce44835a6f03cd74b93d"
+    "72abea616050f4826566f394579c4cfc047af8dfddc077838bea4fea6b9ad95f"
 )
 
 
@@ -619,12 +619,12 @@ _EXTRA_RUNS_SHA256 = {
     "all-methods-test-observed": (
         dict(label="species", scenario=Scenario.TEST_OBSERVED, rates=(0.0, 0.4),
              seed=3, methods=_ALL_METHODS),
-        "1191eba31e34fffcccb4846d71db0d58949eaf837d9e4bc0ff0df099771eabf7",
+        "3a4670866f9525c03e00b27aeacd273b0d058401f5318d087f3d482f4ffad1cd",
     ),
     "regression-label": (
         dict(label="petal_width", rates=(0.3,), seed=5,
              methods=("iul-vs-di-missforest", "iul-vs-di-mice")),
-        "0cf368e9b443c476cdd0a934f434af19ed04bcc699a199e859c0ee20fd264a23",
+        "c5465d03c1e009395363f7fdf69139a7ec56af868cd39056403bfa813e5216d9",
     ),
 }
 

@@ -86,12 +86,12 @@ def _forest_outputs(table: DataTable, label: str, missing: bool) -> np.ndarray:
 FOREST_PINS = {
     ("iris", "species", False): "f18a7d412025d1f667e7c48cc834961d4021a9ae9be9d0e5157c8b044d76d946",
     ("iris", "species", True): "7e2756021bf9ff8d319d8984e9c108b711b063acc13763b054fdc85c1a8e0974",
-    ("iris", "petal_width", False): "4707d35bbd944fbb06125c1fb0464f09f060ac0d2dbe06702d0d035bcb275e50",
-    ("iris", "petal_width", True): "2ce5ad38da84adbaf653586916e8eedb40b061fea3fa9a116edd1ea8acd11236",
-    ("mixed", "c6", False): "66185c0fe397149ecc6e3e07697f0eff8c566d5ba823aad28489c45a6dca3f8a",
-    ("mixed", "c6", True): "37e221555b6cf26813ac78bddd218166815ae543863196339ffba47845930008",
-    ("mixed", "x0", False): "bbf2c4d237b1db2b645ac76a80fb86ce77a98fbd59f814d3ecc6744f326a434e",
-    ("mixed", "x0", True): "f72dd5d1104856b9b16b5c3192b2bcc77efc34d93beba9a6e09b2940fdaa1bd2",
+    ("iris", "petal_width", False): "12106956de1cb15fd65cd66348b4edcfb561d5e902fd950dfdd9f8778a89571e",
+    ("iris", "petal_width", True): "a00ec2225544d4cf3e9eb546f5b1971299e2c701a2f8139fb03e8c2d06867d50",
+    ("mixed", "c6", False): "3e633ee5b3b43d9203d92b3291a1bdc9787b97a89ef5e3c10e2146c9c295a783",
+    ("mixed", "c6", True): "bc94296036edccafc740c35c92e1f7b091d1aa3ac0ba565db8afba2c88532350",
+    ("mixed", "x0", False): "ab5624335a4a76eedfc83a2796ca7457845d196b084c7e6f62ece177176f2a72",
+    ("mixed", "x0", True): "fbfe9aa189d9e5065748167ec4806c777a065f20741ec79eb67f07764610671e",
 }
 
 
@@ -104,12 +104,12 @@ def test_forest_predictions_pinned(dataset, label, missing):
 
 
 MISSFOREST_PINS = {
-    "iris": ("93789a71205a00cd861cc71fe6f784ecfd008947bc4ba1cd5e179f9b4d754975",
-             "f2fbd488cff29172098c157672a0d036ef584c46d44bbc01fa92a87d13b3036b",
-             "delta_increase"),
-    "mixed": ("6d6697b784a32fb14cc98e91c3e82ca301b4f3469aea30c1f2d02bf135151ff4",
-              "c8c73568250c7081f81d687219fb9fe7677d032b05a7d1705126626b14666879",
-              "max_iter"),
+    "iris": ("ad8225bb7ed3bfcb33a944a985149af341ad2c0fc58c9b515303467bd5a8f458",
+             "04e4795a8887673079ca477db9936ab9e098105b07f278cf79ea0003747d06de",
+             "max_iter"),
+    "mixed": ("67cc835dd0554198f665791dae8b3adfbd843428681480a330d59025938af454",
+              "0180c93485b0e27400609ef8ccbb7ff4aaac9c7450d1da26958e4966b53f83eb",
+              "delta_increase"),
 }
 
 
@@ -150,7 +150,7 @@ def test_mice_values_pinned(dataset):
         f"scipy-openblas; this run uses {_numpy_build()}")
 
 
-CBMI_PIN = "691562d3f6f9de5b01418064ca1c57d08360381598e5e6fd516b91dcef1deb5f"
+CBMI_PIN = "ae10177263cd9d03f82b915b59a4a3de432633544859c5c3043c962bbe7cc895"
 
 
 def test_cbmi_predictions_pinned():
