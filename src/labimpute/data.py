@@ -329,6 +329,8 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None) -> 
             rows = list(reader)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file, header row required")
     p = len(header)

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +282,58 @@ def test_csv_and_schema_files_are_utf8(tmp_path):
     bad_schema.write_bytes(b'[{"name": "\xff", "kind": "continuous"}]')
     with pytest.raises(SchemaError, match="bad.json: not valid JSON"):
         schema_from_json(bad_schema)
+
+
+def test_csv_field_over_the_reader_limit_is_a_data_error(tmp_path):
+    # the csv module refuses fields over csv.field_size_limit() (128 KiB)
+    # with its own error; load_csv names the file and the line instead
+    big = tmp_path / "big.csv"
+    big.write_text("a,b\n1,2\n" + "x" * 200_000 + ",3\n", encoding="utf-8")
+    with pytest.raises(DataError, match="big.csv: line 3: field larger than field limit"):
+        load_csv(big)
+
+
+_MISSING = st.sampled_from(["", "NA", "?", "nan", "NaN"])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers().map(str),
+    st.sampled_from(["inf", "-inf", "1e400", "1e-400", "-0", " 3 ", "1_0", "0x1", "+.5", "٣"]))
+_LABEL = st.one_of(st.sampled_from(["a", "b", "a b", "1", "True", ",", '"', "\n", "\r", "\x00",
+                                    "é", "\ufeff", " ", "NA ", "\x85"]), st.text(max_size=4))
+
+
+@st.composite
+def _csv_bytes(draw):
+    """Mostly rectangular CSV text of numeric, label and missing cells, raw
+    or quoted, now and then with a ragged row; or bytes that may not decode."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=60))
+    p, n = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    header = [draw(_LABEL) + (f"{j}" if draw(st.integers(0, 3)) else "") for j in range(p)]
+    kinds = [draw(st.sampled_from([_NUMBER, _LABEL])) for _ in range(p)]
+    rows = [header] + [[draw(st.one_of(_MISSING, kinds[j], kinds[j])) for j in range(p)]
+                       for _ in range(n)]
+    if n and draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(1, n))].append(draw(_NUMBER))
+    quote = (lambda c: '"' + c.replace('"', '""') + '"') if draw(st.booleans()) else str
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(",".join(map(quote, row)) for row in rows) + draw(st.sampled_from(["", eol]))
+    return text.encode("utf-8", "surrogatepass")   # a lone surrogate is not UTF-8
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(raw=_csv_bytes())
+def test_load_csv_fuzz_round_trips_or_raises_a_data_error(raw):
+    # every input loads or is a DataError/SchemaError, and what loads comes
+    # back the same through save_csv and load_csv with the loaded schema
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
+        src.write_bytes(raw)
+        try:
+            table = load_csv(src)
+        except (DataError, SchemaError):
+            return
+        save_csv(table, out)
+        assert tables_equal(load_csv(out, table.schema), table)
 
 
 def test_split_label_equals_the_checked_label():
