@@ -18,11 +18,11 @@ centred and scaled per node and summed in fixed point, so every sum is
 exact whichever nodes and trees share a step.
 
 Randomness: every draw is a splitmix64 hash of counters (Random123 style).
-Tree t's key hashes (seed mod 2**64, t); row i of its bootstrap is the high
-word of n times the hash of (key, i), Lemire's range reduction; a node takes
-the mtry features with the smallest hashes of (key, depth, smallest bootstrap
-position in the node, feature).  A tree is thus a pure function of (seed,
-tree index, data), whatever the batching.
+Tree t's key hashes (seed mod 2**64, tag, t); row i of its bootstrap is the
+high word of n times the hash of (key, i, tag), Lemire's range reduction; a
+node takes the mtry features with the smallest hashes of (key, depth,
+smallest bootstrap position in the node, feature).  A tree is thus a pure
+function of (seed, tree index, data), whatever the batching.
 
 Tie rule: gains within 1e-10 times the node's impurity of its best gain
 tie, and the tie goes to the smallest feature index, then to the first cut
@@ -115,8 +115,8 @@ def _signature(schema) -> tuple:
 
 def _resolve(params: ForestParams, p: int, kind: LabelKind) -> tuple[int, int]:
     is_class = kind is LabelKind.CLASS
-    mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(p) if is_class else p / 3)
-    min_leaf = params.min_leaf if params.min_leaf is not None else (1 if is_class else 5)
+    mtry = math.ceil(math.sqrt(p) if is_class else p / 3) if params.mtry is None else params.mtry
+    min_leaf = (1 if is_class else 5) if params.min_leaf is None else params.min_leaf
     if mtry > p:
         raise DataError(f"mtry={mtry} exceeds feature count {p}")
     return mtry, min_leaf
@@ -506,7 +506,7 @@ def _route_tree(node, Xv, miss, out):
 
 def _predict_arrays(model: ForestModel, Xv: np.ndarray, miss: np.ndarray | None
                     ) -> np.ndarray:
-    """Each tree's outputs fill one row of a table: one vote, or one mean."""
+    """Each tree fills one row of a table: one vote (ties to the smallest class) or one mean."""
     n = Xv.shape[0]
     if miss is not None:
         Xv = np.where(miss, 0.0, Xv)

@@ -77,8 +77,8 @@ def test_regression_predictions_stay_in_target_range():
 
 
 def test_regression_mean_does_not_depend_on_batch_size():
-    # the trees are summed in order whatever the batch; numpy sums one row's
-    # 30 tree outputs pairwise, which moves the last bits
+    # the trees are summed in order whatever the batch size; np.sum(axis=0)
+    # over a one-row batch adds its 30 tree outputs pairwise, moving last bits
     rng = np.random.default_rng(4)
     X = cont_table(rng.uniform(-2, 2, size=(60, 2)))
     yv = np.exp(3 * X.values[:, 0]) + rng.normal(size=60)
