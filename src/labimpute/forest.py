@@ -202,8 +202,8 @@ class _Grower:
     def grow(self, tree_keys: np.ndarray, bootstrap: bool) -> list:
         """Grow one tree per key; returns the roots in key order."""
         n, T, C, ml = self.n, tree_keys.size, self.C, self.min_leaf
-        # hashes of (tree key, position < n): a node's draw starts from the one
-        # at its depth (no tree opens a node at depth n), bootstrap row i's at i
+        # hashes of (tree key, position < n): a node's draw starts from the one at
+        # its depth (no tree opens a node at depth n), bootstrap row i from the one at i
         depth_hash = _mix(tree_keys[:, None] ^ np.arange(n, dtype=np.uint64))
         rows = (_below(_mix(depth_hash ^ _BOOT_TAG), n).astype(np.int64).ravel() if bootstrap
                 else np.tile(np.arange(n), T))    # each tree's n rows, back to back
