@@ -76,6 +76,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_cells(schema: Sequence[ColumnSchema], values: np.ndarray,
+                 missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen copies of (n, p) cells under the cell rules: NaN behind every
+    flag, present cells finite, present categorical cells indices 0..K-1."""
+    values, missing = values.copy(), missing.copy()
+    values[missing] = np.nan
+    present = ~missing
+    if not np.all(np.isfinite(values[present])):
+        raise DataError("present cells must be finite")
+    for j, col in enumerate(schema):
+        if col.kind is ColumnKind.CATEGORICAL:
+            vj = values[present[:, j], j]
+            if vj.size and (np.any(vj != np.floor(vj)) or np.any(vj < 0)
+                            or np.any(vj >= col.n_categories)):
+                raise SchemaError(
+                    f"column {col.name!r} holds an index outside 0..{col.n_categories - 1}"
+                )
+    return _freeze(values), _freeze(missing)
+
+
 @dataclass(frozen=True)
 class DataTable:
     """Immutable typed table with explicit missingness flags.
@@ -99,21 +119,8 @@ class DataTable:
             raise DataError(
                 f"schema lists {len(schema)} columns but values has {values.shape[1]}"
             )
-        values = values.copy()
-        values[missing] = np.nan
-        present = ~missing
-        if not np.all(np.isfinite(values[present])):
-            raise DataError("present cells must be finite")
-        for j, col in enumerate(schema):
-            if col.kind is ColumnKind.CATEGORICAL:
-                vj = values[present[:, j], j]
-                if vj.size and (np.any(vj != np.floor(vj)) or np.any(vj < 0)
-                                or np.any(vj >= col.n_categories)):
-                    raise SchemaError(
-                        f"column {col.name!r} holds an index outside 0..{col.n_categories - 1}"
-                    )
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "missing", _freeze(missing.copy()))
+        for field, value in zip(("values", "missing"), _check_cells(schema, values, missing)):
+            object.__setattr__(self, field, value)
 
     @classmethod
     def _unsafe(cls, schema: tuple[ColumnSchema, ...], values: np.ndarray,
@@ -180,14 +187,14 @@ class DataTable:
                                  _freeze(self.missing[:, keep].copy()))
 
 
+def _same_cells(a: DataTable | LabelVector, b: DataTable | LabelVector) -> bool:
+    return (a.values.shape == b.values.shape and np.array_equal(a.missing, b.missing)
+            and np.array_equal(a.values[~a.missing], b.values[~b.missing]))
+
+
 def tables_equal(a: DataTable, b: DataTable) -> bool:
     """Bit-exact equality: same schema, same flags, same present values."""
-    if a.schema != b.schema or a.values.shape != b.values.shape:
-        return False
-    if not np.array_equal(a.missing, b.missing):
-        return False
-    present = ~a.missing
-    return bool(np.array_equal(a.values[present], b.values[present]))
+    return a.schema == b.schema and _same_cells(a, b)
 
 
 def concat_rows(top: DataTable, bottom: DataTable) -> DataTable:
@@ -201,48 +208,38 @@ def concat_rows(top: DataTable, bottom: DataTable) -> DataTable:
     )
 
 
-class LabelKind(enum.Enum):
-    CLASS = "class"
-    REGRESSION = "regression"
-
-
 @dataclass(frozen=True)
 class LabelVector:
-    """Length-n target vector; class labels are indices into `categories`."""
+    """Length-n target vector: the column it becomes when stacked.  A
+    CATEGORICAL label holds class indices into `categories`, a CONTINUOUS
+    one regression targets."""
 
-    kind: LabelKind
+    kind: ColumnKind
     values: np.ndarray
     missing: np.ndarray
     categories: tuple[str, ...] = ()
     name: str = "label"
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        missing = np.asarray(self.missing, dtype=bool).copy()
+        values = np.asarray(self.values, dtype=np.float64)
+        missing = np.asarray(self.missing, dtype=bool)
         if values.ndim != 1 or missing.shape != values.shape:
             raise DataError("label values/missing must be matching 1-D arrays")
-        values[missing] = np.nan
-        present = values[~missing]
-        if not np.all(np.isfinite(present)):
-            raise DataError("present labels must be finite")
-        if self.kind is LabelKind.CLASS:
-            cats = tuple(self.categories)
-            if not cats:
-                # Synthesize labels for plain integer classes.
-                top = int(present.max()) if present.size else 0
-                cats = tuple(str(k) for k in range(top + 1))
-                object.__setattr__(self, "categories", cats)
-            if present.size and (np.any(present != np.floor(present))
-                                 or np.any(present < 0)
-                                 or np.any(present >= len(cats))):
-                raise SchemaError("class label outside the category range")
-        elif self.categories:
-            raise SchemaError("regression labels cannot list categories")
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "missing", _freeze(missing))
+        cats = tuple(self.categories)
+        if self.kind is ColumnKind.CATEGORICAL and not cats:
+            # name plain integer classes 0..max; a non-finite class is left
+            # to fail the cell rule as a DataError
+            present = values[~missing]
+            top = present.max(initial=0) if np.isfinite(present).all() else 0
+            cats = tuple(str(k) for k in range(int(top) + 1))
+        column = ColumnSchema(self.name, self.kind, cats)
+        values, missing = _check_cells((column,), values[:, None], missing[:, None])
+        for field, value in (("values", values[:, 0]), ("missing", missing[:, 0]),
+                             ("categories", cats)):
+            object.__setattr__(self, field, value)
 
     @classmethod
-    def _unsafe(cls, kind: LabelKind, values: np.ndarray, missing: np.ndarray,
+    def _unsafe(cls, kind: ColumnKind, values: np.ndarray, missing: np.ndarray,
                 categories: tuple[str, ...], name: str) -> "LabelVector":
         # Fast-path constructor for labels the package built itself from
         # checked data; skips validation, as DataTable._unsafe does.
@@ -257,13 +254,13 @@ class LabelVector:
     def from_ints(cls, labels: Sequence[int], categories: Sequence[str] = (),
                   name: str = "label") -> "LabelVector":
         arr = np.asarray(labels, dtype=np.float64)
-        return cls(LabelKind.CLASS, arr, np.zeros(arr.shape, dtype=bool),
+        return cls(ColumnKind.CATEGORICAL, arr, np.zeros(arr.shape, dtype=bool),
                    tuple(categories), name)
 
     @classmethod
-    def all_missing(cls, n: int, kind: LabelKind, categories: Sequence[str] = (),
+    def all_missing(cls, n: int, kind: ColumnKind, categories: Sequence[str] = (),
                     name: str = "label") -> "LabelVector":
-        if kind is LabelKind.CLASS and not categories:
+        if kind is ColumnKind.CATEGORICAL and not categories:
             raise DataError("an all-missing class label needs explicit categories")
         return cls(kind, np.full(n, np.nan), np.ones(n, dtype=bool),
                    tuple(categories), name)
@@ -286,17 +283,13 @@ class LabelVector:
 
     def take(self, idx: np.ndarray) -> "LabelVector":
         idx = np.asarray(idx, dtype=np.intp)
-        return LabelVector(self.kind, self.values[idx], self.missing[idx],
-                           self.categories, self.name)
+        return LabelVector._unsafe(self.kind, self.values[idx], self.missing[idx],
+                                   self.categories, self.name)
 
 
 def labels_equal(a: LabelVector, b: LabelVector) -> bool:
-    if a.kind is not b.kind or a.categories != b.categories:
-        return False
-    if not np.array_equal(a.missing, b.missing):
-        return False
-    present = ~a.missing
-    return bool(np.array_equal(a.values[present], b.values[present]))
+    """Bit-exact equality of kind, categories, flags and present values."""
+    return a.kind is b.kind and a.categories == b.categories and _same_cells(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +473,9 @@ def split_label(table: DataTable, label: str | int) -> tuple[DataTable, LabelVec
     if not 0 <= j < table.n_cols:
         raise DataError(f"label column index {j} out of range")
     col = table.schema[j]
-    kind = LabelKind.CLASS if col.kind is ColumnKind.CATEGORICAL else LabelKind.REGRESSION
     # a table column already satisfies every label invariant
     return table.drop_column(j), LabelVector._unsafe(
-        kind, table.values[:, j].copy(), table.missing[:, j].copy(), col.categories, col.name)
+        col.kind, table.values[:, j].copy(), table.missing[:, j].copy(), col.categories, col.name)
 
 
 # ---------------------------------------------------------------------------

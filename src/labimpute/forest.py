@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ColumnKind, DataTable, LabelKind, LabelVector
+from .data import ColumnKind, DataTable, LabelVector
 from .errors import DataError, _non_negative, _of, _optional, _positive, check_fields
 
 _TIE_RTOL = 1e-10    # gains closer than this times the node impurity tie
@@ -100,7 +100,7 @@ class _Split:
 class ForestModel:
     """A fitted forest plus the metadata needed to validate inputs."""
 
-    kind: LabelKind
+    kind: ColumnKind
     trees: tuple
     feature_signature: tuple
     classes: np.ndarray | None       # original class ids, ascending
@@ -113,8 +113,8 @@ def _signature(schema) -> tuple:
                  for c in schema)
 
 
-def _resolve(params: ForestParams, p: int, kind: LabelKind) -> tuple[int, int]:
-    is_class = kind is LabelKind.CLASS
+def _resolve(params: ForestParams, p: int, kind: ColumnKind) -> tuple[int, int]:
+    is_class = kind is ColumnKind.CATEGORICAL
     mtry = math.ceil(math.sqrt(p) if is_class else p / 3) if params.mtry is None else params.mtry
     min_leaf = (1 if is_class else 5) if params.min_leaf is None else params.min_leaf
     if mtry > p:
@@ -465,11 +465,11 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
     mtry, min_leaf = _resolve(params, X.n_cols, y.kind)
     cat_sizes = np.array([c.n_categories if c.kind is ColumnKind.CATEGORICAL else 0
                           for c in X.schema], dtype=np.int64)
-    if cat_sizes.max(initial=0) > 10 and y.kind is LabelKind.CLASS and len(np.unique(y.values)) > 64:
+    if cat_sizes.max(initial=0) > 10 and y.kind is ColumnKind.CATEGORICAL and len(np.unique(y.values)) > 64:
         raise DataError("too many classes for mean-target category ordering")
 
     classes, n_classes, y_arr = None, 0, y.values
-    if y.kind is LabelKind.CLASS:
+    if y.kind is ColumnKind.CATEGORICAL:
         classes, y_arr = np.unique(y.values.astype(np.int64), return_inverse=True)
         n_classes = int(classes.size)
 
@@ -510,7 +510,7 @@ def _predict_arrays(model: ForestModel, Xv: np.ndarray, miss: np.ndarray | None
     n = Xv.shape[0]
     if miss is not None:
         Xv = np.where(miss, 0.0, Xv)
-    is_class = model.kind is LabelKind.CLASS
+    is_class = model.kind is ColumnKind.CATEGORICAL
     out = np.empty((len(model.trees), n), dtype=np.int64 if is_class else np.float64)
     for tree, row in zip(model.trees, out):
         _route_tree(tree, Xv, miss, row)

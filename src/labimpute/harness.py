@@ -36,8 +36,8 @@ import numpy as np
 
 from ._rng import child_seed
 from .data import (
+    ColumnKind,
     DataTable,
-    LabelKind,
     LabelVector,
     _rate,
     _ratio,
@@ -297,13 +297,8 @@ class _CellPrep:
 
 
 def _concat_labels(a: LabelVector, b: LabelVector) -> LabelVector:
-    return LabelVector(
-        a.kind,
-        np.concatenate([a.values, b.values]),
-        np.concatenate([a.missing, b.missing]),
-        categories=a.categories,
-        name=a.name,
-    )
+    return LabelVector._unsafe(a.kind, np.concatenate([a.values, b.values]),
+                               np.concatenate([a.missing, b.missing]), a.categories, a.name)
 
 
 def _prepare_cell(
@@ -354,7 +349,7 @@ def _downstream_mse(
     Train and test rows come out of the same completed pool, so the test
     side needs no missing-value routing.
     """
-    if prep.y_train.kind is not LabelKind.REGRESSION:
+    if prep.y_train.kind is not ColumnKind.CONTINUOUS:
         return None
     idx = np.arange(x_imp_pool.n_rows)
     model = fit_forest(
@@ -548,7 +543,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     x, y = split_label(table, label)
     if not y.is_complete():
         raise DataError(f"label column {label!r} has missing entries")
-    if y.kind is not LabelKind.CLASS:
+    if y.kind is not ColumnKind.CATEGORICAL:
         bad = [m for m in config.methods
                if any(s not in ("iul", "di") for _, s, _ in _METHODS[m])]
         if bad:

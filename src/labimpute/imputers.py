@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._rng import child_seed
-from .data import ColumnKind, ColumnSchema, DataTable, LabelKind, LabelVector
+from .data import ColumnKind, ColumnSchema, DataTable, LabelVector
 from .errors import DataError, _number, _of, _positive, _seed, _where, check_fields
 from .forest import ForestParams, fit_forest, predict
 
@@ -160,9 +160,8 @@ def _fit_predict_column(values: np.ndarray, table: DataTable, s: int, mis: np.nd
         block = values[np.ix_(flags, keep)]
         return DataTable._unsafe(schema, block, np.zeros(block.shape, dtype=bool))
 
-    kind = LabelKind.CLASS if col.kind is ColumnKind.CATEGORICAL else LabelKind.REGRESSION
     target = values[~mis, s]
-    y = LabelVector._unsafe(kind, target, np.zeros(target.shape, dtype=bool),
+    y = LabelVector._unsafe(col.kind, target, np.zeros(target.shape, dtype=bool),
                             col.categories, col.name)
     return predict(fit_forest(rows(~mis), y, forest_params, seed), rows(mis)).values
 

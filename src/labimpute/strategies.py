@@ -24,7 +24,6 @@ from .data import (
     ColumnKind,
     ColumnSchema,
     DataTable,
-    LabelKind,
     LabelVector,
     concat_rows,
     split_label,
@@ -48,11 +47,10 @@ def stack_labels(X: DataTable, y: LabelVector) -> DataTable:
     name = y.name
     if name in X.column_names:
         name = name + "_target"
-    kind = ColumnKind.CATEGORICAL if y.kind is LabelKind.CLASS else ColumnKind.CONTINUOUS
-    schema = X.schema + (ColumnSchema(name, kind, y.categories),)
-    values = np.column_stack([X.values, y.values])
-    missing = np.column_stack([X.missing, y.missing])
-    return DataTable(schema, values, missing)
+    # both parts are checked, so the stacked cells need no second check
+    schema = X.schema + (ColumnSchema(name, y.kind, y.categories),)
+    return DataTable._unsafe(schema, np.column_stack([X.values, y.values]),
+                             np.column_stack([X.missing, y.missing]))
 
 
 def unstack(table: DataTable, name: str) -> tuple[DataTable, LabelVector]:
@@ -94,14 +92,14 @@ def cbmi_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
     missing training labels are imputed in the same pass, so partially
     labeled training data needs no special handling.
     """
-    if y_train.kind is not LabelKind.CLASS:
+    if y_train.kind is not ColumnKind.CATEGORICAL:
         raise DataError("label-imputation classification needs class labels")
     if X_train.schema != X_test.schema:
         raise DataError("train and test schemas differ")
     if bool(y_train.missing.all()) and y_train.n > 0:
         raise DataError("all training labels are missing; nothing to learn from")
     n_train = X_train.n_rows
-    y_hidden = LabelVector.all_missing(X_test.n_rows, LabelKind.CLASS,
+    y_hidden = LabelVector.all_missing(X_test.n_rows, ColumnKind.CATEGORICAL,
                                        y_train.categories, y_train.name)
     stacked = concat_rows(stack_labels(X_train, y_train), stack_labels(X_test, y_hidden))
     completed, trace = missforest_impute(stacked, params)
@@ -126,7 +124,7 @@ def iclf_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
     The forest is seeded with `seed` directly, so on fully-observed data
     this composes to a plain fit-and-predict.
     """
-    if y_train.kind is not LabelKind.CLASS:
+    if y_train.kind is not ColumnKind.CATEGORICAL:
         raise DataError("classification needs class labels")
     if y_train.missing.any():
         raise DataError("training labels must be fully observed")
@@ -153,7 +151,7 @@ def rf_missing_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTab
     and rows are routed through the majority child at both fit and
     predict time.
     """
-    if y_train.kind is not LabelKind.CLASS:
+    if y_train.kind is not ColumnKind.CATEGORICAL:
         raise DataError("classification needs class labels")
     if y_train.missing.any():
         raise DataError("training labels must be fully observed")

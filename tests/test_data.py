@@ -9,7 +9,6 @@ from labimpute.data import (
     ColumnKind,
     ColumnSchema,
     DataTable,
-    LabelKind,
     LabelVector,
     accuracy,
     apply_mcar,
@@ -119,11 +118,27 @@ def test_schema_validation():
 
 def test_label_vector_class_range():
     with pytest.raises(SchemaError):
-        LabelVector(LabelKind.CLASS, np.array([0.0, 3.0]),
+        LabelVector(ColumnKind.CATEGORICAL, np.array([0.0, 3.0]),
                     np.zeros(2, dtype=bool), ("a", "b"))
     y = LabelVector.from_ints([0, 1, 1], ["a", "b"])
     assert y.n_classes == 2
     assert y.as_ints().tolist() == [0, 1, 1]
+
+
+def test_label_vector_rejects_duplicate_categories():
+    # a label keeps the category rules of the column it becomes
+    with pytest.raises(SchemaError, match="duplicate"):
+        LabelVector.from_ints([0, 1], ["a", "a"])
+    with pytest.raises(SchemaError, match="cannot list"):
+        LabelVector(ColumnKind.CONTINUOUS, np.array([0.5]), np.zeros(1, dtype=bool), ("a",))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_label_vector_rejects_nonfinite_present_labels(bad):
+    # checked before classes are named, so no category range is built from it
+    for categories in ((), ("a", "b")):
+        with pytest.raises(DataError, match="finite"):
+            LabelVector.from_ints([0.0, bad], categories)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +156,7 @@ def test_load_csv_iris_asset():
     assert kinds[4] is ColumnKind.CATEGORICAL
     assert t.schema[4].categories == ("setosa", "versicolor", "virginica")
     X, y = split_label(t, "species")
-    assert X.n_cols == 4 and y.kind is LabelKind.CLASS and y.n_classes == 3
+    assert X.n_cols == 4 and y.kind is ColumnKind.CATEGORICAL and y.n_classes == 3
     assert t.is_complete()
 
 
@@ -342,7 +357,7 @@ def test_split_label_equals_the_checked_label():
     schema = (cont("x"), cat("c", ["u", "v", "w"]), cont("r"))
     missing = np.array([[False, True, False], [False, False, True], [True, False, False]])
     table = make_table([[1.0, 0.0, 0.5], [2.0, 2.0, 0.0], [0.0, 1.0, -1.5]], missing, schema)
-    for j, kind in ((1, LabelKind.CLASS), (2, LabelKind.REGRESSION)):
+    for j, kind in ((1, ColumnKind.CATEGORICAL), (2, ColumnKind.CONTINUOUS)):
         X, y = split_label(table, j)
         checked = LabelVector(kind, table.values[:, j], table.missing[:, j],
                               schema[j].categories, schema[j].name)
@@ -370,7 +385,7 @@ def test_split_partitions_rows():
     rng = np.random.default_rng(1)
     t = random_table(rng, 40, 3, cat_frac=0.0)
     # tag each row by a unique value so the partition can be audited
-    y = LabelVector(LabelKind.REGRESSION, np.arange(40.0), np.zeros(40, dtype=bool))
+    y = LabelVector(ColumnKind.CONTINUOUS, np.arange(40.0), np.zeros(40, dtype=bool))
     (tr, ytr), (te, yte) = train_test_split(t, y, 0.6, seed=9)
     ids = np.concatenate([ytr.values, yte.values])
     assert sorted(ids.tolist()) == list(range(40))
@@ -563,7 +578,7 @@ def test_accuracy_values_and_errors():
     short = LabelVector.from_ints([0], ["x", "y", "z"])
     with pytest.raises(DataError):
         accuracy(a, short)
-    holey = LabelVector(LabelKind.CLASS, np.array([0.0, np.nan, 2.0, 1.0]),
+    holey = LabelVector(ColumnKind.CATEGORICAL, np.array([0.0, np.nan, 2.0, 1.0]),
                         np.array([False, True, False, False]), ("x", "y", "z"))
     with pytest.raises(DataError):
         accuracy(a, holey)

@@ -8,7 +8,6 @@ from labimpute.data import (
     ColumnKind,
     ColumnSchema,
     DataTable,
-    LabelKind,
     LabelVector,
 )
 from labimpute import forest as forest_module
@@ -41,7 +40,7 @@ def class_labels(ints, k=None):
 
 def reg_labels(vals):
     vals = np.asarray(vals, dtype=np.float64)
-    return LabelVector(LabelKind.REGRESSION, vals, np.zeros(vals.shape, dtype=bool))
+    return LabelVector(ColumnKind.CONTINUOUS, vals, np.zeros(vals.shape, dtype=bool))
 
 
 def test_single_tree_separates_one_dimension():
@@ -289,7 +288,7 @@ def test_fit_rejects_bad_inputs():
     holey = cont_table([[1.0], [2.0]], missing=[[True], [False]])
     with pytest.raises(DataError):
         fit_forest(holey, y, ForestParams(n_trees=1), seed=0)
-    y_missing = LabelVector(LabelKind.CLASS, np.array([0.0, np.nan]),
+    y_missing = LabelVector(ColumnKind.CATEGORICAL, np.array([0.0, np.nan]),
                             np.array([False, True]), ("a", "b"))
     with pytest.raises(DataError):
         fit_forest(X, y_missing, ForestParams(n_trees=1), seed=0)

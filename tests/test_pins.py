@@ -22,7 +22,6 @@ from labimpute.data import (
     ColumnKind,
     ColumnSchema,
     DataTable,
-    LabelKind,
     LabelVector,
     apply_mcar,
     load_csv,
@@ -159,5 +158,5 @@ def test_cbmi_predictions_pinned():
     X_tr, _ = apply_mcar(X_tr, 0.2, seed=23)
     result = cbmi_predict(X_tr, y_tr, X_te,
                           MissForestParams(ForestParams(n_trees=8), max_iter=4, seed=29))
-    assert isinstance(result.y_pred, LabelVector) and result.y_pred.kind is LabelKind.CLASS
+    assert isinstance(result.y_pred, LabelVector) and result.y_pred.kind is ColumnKind.CATEGORICAL
     assert _sha(result.y_pred.values) == CBMI_PIN

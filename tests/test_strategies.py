@@ -5,7 +5,6 @@ from labimpute.data import (
     ColumnKind,
     ColumnSchema,
     DataTable,
-    LabelKind,
     LabelVector,
     apply_mcar,
     labels_equal,
@@ -64,7 +63,7 @@ def test_stack_unstack_round_trip():
 
 def test_stack_regression_label_and_missing_labels():
     X = cont_table([[1.0], [2.0]])
-    y = LabelVector(LabelKind.REGRESSION, np.array([0.5, np.nan]),
+    y = LabelVector(ColumnKind.CONTINUOUS, np.array([0.5, np.nan]),
                     np.array([False, True]))
     st = stack_labels(X, y)
     assert st.schema[1].kind is ColumnKind.CONTINUOUS
@@ -105,7 +104,7 @@ def test_iul_fills_missing_labels_semisupervised():
     yvals = (x > 0).astype(float)
     miss = np.zeros(40, dtype=bool)
     miss[[3, 17, 29]] = True
-    y = LabelVector(LabelKind.CLASS, np.where(miss, np.nan, yvals), miss, ("n", "p"))
+    y = LabelVector(ColumnKind.CATEGORICAL, np.where(miss, np.nan, yvals), miss, ("n", "p"))
     X_imp, y_imp = iul_impute(X, y, mf_params(seed=4, trees=30))
     assert y_imp.is_complete()
     # strongly separated labels should be recovered
@@ -182,7 +181,7 @@ def test_cbmi_handles_missing_features_and_train_labels():
     Xtr_m, _ = apply_mcar(Xtr, 0.2, seed=10)
     miss = np.zeros(30, dtype=bool)
     miss[[2, 11]] = True
-    ytr = LabelVector(LabelKind.CLASS, np.where(miss, np.nan, yv[:30]), miss, ("n", "p"))
+    ytr = LabelVector(ColumnKind.CATEGORICAL, np.where(miss, np.nan, yv[:30]), miss, ("n", "p"))
     res = cbmi_predict(Xtr_m, ytr, Xte, mf_params(seed=11, trees=30))
     assert res.y_pred.is_complete() and res.y_train_imputed.is_complete()
     acc = np.mean(res.y_pred.values == yv[30:])
@@ -193,9 +192,9 @@ def test_cbmi_rejects_bad_inputs():
     Xtr = cont_table([[1.0], [2.0]])
     Xte = cont_table([[1.0]])
     with pytest.raises(DataError):
-        cbmi_predict(Xtr, LabelVector(LabelKind.REGRESSION, np.array([1.0, 2.0]),
+        cbmi_predict(Xtr, LabelVector(ColumnKind.CONTINUOUS, np.array([1.0, 2.0]),
                                       np.zeros(2, dtype=bool)), Xte, mf_params())
-    all_missing = LabelVector.all_missing(2, LabelKind.CLASS, ("a", "b"))
+    all_missing = LabelVector.all_missing(2, ColumnKind.CATEGORICAL, ("a", "b"))
     with pytest.raises(DataError):
         cbmi_predict(Xtr, all_missing, Xte, mf_params())
 
