@@ -390,8 +390,11 @@ def _check_tree(node, X, miss, cat_sizes, y, rows, depth, is_class, n_classes,
     yn = y[rows]
     if not is_class and np.ptp(yn) > 0:
         # squared errors on the node's own scale, so tiny targets cannot
-        # underflow; the best split and the relative tie rule are unchanged
-        ys = (y - yn.mean()) / np.abs(yn - yn.mean()).max()
+        # underflow; the best split and the relative tie rule are unchanged.
+        # Only the node's rows are scaled (a subnormal spread would overflow
+        # the others), and the rest stay NaN because they are never read.
+        ys = np.full(y.shape, np.nan)
+        ys[rows] = (yn - yn.mean()) / np.abs(yn - yn.mean()).max()
     else:
         ys = y
     parent = _impurity(ys[rows], is_class, n_classes)
