@@ -19,7 +19,7 @@ from .data import (
     save_csv,
     split_label,
 )
-from .errors import DataError, InvariantError, _positive, checked
+from .errors import DataError, InvariantError, _non_negative_real, _positive, checked
 from .forest import ForestParams
 from .harness import emit_report, load_experiment_config, run_experiment
 from .imputers import MiceParams, MissForestParams, impute
@@ -74,14 +74,14 @@ def _build_parser() -> _Parser:
                         "column in as an extra feature first")
     p.add_argument("--label", default="",
                    help="label column name (required for --strategy iul)")
-    p.add_argument("--trees", type=int, default=100,
-                   help="trees per forest (missforest only)")
-    p.add_argument("--max-iter", type=int, default=10,
-                   help="sweep limit (missforest only)")
-    p.add_argument("--n-iter", type=int, default=10,
-                   help="sweep count (mice only)")
-    p.add_argument("--ridge", type=float, default=1e-8,
-                   help="ridge penalty (mice only)")
+    p.add_argument("--trees", type=int, default=ForestParams.n_trees,
+                   help="trees per forest (missforest only; default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=MissForestParams.max_iter,
+                   help="sweep limit (missforest only; default %(default)s)")
+    p.add_argument("--n-iter", type=int, default=MiceParams.n_iter,
+                   help="sweep count (mice only; default %(default)s)")
+    p.add_argument("--ridge", type=float, default=MiceParams.ridge,
+                   help="ridge penalty (mice only; default %(default)s)")
 
     p = sub.add_parser(
         "cbmi", parents=[seeded],
@@ -91,8 +91,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--train", required=True, help="training CSV with labels")
     p.add_argument("--test", required=True, help="test CSV without the label column")
     p.add_argument("--label", required=True, help="label column in the training CSV")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--max-iter", type=int, default=10)
+    p.add_argument("--trees", type=int, default=ForestParams.n_trees,
+                   help="trees per forest (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=MissForestParams.max_iter,
+                   help="sweep limit (default %(default)s)")
 
     p = sub.add_parser(
         "experiment", parents=[common],
@@ -113,7 +115,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--instances", type=int, default=1000)
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="identity residual bound, scaled by max(1, |SSE|); "
+                        "finite and >= 0 (default %(default)s)")
 
     return parser
 
@@ -194,6 +198,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_theorem_check(args) -> int:
     checked(args.instances, _positive, "--instances")
+    checked(args.tol, _non_negative_real, "--tol")
     if not (3 <= args.n_min <= args.n_max):
         raise DataError("need 3 <= --n-min <= --n-max")
     rng = make_rng(args.seed, _THEOREM_TAG)

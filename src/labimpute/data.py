@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._rng import make_rng
-from .errors import DataError, SchemaError, _number, _where, checked
+from .errors import DataError, SchemaError, _number, _shown, _where, checked
 
 #: Field tokens read as a missing cell, per common UCI and numpy/pandas
 #: export conventions.
@@ -312,7 +312,9 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None) -> 
     categories in first-appearance order.  A non-finite value (``inf``) in a
     continuous column is an error that names its row and column, and so is
     a repeated header name.  With a schema, header names must match and
-    unknown categories are schema violations.
+    unknown categories are schema violations.  A blank line is skipped, as
+    pandas does, except in a one-column file, where it is the only way to
+    write a missing cell; rows are counted after skipping.
     """
     path = Path(path)
     try:
@@ -332,6 +334,7 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema] | None = None) -> 
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
         raise DataError(f"{path}: duplicate header names {repeated}")
+    rows = [row or [""] for row in rows] if p == 1 else [row for row in rows if row]
     for i, row in enumerate(rows):
         if len(row) != p:
             raise DataError(f"{path}: row {i} has {len(row)} fields, expected {p}")
@@ -437,7 +440,7 @@ def schema_from_json(path: str | Path) -> tuple[ColumnSchema, ...]:
     try:
         with open(path, encoding="utf-8") as fh:
             spec_list = json.load(fh)
-    except ValueError as exc:  # bad JSON, bad UTF-8, integers too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(spec_list, list):
         raise SchemaError(f"{path}: expected a JSON list of column entries")
@@ -451,8 +454,10 @@ def schema_from_json(path: str | Path) -> tuple[ColumnSchema, ...]:
             out.append(ColumnSchema(name, ColumnKind(entry["kind"]), tuple(cats)))
         except (KeyError, TypeError, ValueError):
             raise SchemaError(
-                f"{path}: column entry {i} {entry!r} needs a string name, a kind in "
+                f"{path}: column entry {i} {_shown(entry)} needs a string name, a kind in "
                 f"{[k.value for k in ColumnKind]} and a list of category names") from None
+        except SchemaError as exc:  # no, repeated or stray categories
+            raise SchemaError(f"{path}: column entry {i}: {exc}") from None
     return tuple(out)
 
 

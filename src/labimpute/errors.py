@@ -83,6 +83,7 @@ def _tuple_of(convert):
 
 _positive = _where(_integer, lambda n: n >= 1, "must be >= 1")
 _non_negative = _where(_integer, lambda n: n >= 0, "must be >= 0")
+_non_negative_real = _where(_number, lambda r: 0.0 <= r < np.inf, "must be finite and >= 0")
 # every seed is folded to 64 bits, and a 64-bit integer survives JSON
 _seed = _where(_integer, lambda n: -(1 << 63) <= n < 1 << 64, "outside [-2**63, 2**64)")
 

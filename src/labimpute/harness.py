@@ -101,9 +101,9 @@ class ExperimentConfig:
     seed: int = 0
     train_ratio: float = 0.6
     forest: ForestParams = field(default_factory=ForestParams)
-    missforest_max_iter: int = 10
-    mice_n_iter: int = 10
-    mice_ridge: float = 1e-8
+    missforest_max_iter: int = MissForestParams.max_iter
+    mice_n_iter: int = MiceParams.n_iter
+    mice_ridge: float = MiceParams.ridge
 
     def __post_init__(self):
         check_fields(self, {**_CONFIG_FIELDS, "forest": _of(ForestParams)})
@@ -198,7 +198,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise DataError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also bad UTF-8 and integers too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
         raise DataError(f"config is not valid JSON: {exc}") from None
     return ExperimentConfig.from_json_dict(raw)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._rng import child_seed
 from .data import ColumnKind, ColumnSchema, DataTable, LabelVector
-from .errors import DataError, _number, _of, _positive, _seed, _where, check_fields
+from .errors import DataError, _non_negative_real, _of, _positive, _seed, check_fields
 from .forest import ForestParams, fit_forest, predict
 
 _COLUMN_TAG = 424243  # stream separator for per-column forest seeds
@@ -40,9 +40,7 @@ _COLUMN_TAG = 424243  # stream separator for per-column forest seeds
 
 # Fields of each engine's params that an experiment config also sets.
 _MISSFOREST_FIELDS = {"max_iter": _positive}
-_MICE_FIELDS = {"n_iter": _positive,
-                "ridge": _where(_number, lambda r: 0.0 <= r < np.inf,
-                                "must be finite and >= 0")}
+_MICE_FIELDS = {"n_iter": _positive, "ridge": _non_negative_real}
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labimpute.cli import cli_main
 from labimpute.data import load_csv, save_csv, split_label, train_test_split
@@ -207,6 +210,23 @@ def test_theorem_check_impossible_tolerance(tmp_path, capsys):
     assert "invariant violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "inf"])
+def test_theorem_check_rejects_negative_tolerance(tol, tmp_path, capsys):
+    # a negative bound is bad input, not a violated identity
+    assert cli_main(["theorem-check", "--instances", "5", "--tol", tol,
+                     "--out-dir", str(tmp_path)]) == 2
+    assert "'--tol' has an invalid value" in capsys.readouterr().err
+
+
+def test_theorem_check_rejects_nan_tolerance(tmp_path, capsys):
+    # every comparison with nan is false, so a nan bound would check nothing
+    assert cli_main(["theorem-check", "--instances", "5", "--tol", "nan",
+                     "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'--tol' has an invalid value: nan" in err
+    assert not (tmp_path / "theorem_reports.csv").exists()
+
+
 def test_usage_errors():
     assert cli_main([]) == 1
     assert cli_main(["bogus"]) == 1
@@ -276,3 +296,90 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "command" in proc.stdout
+
+
+# Values of each kind the argv fuzz passes: small numbers and boundary
+# strings; one value in some examples is junk without digits instead, which
+# parses as nothing but nan or inf, and which as an output directory cannot
+# leave the working directory.
+_JUNK = st.text(st.characters(blacklist_categories=("Cs", "Nd"), blacklist_characters="\x00/"),
+                max_size=5).filter(lambda s: s != "..")
+_VALUES = {
+    "seed": st.integers(-3, 2**64).map(str),
+    "n": st.integers(0, 12).map(str),
+    "real": st.one_of(st.floats(-0.5, 1.5).map(repr), st.sampled_from(["nan", "inf", "1e-8"])),
+    # a bound below the float noise of the identity reports a violation (exit 3)
+    "tol": st.sampled_from(["1e-8", "0.5", "-1", "nan", "inf"]),
+    "trees": st.integers(0, 3).map(str),
+    "iter": st.integers(0, 3).map(str),
+    "threads": st.integers(-1, 2).map(str),
+    "instances": st.integers(-1, 20).map(str),
+    "csv": st.sampled_from(["<csv>", "<csv>", "<csv>", "<absent>"]),
+    "config": st.sampled_from(["<absent>", "<absent>.json"]),
+    "label": st.sampled_from(["a", "b", "species", "c"]),
+    "method": st.sampled_from(["missforest", "mice"]),
+    "strategy": st.sampled_from(["di", "iul"]),
+    "formats": st.sampled_from(["csv", "json", "csv,json", ",", "xml"]),
+}
+_COMMANDS = {
+    "simulate": {"input": "csv", "--rate": "real", "--seed": "seed"},
+    "impute": {"input": "csv", "--method": "method", "--strategy": "strategy",
+               "--label": "label", "--trees": "trees", "--max-iter": "iter",
+               "--n-iter": "iter", "--ridge": "real", "--seed": "seed"},
+    "cbmi": {"--train": "csv", "--test": "csv", "--label": "label", "--trees": "trees",
+             "--max-iter": "iter", "--seed": "seed"},
+    "experiment": {"--config": "config", "--threads": "threads", "--formats": "formats"},
+    "theorem-check": {"--instances": "instances", "--n-min": "n", "--n-max": "n",
+                      "--tol": "tol", "--seed": "seed"},
+}
+_ALL_FLAGS = sorted({f for flags in _COMMANDS.values() for f in flags if f.startswith("-")})
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with most of its own flags in random order; now and
+    then a junk value, a flag of another command, --help or a junk command."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = _COMMANDS[command]
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        if draw(st.integers(0, 9)) == 7:   # hypothesis favours the ends
+            continue                      # leave it out, required or not
+        value = draw(_VALUES[flags[flag]])
+        argv += [value] if flag == "input" else [flag, value]
+    if draw(st.booleans()):
+        argv += ["--out-dir", "<out>" + draw(_JUNK)]
+    twist = draw(st.integers(0, 19))
+    if twist in (7, 8, 9) and len(argv) > 1:
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
+    elif twist == 10:
+        argv.insert(1, draw(st.sampled_from(_ALL_FLAGS + ["--help", "--out-dir"])))
+    elif twist == 11:
+        argv[0] = draw(_JUNK)
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_cli_argv_fuzz_exits_0_1_or_2(argv):
+    # every argv ends in success, a usage error or a data error, and never
+    # raises; inputs are one small CSV or a missing file, outputs stay in
+    # a temporary directory, and no config exists, so no experiment starts
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "t.csv").write_text("a,b,species\n1.5,2,x\n2.5,,y\n3,1,x\n,4,y\n5,3,x\n6,2,y\n")
+        args = [_placed(a, root) for a in argv]
+        cwd = os.getcwd()
+        os.chdir(root)   # so relative outputs, the default --out-dir . too, land here
+        try:
+            code = cli_main(args)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), args
+
+
+def _placed(token: str, root: Path) -> str:
+    for mark, name in (("<csv>", "t.csv"), ("<absent>", "absent"), ("<out>", "out")):
+        if token.startswith(mark):
+            return str(root / name) + token[len(mark):]
+    return token

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -207,6 +208,33 @@ def test_load_csv_ragged_row_reports_index(tmp_path):
         load_csv(f)
 
 
+def test_load_csv_skips_blank_lines(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_bytes(b"a,b\r\n1,2\r\n\r\n")
+    t = load_csv(f)
+    assert (t.n_rows, t.n_cols) == (1, 2) and t.values.tolist() == [[1.0, 2.0]]
+    # rows are counted after the skipped lines, so errors name table rows
+    f.write_text("a,b\n\n1,2\n\n\n3,inf\n")
+    with pytest.raises(DataError, match=r"row 1, column 'b'"):
+        load_csv(f)
+    f.write_text("a,b\n1,2\n\n3\n")
+    with pytest.raises(DataError, match="row 1 has 1 fields"):
+        load_csv(f)
+
+
+def test_load_csv_blank_line_is_a_missing_cell_in_one_column(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("x\n1\n\n3\n")
+    t = load_csv(f)
+    assert t.n_rows == 3 and t.missing[:, 0].tolist() == [False, True, False]
+    assert t.values[[0, 2], 0].tolist() == [1.0, 3.0]
+    save_csv(t, tmp_path / "out.csv")
+    assert tables_equal(load_csv(tmp_path / "out.csv", t.schema), t)
+    f.write_text("x\n1\n\ninf\n")
+    with pytest.raises(DataError, match=r"row 2, column 'x'"):
+        load_csv(f)
+
+
 def test_load_csv_header_only(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("a,b\n")
@@ -349,6 +377,72 @@ def test_load_csv_fuzz_round_trips_or_raises_a_data_error(raw):
             return
         save_csv(table, out)
         assert tables_equal(load_csv(out, table.schema), table)
+
+
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats()
+_JSON = st.recursive(_SCALAR | _LABEL, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=2), inner, max_size=3), max_leaves=4)
+
+
+@st.composite
+def _schema_bytes(draw):
+    """A list of mostly valid column entries, now and then with one key
+    dropped or set to arbitrary JSON; or arbitrary JSON, deep nesting or bytes."""
+    pick = draw(st.integers(0, 9))
+    if pick == 0:
+        return draw(st.binary(max_size=40))
+    if pick == 1:
+        depth = draw(st.sampled_from([3, 500, 5000]))
+        return ("[" * depth + "]" * draw(st.sampled_from([0, depth]))).encode()
+    if pick == 2:
+        return json.dumps(draw(_JSON)).encode()
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(ColumnKind))
+        entry = {"name": draw(_LABEL), "kind": kind.value,
+                 "categories": draw(st.lists(_LABEL, min_size=1, max_size=3, unique=True))
+                 if kind is ColumnKind.CATEGORICAL else []}
+        if draw(st.integers(0, 3)) == 0:
+            key = draw(st.sampled_from(sorted(entry)))
+            if draw(st.booleans()):
+                entry[key] = draw(st.one_of(_SCALAR, _JSON))
+            else:
+                del entry[key]
+        entries.append(entry)
+    return json.dumps(entries).encode()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(raw=_schema_bytes())
+def test_schema_json_fuzz_round_trips_or_raises_a_data_error(raw):
+    # every input is a schema or a DataError/SchemaError, and a schema that
+    # loads comes back the same through schema_to_json and schema_from_json
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        src.write_bytes(raw)
+        try:
+            schema = schema_from_json(src)
+        except DataError:
+            return
+        assert all(isinstance(col, ColumnSchema) for col in schema)
+        schema_to_json(schema, out)
+        assert schema_from_json(out) == schema
+
+
+def test_schema_json_too_deeply_nested_is_a_schema_error(tmp_path):
+    # the JSON decoder gives up on deep nesting with a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(SchemaError, match="deep.json: not valid JSON"):
+        schema_from_json(deep)
+
+
+def test_schema_json_category_rule_names_the_file_and_entry(tmp_path):
+    f = tmp_path / "s.json"
+    f.write_text('[{"name": "a", "kind": "continuous"}, '
+                 '{"name": "b", "kind": "categorical", "categories": ["x", "x"]}]')
+    with pytest.raises(SchemaError, match="s.json: column entry 1: duplicate category"):
+        schema_from_json(f)
 
 
 def test_split_label_equals_the_checked_label():
