@@ -208,6 +208,9 @@ def concat_rows(top: DataTable, bottom: DataTable) -> DataTable:
     )
 
 
+_UNNAMED_CLASSES = 1 << 16   # a class label without categories names ids below this
+
+
 @dataclass(frozen=True)
 class LabelVector:
     """Length-n target vector: the column it becomes when stacked.  A
@@ -228,9 +231,13 @@ class LabelVector:
         cats = tuple(self.categories)
         if self.kind is ColumnKind.CATEGORICAL and not cats:
             # name plain integer classes 0..max; a non-finite class is left
-            # to fail the cell rule as a DataError
+            # to fail the cell rule as a DataError, and a huge one fails
+            # before any name is made
             present = values[~missing]
             top = present.max(initial=0) if np.isfinite(present).all() else 0
+            if top >= _UNNAMED_CLASSES:
+                raise DataError(f"class id {float(top)!r} is too large to name: unnamed "
+                                f"classes go up to {_UNNAMED_CLASSES - 1}; pass categories")
             cats = tuple(str(k) for k in range(int(top) + 1))
         column = ColumnSchema(self.name, self.kind, cats)
         values, missing = _check_cells((column,), values[:, None], missing[:, None])

@@ -37,6 +37,15 @@ missing the candidate feature are excluded from that split's score, whose
 decrease is still divided by the whole node size, and they are sent to the
 child that took the majority of the observed rows; the same majority
 routing is applied when predicting rows with missing features.
+
+Predict makes the majority rule a plain lookup.  Once per call it lays the
+rows out column by column three times: with missing cells at -inf, at +inf,
+and, for categorical columns, as category codes with a missing cell at the
+column's k.  Thresholds are finite, so a continuous split whose majority
+went left compares the -inf copy and one whose majority went right the +inf
+copy; a categorical split holds a boolean table over codes 0..k whose entry
+k is its majority side.  Each node a batch of rows reaches is then one
+gather, one comparison or table lookup, and a split of the row indices.
 """
 
 from __future__ import annotations
@@ -90,7 +99,7 @@ class _Split:
     def __init__(self, feature, threshold, left_cats, majority_left, left, right):
         self.feature = feature
         self.threshold = threshold      # float for continuous splits, else None
-        self.left_cats = left_cats      # int64 array of category ids, else None
+        self.left_cats = left_cats      # bool table over codes 0..k (k: missing), else None
         self.majority_left = majority_left
         self.left = left
         self.right = right
@@ -428,8 +437,14 @@ class _Grower:
             mid = (lo + hi) / 2.0
         thr = np.zeros(cut.size)
         thr[num] = np.where(mid < hi, mid, lo)
-        cats = iter([row.nonzero()[0] for lv in levels if len(lv) > 2 and lv[3] is not None
-                     for row in lv[3]])
+        # each categorical split's row of left_tab, cut to codes 0..k; code k
+        # (missing) takes the majority side
+        tabs = [lv[3] for lv in levels if len(lv) > 2 and lv[3] is not None]
+        cat = (cut < 0).nonzero()[0]
+        ks = self.cat_sizes[feat[cat]]
+        tab = np.concatenate(tabs) if tabs else np.zeros((0, self.width), dtype=bool)
+        tab[np.arange(cat.size), ks] = major[cat]
+        cats = iter([row[:k + 1] for row, k in zip(tab, ks.tolist())])
         specs = list(zip(feat.tolist(), thr.tolist(),
                          [None if c >= 0 else next(cats) for c in cut.tolist()],
                          major.astype(bool).tolist()))
@@ -486,34 +501,50 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
                        y.name)
 
 
-def _route_tree(node, Xv, miss, out):
-    n = Xv.shape[0]
-    stack = [(node, np.arange(n, dtype=np.intp))]
+def _route_tree(node, lo, hi, codes, out):
+    """Fill out[i] with the leaf value that row i reaches; lo and hi are the
+    rows' columns with missing cells at -inf and +inf, codes their category
+    codes with a missing cell at k."""
+    stack = [(node, np.arange(out.size))]
     while stack:
         node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if isinstance(node, _Leaf):
-            out[idx] = node.value
-            continue
-        x = Xv[idx, node.feature]
-        go_left = x <= node.threshold if node.left_cats is None else np.isin(x, node.left_cats)
-        if miss is not None:
-            go_left = np.where(miss[idx, node.feature], node.majority_left, go_left)
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
+        while type(node) is _Split:
+            if node.left_cats is None:
+                # thresholds are finite: -inf goes left and +inf goes right,
+                # so each copy sends a missing cell to the majority side
+                x = (lo if node.majority_left else hi)[node.feature]
+                go_left = x.take(idx) <= node.threshold
+            else:
+                go_left = node.left_cats.take(codes[node.feature].take(idx))
+            n_left = np.count_nonzero(go_left)
+            if n_left == idx.size:
+                node = node.left
+            elif n_left == 0:
+                node = node.right
+            else:
+                stack.append((node.right, idx.compress(~go_left)))
+                node, idx = node.left, idx.compress(go_left)
+        out[idx] = node.value
 
 
 def _predict_arrays(model: ForestModel, Xv: np.ndarray, miss: np.ndarray | None
                     ) -> np.ndarray:
     """Each tree fills one row of a table: one vote (ties to the smallest class) or one mean."""
     n = Xv.shape[0]
-    if miss is not None:
-        Xv = np.where(miss, 0.0, Xv)
+    k = np.array([size for _, size in model.feature_signature], dtype=np.intp)
+    cat = k.nonzero()[0]
+    lo = hi = np.ascontiguousarray(Xv.T)
+    codes = np.zeros(lo.shape, dtype=np.intp)
+    if miss is None:
+        codes[cat] = lo[cat]
+    else:
+        miss = miss.T
+        lo, hi = np.where(miss, -np.inf, lo), np.where(miss, np.inf, lo)
+        codes[cat] = np.where(miss[cat], k[cat, None], lo[cat])
     is_class = model.kind is ColumnKind.CATEGORICAL
     out = np.empty((len(model.trees), n), dtype=np.int64 if is_class else np.float64)
     for tree, row in zip(model.trees, out):
-        _route_tree(tree, Xv, miss, row)
+        _route_tree(tree, lo, hi, codes, row)
     if is_class:
         C = int(model.classes.size)
         votes = np.bincount((out + np.arange(n) * C).ravel(), minlength=n * C)

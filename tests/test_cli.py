@@ -284,6 +284,27 @@ def test_malformed_inputs_exit_2(iris_csv, tmp_path, capsys):
         assert "ridge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["impute", "<csv>", "--method", "mice", "--ridge", "-1e-05"], "'ridge'"),
+    (["theorem-check", "--instances", "5", "--tol", "-1e-300"], "'--tol'"),
+    (["simulate", "<csv>", "--rate", "-2e-3"], "'rate'"),
+    (["theorem-check", "--instances", "5", "--tol", "-.5E+1"], "'--tol'"),
+], ids=["ridge", "tol", "rate", "tol-upper-e"])
+def test_negative_exponent_value_is_a_data_error(argv, named, iris_csv, tmp_path, capsys):
+    # argparse alone reads -1e-05 as a flag and fails with "expected one argument"
+    argv = [str(iris_csv) if a == "<csv>" else a for a in argv]
+    assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert f"{named} has an invalid value" in capsys.readouterr().err
+
+
+def test_positive_exponent_ridge_still_imputes(iris_csv, tmp_path):
+    masked = tmp_path / "masked.csv"
+    assert cli_main(["simulate", str(iris_csv), "--rate", "0.1", "--out-dir", str(tmp_path)]) == 0
+    assert cli_main(["impute", str(masked), "--method", "mice", "--ridge", "1e-05",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "imputed.csv").exists()
+
+
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
     assert "labimpute" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,34 @@ def test_label_vector_rejects_nonfinite_present_labels(bad):
     for categories in ((), ("a", "b")):
         with pytest.raises(DataError, match="finite"):
             LabelVector.from_ints([0.0, bad], categories)
+
+
+def _raises_without_allocating(make, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=match):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20   # 2**16 names alone would take several MB
+
+
+def test_label_vector_rejects_a_huge_unnamed_class_id():
+    _raises_without_allocating(lambda: LabelVector.from_ints([0, 10 ** 12]),
+                               r"class id 1000000000000\.0 is too large")
+
+
+def test_label_vector_rejects_a_float_max_scale_class_id():
+    _raises_without_allocating(lambda: LabelVector.from_ints([1e300, 2]),
+                               r"class id 1e\+300 is too large")
+
+
+def test_label_vector_names_unnamed_classes_up_to_the_cap():
+    y = LabelVector.from_ints([0, 2 ** 16 - 1])
+    assert y.n_classes == 2 ** 16 and y.categories[-1] == "65535"
+    with pytest.raises(DataError, match="up to 65535"):
+        LabelVector.from_ints([2 ** 16])
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,7 @@ def _spec(node):
     """A tree as nested tuples, floats by their exact repr."""
     if isinstance(node, _Leaf):
         return repr(node.value)
+    # a categorical split's bool table over codes 0..k; entry k is the majority side
     cats = None if node.left_cats is None else tuple(node.left_cats.tolist())
     return (node.feature, repr(node.threshold), cats, node.majority_left,
             _spec(node.left), _spec(node.right))
@@ -414,15 +415,19 @@ def _check_tree(node, X, miss, cat_sizes, y, rows, depth, is_class, n_classes,
     assert isinstance(node, _Split), f"depth {depth}: CART splits, grower stopped"
     gain, f, t, cats, left_obs, obs = next(c for c in cands if c[0] >= best - tol)
     assert node.feature == f
+    nl = int(left_obs.sum())
+    assert node.majority_left == (nl >= obs.size - nl)
     if cats is None:
         assert node.left_cats is None and node.threshold == t
     else:
-        assert node.threshold is None and frozenset(node.left_cats.tolist()) == cats
-    nl = int(left_obs.sum())
-    assert node.majority_left == (nl >= obs.size - nl)
+        # a bool table over codes 0..k: the CART subset, then the missing code
+        k, table = cat_sizes[f], node.left_cats
+        assert node.threshold is None and table.dtype == bool and table.shape == (k + 1,)
+        assert frozenset(table[:k].nonzero()[0].tolist()) == cats
+        assert table[k] == node.majority_left
 
     x = X[rows, node.feature]
-    go_left = x <= node.threshold if cats is None else np.isin(x, node.left_cats)
+    go_left = x <= node.threshold if cats is None else np.isin(x, sorted(cats))
     go_left = np.where(miss[rows, node.feature], node.majority_left, go_left)
     expect = np.isin(rows, obs[left_obs]) | (miss[rows, f] & node.majority_left)
     assert np.array_equal(go_left, expect)
@@ -499,3 +504,96 @@ def test_grower_matches_brute_force_cart(is_class, with_missing, data):
     model = fit_forest(X, labels, params, seed=0, allow_missing=with_missing)
     _check_tree(model.trees[0], X.values, X.missing, cat_sizes, y, np.arange(X.n_rows),
                 0, is_class, n_classes, min_leaf, max_depth)
+
+
+# ---------------------------------------------------------------------------
+# predict against a one-row walk
+#
+# The reference sends one row at a time down the linked nodes under the
+# documented rule: a row missing a split's feature follows majority_left,
+# others compare with the threshold or read the category table at their
+# code.  Votes tie to the smallest class; tree values are summed in tree
+# order.
+
+
+def _walk(node, row, missing):
+    while isinstance(node, _Split):
+        f = node.feature
+        if missing[f]:
+            left = node.majority_left
+        elif node.left_cats is None:
+            left = row[f] <= node.threshold
+        else:
+            left = bool(node.left_cats[int(row[f])])
+        node = node.left if left else node.right
+    return node.value
+
+
+def _walked(model, X):
+    out = []
+    for row, missing in zip(X.values, X.missing):
+        leaves = [_walk(tree, row, missing) for tree in model.trees]
+        if model.classes is None:
+            total = 0.0
+            for v in leaves:
+                total += v
+            out.append(total / len(leaves))
+        else:
+            votes = np.bincount(leaves, minlength=model.classes.size)
+            out.append(float(model.classes[votes.argmax()]))
+    return np.array(out)
+
+
+@st.composite
+def _predict_case(draw):
+    """A small forest fitted with missing routing, and a batch to predict:
+    rows of repeated quarter-grid values (which hit thresholds exactly),
+    wide values, all-missing rows, one row, or one row repeated so that
+    every split sends the whole batch one way."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ks = draw(st.lists(st.sampled_from([0, 0, 2, 3, 10, 11, 13]), min_size=1, max_size=4))
+    schema = tuple(ColumnSchema(f"x{j}", ColumnKind.CONTINUOUS) if k == 0 else
+                   ColumnSchema(f"c{j}", ColumnKind.CATEGORICAL, tuple(f"v{i}" for i in range(k)))
+                   for j, k in enumerate(ks))
+
+    def table(m, rate):
+        cols = [rng.integers(0, k, m) if k else
+                np.where(rng.random(m) < 0.8, rng.integers(-12, 13, m) / 4, 10 * rng.normal(size=m))
+                for k in ks]
+        values = np.column_stack(cols).astype(np.float64)
+        miss = rng.random(values.shape) < rate
+        return values, miss
+
+    n = draw(st.integers(4, 40))
+    values, miss = table(n, draw(st.sampled_from([0.0, 0.1, 0.3])))
+    X = DataTable(schema, np.where(miss, np.nan, values), miss)
+    if draw(st.booleans()):
+        y = class_labels(rng.integers(0, draw(st.integers(2, 4)), n).tolist(), k=4)
+    else:
+        y = reg_labels(rng.normal(size=n) * 10 ** draw(st.integers(-3, 3)))
+    params = ForestParams(n_trees=draw(st.integers(2, 6)), min_leaf=draw(st.integers(1, 3)),
+                          max_depth=draw(st.sampled_from([None, None, 2])))
+
+    shape = draw(st.sampled_from(["batch", "batch", "one", "same"]))
+    m = 1 if shape == "one" else draw(st.integers(1, 30))
+    values, miss = table(m, draw(st.sampled_from([0.0, 0.2, 0.5])))
+    if shape == "same":
+        values, miss = values[[0] * m], miss[[0] * m]
+    if draw(st.booleans()):
+        miss[rng.random(m) < 0.3] = True   # all-missing rows
+    Q = DataTable(schema, np.where(miss, np.nan, values), miss)
+    return X, y, params, draw(st.integers(0, 2 ** 16)), Q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_predict_case())
+def test_predict_matches_a_one_row_walk(case):
+    X, y, params, seed, Q = case
+    model = fit_forest(X, y, params, seed=seed, allow_missing=True)
+    want = _walked(model, Q)
+    assert predict_with_missing(model, Q).values.tobytes() == want.tobytes()
+    complete = (~Q.missing.any(axis=1)).nonzero()[0]
+    if complete.size:
+        got = predict(model, Q.take_rows(complete)).values
+        assert got.tobytes() == want[complete].tobytes()
