@@ -534,13 +534,10 @@ def _predict_arrays(model: ForestModel, Xv: np.ndarray, miss: np.ndarray | None
     k = np.array([size for _, size in model.feature_signature], dtype=np.intp)
     cat = k.nonzero()[0]
     lo = hi = np.ascontiguousarray(Xv.T)
+    if miss is not None:
+        lo, hi = np.where(miss.T, -np.inf, lo), np.where(miss.T, np.inf, lo)
     codes = np.zeros(lo.shape, dtype=np.intp)
-    if miss is None:
-        codes[cat] = lo[cat]
-    else:
-        miss = miss.T
-        lo, hi = np.where(miss, -np.inf, lo), np.where(miss, np.inf, lo)
-        codes[cat] = np.where(miss[cat], k[cat, None], lo[cat])
+    codes[cat] = np.minimum(hi[cat], k[cat, None])   # a missing cell's +inf becomes k
     is_class = model.kind is ColumnKind.CATEGORICAL
     out = np.empty((len(model.trees), n), dtype=np.int64 if is_class else np.float64)
     for tree, row in zip(model.trees, out):

@@ -289,9 +289,10 @@ def test_malformed_inputs_exit_2(iris_csv, tmp_path, capsys):
     (["theorem-check", "--instances", "5", "--tol", "-1e-300"], "'--tol'"),
     (["simulate", "<csv>", "--rate", "-2e-3"], "'rate'"),
     (["theorem-check", "--instances", "5", "--tol", "-.5E+1"], "'--tol'"),
-], ids=["ridge", "tol", "rate", "tol-upper-e"])
+    (["impute", "<csv>", "--method", "mice", "--ridge", "-inf"], "'ridge'"),
+], ids=["ridge", "tol", "rate", "tol-upper-e", "ridge-inf"])
 def test_negative_exponent_value_is_a_data_error(argv, named, iris_csv, tmp_path, capsys):
-    # argparse alone reads -1e-05 as a flag and fails with "expected one argument"
+    # argparse alone reads -1e-05 or -inf as a flag: "expected one argument"
     argv = [str(iris_csv) if a == "<csv>" else a for a in argv]
     assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert f"{named} has an invalid value" in capsys.readouterr().err
