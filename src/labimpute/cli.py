@@ -172,9 +172,9 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_cbmi(args) -> int:
-    train = load_csv(args.train)
-    test = load_csv(args.test)
-    x_train, y_train = split_label(train, args.label)
+    x_train, y_train = split_label(load_csv(args.train), args.label)
+    # read under the training schema: categories keep the training codes
+    test = load_csv(args.test, x_train.schema)
     res = cbmi_predict(x_train, y_train, test, _missforest_params(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,9 +13,12 @@ reached.  Two statistics are tracked:
 mice_impute is the deterministic chained-equations counterpart: ridge
 least squares per continuous column, one-vs-rest least-squares scoring
 with argmax per categorical column, a fixed number of sweeps, no sampling.
-Its one-hot design is expanded once per call and updated one column block
-at a time; each column fit gathers its rows once and forms one normal
-matrix, which serves every category of a categorical column.
+Its design is an intercept plus the columns two index arrays describe:
+`source` (the table column) and `level` (-1 for a continuous column, else
+a category 1..k-1 of a categorical one).  It is expanded once per call
+and updated one column block at a time; each column fit gathers its rows
+once and forms one normal matrix, which serves every category of a
+categorical column.
 
 impute is the one entry point that picks an engine, from the type of the
 params it is given.
@@ -26,12 +29,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ._rng import child_seed
-from .data import ColumnKind, ColumnSchema, DataTable, LabelVector
+from .data import ColumnKind, DataTable, LabelVector
 from .errors import DataError, _non_negative_real, _of, _positive, _seed, check_fields
 from .forest import ForestParams, fit_forest, predict
 
@@ -89,22 +92,16 @@ class IterationTrace:
                 ])
 
 
-def _check_columns_not_all_missing(table: DataTable) -> None:
-    counts = table.missing_count_by_column()
-    for j, col in enumerate(table.schema):
-        if counts[j] == table.n_rows and table.n_rows > 0:
-            raise DataError(f"column {col.name!r} is fully missing; cannot impute")
-
-
 def init_impute(table: DataTable) -> DataTable:
     """Fill every missing cell with its column mean (continuous) or mode
     (categorical, ties to the smallest category index)."""
-    _check_columns_not_all_missing(table)
     values = table.values.copy()
     for j, col in enumerate(table.schema):
         holes = table.missing[:, j]
         if not holes.any():
             continue
+        if holes.all():
+            raise DataError(f"column {col.name!r} is fully missing; cannot impute")
         obs = table.values[~holes, j]
         if col.kind is ColumnKind.CONTINUOUS:
             values[holes, j] = obs.mean()
@@ -118,6 +115,17 @@ def order_columns_by_missing(table: DataTable) -> list[int]:
     """Column indices sorted by ascending missing count, ties by index."""
     counts = table.missing_count_by_column()
     return [int(j) for j in np.argsort(counts, kind="stable")]
+
+
+def _set_up(table: DataTable, engine: str) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The start both engines share: the missing flags, the columns that
+    have holes in ascending-missing order, and a writable copy of the
+    mean/mode-filled cells."""
+    cells = init_impute(table).values.copy()
+    if table.n_cols < 2:
+        raise DataError(f"{engine} needs at least two columns")
+    counts = table.missing_count_by_column()
+    return table.missing, [j for j in order_columns_by_missing(table) if counts[j]], cells
 
 
 def delta_continuous(new: np.ndarray, old: np.ndarray, columns: Iterable[int]) -> float:
@@ -172,31 +180,20 @@ def missforest_impute(table: DataTable, params: MissForestParams
     preserved bit-exactly; a table with no missing cells is returned
     unchanged with an empty trace.
     """
-    trace = IterationTrace()
     if table.is_complete():
-        trace.stop_reason = "no_missing"
-        return table, trace
-    _check_columns_not_all_missing(table)
-    if table.n_cols < 2:
-        raise DataError("forest imputation needs at least two columns")
-
-    mask = table.missing
-    order = order_columns_by_missing(table)
+        return table, IterationTrace(stop_reason="no_missing")
+    mask, order, cur = _set_up(table, "forest imputation")
     cont_cols = [int(j) for j in table.continuous_columns()]
     cat_cols = [int(j) for j in table.categorical_columns()]
     cat_holes = bool(mask[:, cat_cols].any())
     col_seeds = {s: child_seed(params.seed, _COLUMN_TAG, s) for s in order}
 
-    cur = init_impute(table).values.copy()
-    prev_dc: float | None = None
-    prev_dg: float | None = None
-    last_vals = cur
+    trace = IterationTrace(stop_reason="max_iter")
+    prev: tuple[float | None, float | None] = (None, None)
     for it in range(1, params.max_iter + 1):
         old = cur.copy()
         for s in order:
             mis = mask[:, s]
-            if not mis.any():
-                continue
             cur[mis, s] = _fit_predict_column(cur, table, s, mis, params.forest,
                                               col_seeds[s])
         dc: float | None = None
@@ -208,55 +205,30 @@ def missforest_impute(table: DataTable, params: MissForestParams
         dg = delta_categorical(cur, old, cat_cols, mask) if cat_holes else None
         trace.sweeps.append(SweepRecord(it, dc, dg))
 
-        worsened = ((dc is not None and prev_dc is not None and dc > prev_dc)
-                    or (dg is not None and prev_dg is not None and dg > prev_dg))
-        if worsened:
+        if any(d is not None and p is not None and d > p for d, p in zip((dc, dg), prev)):
             trace.stop_reason = "delta_increase"
-            last_vals = old  # the sweep before the increase
+            cur = old  # the sweep before the increase
             break
         if np.array_equal(cur, old):
             # a full sweep changed nothing; with per-column seeds fixed
             # across sweeps every later sweep would repeat it exactly
             trace.stop_reason = "fixed_point"
-            last_vals = cur
             break
-        prev_dc, prev_dg = dc, dg
-        last_vals = cur
-    else:
-        trace.stop_reason = "max_iter"
-
-    return table.with_cells(last_vals.copy()), trace
+        prev = dc, dg
+    return table.with_cells(cur), trace
 
 
 # ---------------------------------------------------------------------------
 # Chained equations
 # ---------------------------------------------------------------------------
 
-def _design_columns(schema: Sequence[ColumnSchema], cols: Sequence[int]
-                    ) -> list[tuple[int, int]]:
-    """Expansion plan: (source column, category) pairs; category -1 keeps a
-    continuous column as-is, k >= 1 one-hot encodes category k (the first
-    category is the reference level and is dropped)."""
-    plan: list[tuple[int, int]] = []
-    for j in cols:
-        col = schema[j]
-        if col.kind is ColumnKind.CONTINUOUS:
-            plan.append((j, -1))
-        else:
-            for k in range(1, col.n_categories):
-                plan.append((j, k))
-    return plan
-
-
-def _build_design(values: np.ndarray, plan: list[tuple[int, int]]) -> np.ndarray:
-    n = values.shape[0]
-    A = np.ones((n, len(plan) + 1), dtype=np.float64)
-    for idx, (j, k) in enumerate(plan, start=1):
-        if k < 0:
-            A[:, idx] = values[:, j]
-        else:
-            A[:, idx] = values[:, j] == k
-    return A
+def _write_design(design: np.ndarray, rows: slice | np.ndarray, cols: np.ndarray,
+                  cells: np.ndarray, level: np.ndarray) -> None:
+    """Write design columns `cols` in `rows` from one table column's cells:
+    the cells as-is where the level is -1, else the indicator cells == level.
+    Column by column, so no block-sized temporary is made."""
+    for c in cols:
+        design[rows, c] = cells if level[c] < 0 else cells == level[c]
 
 
 def _ridge_fill(design: np.ndarray, others: np.ndarray, mis: np.ndarray,
@@ -299,31 +271,28 @@ def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
     """
     if table.is_complete():
         return table
-    _check_columns_not_all_missing(table)
-    if table.n_cols < 2:
-        raise DataError("chained-equations imputation needs at least two columns")
-
-    mask = table.missing
-    order = order_columns_by_missing(table)
-    cur = init_impute(table).values.copy()
+    mask, order, cur = _set_up(table, "chained-equations imputation")
     observed_cats = {
         j: np.unique(table.values[~mask[:, j], j]).astype(np.int64)
         for j in table.categorical_columns()
     }
-    plan = _design_columns(table.schema, range(table.n_cols))
-    design = _build_design(cur, plan)
-    source = np.array([-1] + [j for j, _ in plan])  # design column -> table column
+    # design column -> table column (-1 for the intercept) and level; the
+    # first category is the reference level and is dropped
+    levels = [np.arange(1, col.n_categories) if col.kind is ColumnKind.CATEGORICAL
+              else np.array([-1]) for col in table.schema]
+    source = np.repeat(np.arange(-1, table.n_cols), [1] + [lv.size for lv in levels])
+    level = np.concatenate([[-1], *levels])
+    design = np.ones((table.n_rows, source.size))
+    for j in range(table.n_cols):
+        _write_design(design, slice(None), np.flatnonzero(source == j), cur[:, j], level)
 
     for _ in range(params.n_iter):
         for s in order:
             mis = mask[:, s]
-            if not mis.any():
-                continue
             # a call, so the gathered rows are freed before the next fit gathers
             cur[mis, s] = _ridge_fill(design, np.flatnonzero(source != s), mis,
                                       cur[~mis, s], observed_cats.get(s), params.ridge)
-            block = [(j, k) for j, k in plan if j == s]
-            design[np.ix_(mis, source == s)] = _build_design(cur[mis], block)[:, 1:]
+            _write_design(design, mis, np.flatnonzero(source == s), cur[mis, s], level)
     return table.with_cells(cur)
 
 

@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labimpute.cli import cli_main
-from labimpute.data import load_csv, save_csv, split_label, train_test_split
+from labimpute.data import (ColumnKind, DataTable, load_csv, save_csv, split_label,
+                            train_test_split)
+from labimpute.forest import ForestParams
+from labimpute.imputers import MissForestParams
+from labimpute.strategies import cbmi_predict
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +139,55 @@ def test_cbmi_predictions(iris_csv, tmp_path):
     assert lines[0] == "species"
     assert len(lines) == 1 + 60
     assert set(lines[1:]) <= {"setosa", "versicolor", "virginica"}
+
+
+_COLORS = ("red", "green", "blue")
+
+
+def _cbmi_files(tmp_path, test_colors):
+    """A training file whose `color` categories first appear as red, green,
+    blue, and a test file of one row per entry of test_colors."""
+    rng = np.random.default_rng(3)
+    with open(tmp_path / "train.csv", "w") as fh:
+        fh.write("x,color,y\n")
+        for i in range(30):
+            k = i % 3
+            fh.write(f"{k + rng.normal():.3f},{_COLORS[k]},{'ab'[k // 2]}\n")
+    with open(tmp_path / "test.csv", "w") as fh:
+        fh.write("x,color\n")
+        for i, c in enumerate(test_colors):
+            fh.write(f"{i % 3}.25,{c}\n")
+    return ["cbmi", "--train", str(tmp_path / "train.csv"),
+            "--test", str(tmp_path / "test.csv"), "--label", "y",
+            "--trees", "3", "--max-iter", "2", "--seed", "4",
+            "--out-dir", str(tmp_path / "out")]
+
+
+def test_cbmi_reads_reordered_test_categories(tmp_path):
+    assert cli_main(_cbmi_files(tmp_path, ["blue", "green", "red", "blue"])) == 0
+    lines = (tmp_path / "out" / "predictions.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4 and set(lines[1:]) <= {"a", "b"}
+
+
+def test_cbmi_reads_a_subset_of_test_categories_in_training_codes(tmp_path):
+    colors = ["blue", "red", "blue", "red", "red"]
+    assert cli_main(_cbmi_files(tmp_path, colors)) == 0
+    got = (tmp_path / "out" / "predictions.csv").read_text().splitlines()[1:]
+    # the same rows written in training codes: red 0, green 1, blue 2
+    x_train, y_train = split_label(load_csv(tmp_path / "train.csv"), "y")
+    assert x_train.schema[1].kind is ColumnKind.CATEGORICAL
+    assert x_train.schema[1].categories == _COLORS
+    cells = [[i % 3 + 0.25, _COLORS.index(c)] for i, c in enumerate(colors)]
+    x_test = DataTable(x_train.schema, np.array(cells), np.zeros((5, 2), dtype=bool))
+    params = MissForestParams(ForestParams(n_trees=3), max_iter=2, seed=4)
+    pred = cbmi_predict(x_train, y_train, x_test, params).y_pred
+    assert got == [pred.categories[k] for k in pred.as_ints()]
+
+
+def test_cbmi_names_an_unseen_test_category(tmp_path, capsys):
+    assert cli_main(_cbmi_files(tmp_path, ["red", "purple"])) == 2
+    err = capsys.readouterr().err
+    assert "row 1, column 'color'" in err and "unknown category 'purple'" in err
 
 
 def test_experiment_command(tmp_path):

@@ -85,12 +85,19 @@ def test_config_default_rates_follow_scenario(tmp_path):
         "dataset": "builtin:iris", "label": "species",
         "scenario": "test_observed",
     }))
-    assert load_experiment_config(path).rates == (0.0, 0.2, 0.4, 0.6, 0.8)
+    from_json = load_experiment_config(path)
+    assert from_json.rates == (0.0, 0.2, 0.4, 0.6, 0.8)
+    # direct construction takes the same default
+    for scenario in (Scenario.TEST_OBSERVED, "test_observed"):
+        assert ExperimentConfig("builtin:iris", "species", scenario=scenario) == from_json
+    assert ExperimentConfig("builtin:iris", "species").rates == (0.2, 0.4, 0.6, 0.8)
     path.write_text(json.dumps({
         "dataset": "builtin:iris", "label": "species",
         "scenario": "test_observed", "rates": [0.5],
     }))
     assert load_experiment_config(path).rates == (0.5,)
+    assert ExperimentConfig("builtin:iris", "species", scenario=Scenario.TEST_OBSERVED,
+                            rates=(0.5,)).rates == (0.5,)
 
 
 def test_config_rejections(tmp_path):

@@ -14,8 +14,6 @@ from labimpute.imputers import (
     IterationTrace,
     MiceParams,
     MissForestParams,
-    _build_design,
-    _design_columns,
     delta_categorical,
     delta_continuous,
     impute,
@@ -217,6 +215,22 @@ def test_missforest_single_column_rejected():
         missforest_impute(t, small_params())
 
 
+@pytest.mark.parametrize("engine, run", [
+    ("forest imputation", lambda t: missforest_impute(t, small_params())),
+    ("chained-equations imputation", lambda t: mice_impute(t, MiceParams())),
+])
+def test_engines_share_the_set_up_errors(engine, run):
+    gone = table([[1.0, np.nan], [2.0, np.nan], [3.0, np.nan]], [[0, 1]] * 3,
+                 schema=(cont("a"), cont("gone")))
+    with pytest.raises(DataError, match="^column 'gone' is fully missing; cannot impute$"):
+        run(gone)
+    with pytest.raises(DataError, match=f"^{engine} needs at least two columns$"):
+        run(table([[1.0], [np.nan], [2.0]], [[0], [1], [0]]))
+    # the fully-missing check comes first
+    with pytest.raises(DataError, match="^column 'x0' is fully missing; cannot impute$"):
+        run(table([[np.nan], [np.nan]], [[1], [1]]))
+
+
 def test_missforest_recovers_strong_linear_signal():
     rng = np.random.default_rng(5)
     n = 80
@@ -339,6 +353,21 @@ def _reference_ridge_solve(A, b, ridge):
     return np.linalg.solve(M, A.T @ b)
 
 
+def _reference_design(table, values, skip):
+    """Intercept, then every column but `skip` in table order: a continuous
+    column as is, a categorical one as indicators of categories 1..k-1."""
+    cols = [np.ones(table.n_rows)]
+    for j, col in enumerate(table.schema):
+        if j == skip:
+            continue
+        if col.kind is ColumnKind.CONTINUOUS:
+            cols.append(values[:, j])
+        else:
+            cols.extend((values[:, j] == k).astype(np.float64)
+                        for k in range(1, col.n_categories))
+    return np.column_stack(cols)
+
+
 def _reference_mice(table, params):
     """The naive loop: the design rebuilt for every column fit and one
     normal matrix per one-vs-rest category."""
@@ -354,8 +383,7 @@ def _reference_mice(table, params):
             if not mis.any():
                 continue
             obs = ~mis
-            plan = _design_columns(table.schema, [j for j in range(table.n_cols) if j != s])
-            A = _build_design(cur, plan)
+            A = _reference_design(table, cur, s)
             if table.schema[s].kind is ColumnKind.CONTINUOUS:
                 cur[mis, s] = A[mis] @ _reference_ridge_solve(A[obs], cur[obs, s], params.ridge)
             else:
