@@ -620,8 +620,9 @@ def test_bundled_config_runs_csv_digest_pinned(tmp_path, threads):
 
 
 # sha256 of runs.csv for grids the bundled config does not cover: every method
-# under test_observed, and the regression downstream_mse path on a continuous
-# label.  Every row of both is status=ok.
+# under test_observed, the regression downstream_mse path on a continuous
+# label, and the classifiers under test_missing at rate 0.0, where the test
+# rows are complete.  Every row of each is status=ok.
 _EXTRA_RUNS_SHA256 = {
     "all-methods-test-observed": (
         dict(label="species", scenario=Scenario.TEST_OBSERVED, rates=(0.0, 0.4),
@@ -632,6 +633,11 @@ _EXTRA_RUNS_SHA256 = {
         dict(label="petal_width", rates=(0.3,), seed=5,
              methods=("iul-vs-di-missforest", "iul-vs-di-mice")),
         "c5465d03c1e009395363f7fdf69139a7ec56af868cd39056403bfa813e5216d9",
+    ),
+    "classifiers-test-missing-zero-rate": (
+        dict(label="species", scenario=Scenario.TEST_MISSING, rates=(0.0, 0.3), seed=4,
+             methods=("cbmi", "iclf-missforest", "iclf-mice", "rf-missing")),
+        "434d6a136bdc0e40b73e5c2a92647fb716e7fedf49c04a85caddebea3c1f7a6f",
     ),
 }
 
