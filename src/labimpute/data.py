@@ -169,11 +169,9 @@ class DataTable:
         """Observed values of column j, in row order."""
         return self.values[~self.missing[:, j], j]
 
-    def with_cells(self, values: np.ndarray, missing: np.ndarray | None = None) -> "DataTable":
-        """New table over the same schema with replaced cell contents."""
-        if missing is None:
-            missing = np.zeros_like(values, dtype=bool)
-        return DataTable(self.schema, values, missing)
+    def with_cells(self, values: np.ndarray) -> "DataTable":
+        """New complete table over the same schema with the given cells."""
+        return DataTable(self.schema, values, np.zeros_like(values, dtype=bool))
 
     def take_rows(self, idx: np.ndarray) -> "DataTable":
         idx = np.asarray(idx, dtype=np.intp)

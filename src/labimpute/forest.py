@@ -32,11 +32,11 @@ node splits only if its best gain exceeds that tolerance.  A threshold is
 the midpoint of the values it separates, or the lower one when the midpoint
 rounds onto the upper.
 
-Trees can optionally be fit on data with missing predictor cells: rows
+Missing predictor cells need no option: wherever the table has any, rows
 missing the candidate feature are excluded from that split's score, whose
 decrease is still divided by the whole node size, and they are sent to the
-child that took the majority of the observed rows; the same majority
-routing is applied when predicting rows with missing features.
+child that took the majority of the observed rows; predict routes a row
+missing a split's feature the same way.
 
 Predict makes the majority rule a plain lookup.  Once per call it lays the
 rows out column by column three times: with missing cells at -inf, at +inf,
@@ -111,15 +111,10 @@ class ForestModel:
 
     kind: ColumnKind
     trees: tuple
-    feature_signature: tuple
+    feature_signature: tuple         # categories per feature, 0 if continuous
     classes: np.ndarray | None       # original class ids, ascending
     label_categories: tuple[str, ...]
     label_name: str
-
-
-def _signature(schema) -> tuple:
-    return tuple((c.kind, c.n_categories if c.kind is ColumnKind.CATEGORICAL else 0)
-                 for c in schema)
 
 
 def _resolve(params: ForestParams, p: int, kind: ColumnKind) -> tuple[int, int]:
@@ -460,13 +455,11 @@ class _Grower:
         return below
 
 
-def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
-               allow_missing: bool = False) -> ForestModel:
-    """Fit a forest of CART trees on X against y.
+def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int) -> ForestModel:
+    """Fit a forest of CART trees on X against y, which must be complete.
 
-    X must be complete unless allow_missing is set, in which case missing
-    predictor cells are excluded from split scores and routed to the
-    majority child.  y must be complete either way.
+    Missing predictor cells of X are excluded from split scores and routed
+    to the majority child.
     """
     if y.n != X.n_rows:
         raise DataError("X rows and y length differ")
@@ -474,12 +467,10 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
         raise DataError("cannot fit a forest on an empty table")
     if y.missing.any():
         raise DataError("target has missing entries")
-    if not allow_missing and X.missing.any():
-        raise DataError("X has missing cells; impute first or allow missing routing")
 
     mtry, min_leaf = _resolve(params, X.n_cols, y.kind)
-    cat_sizes = np.array([c.n_categories if c.kind is ColumnKind.CATEGORICAL else 0
-                          for c in X.schema], dtype=np.int64)
+    signature = tuple(c.n_categories for c in X.schema)
+    cat_sizes = np.array(signature, dtype=np.int64)
     if cat_sizes.max(initial=0) > 10 and y.kind is ColumnKind.CATEGORICAL and len(np.unique(y.values)) > 64:
         raise DataError("too many classes for mean-target category ordering")
 
@@ -488,7 +479,7 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
         classes, y_arr = np.unique(y.values.astype(np.int64), return_inverse=True)
         n_classes = int(classes.size)
 
-    n, miss = X.n_rows, (X.missing if allow_missing and X.missing.any() else None)
+    n, miss = X.n_rows, (X.missing if X.missing.any() else None)
     grower = _Grower(X.values, miss, cat_sizes, y_arr, n_classes, mtry, min_leaf,
                      params.max_depth)
     z = _mix(_mix(np.array([int(seed) % (1 << 64)], dtype=np.uint64)) ^ _TREE_TAG)
@@ -497,8 +488,7 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int,
     for t0 in range(0, params.n_trees, per_batch):
         trees += grower.grow(keys[t0:t0 + per_batch], params.bootstrap)
 
-    return ForestModel(y.kind, tuple(trees), _signature(X.schema), classes, y.categories,
-                       y.name)
+    return ForestModel(y.kind, tuple(trees), signature, classes, y.categories, y.name)
 
 
 def _route_tree(node, lo, hi, codes, out):
@@ -527,15 +517,16 @@ def _route_tree(node, lo, hi, codes, out):
         out[idx] = node.value
 
 
-def _predict_arrays(model: ForestModel, Xv: np.ndarray, miss: np.ndarray | None
-                    ) -> np.ndarray:
-    """Each tree fills one row of a table: one vote (ties to the smallest class) or one mean."""
-    n = Xv.shape[0]
-    k = np.array([size for _, size in model.feature_signature], dtype=np.intp)
-    cat = k.nonzero()[0]
-    lo = hi = np.ascontiguousarray(Xv.T)
-    if miss is not None:
-        lo, hi = np.where(miss.T, -np.inf, lo), np.where(miss.T, np.inf, lo)
+def _predict(model: ForestModel, X: DataTable) -> LabelVector:
+    """Each tree fills one row of a table: one vote (ties to the smallest
+    class) or one mean."""
+    k = np.array(model.feature_signature, dtype=np.intp)
+    if tuple(c.n_categories for c in X.schema) != model.feature_signature:
+        raise DataError("feature columns do not match the fitted model")
+    n, cat = X.n_rows, k.nonzero()[0]
+    lo = hi = np.ascontiguousarray(X.values.T)
+    if X.missing.any():
+        lo, hi = np.where(X.missing.T, -np.inf, lo), np.where(X.missing.T, np.inf, lo)
     codes = np.zeros(lo.shape, dtype=np.intp)
     codes[cat] = np.minimum(hi[cat], k[cat, None])   # a missing cell's +inf becomes k
     is_class = model.kind is ColumnKind.CATEGORICAL
@@ -545,34 +536,23 @@ def _predict_arrays(model: ForestModel, Xv: np.ndarray, miss: np.ndarray | None
     if is_class:
         C = int(model.classes.size)
         votes = np.bincount((out + np.arange(n) * C).ravel(), minlength=n * C)
-        return model.classes[votes.reshape(n, C).argmax(axis=1)].astype(np.float64)
-    return sum(out, 0.0) / len(model.trees)   # in tree order: np.sum may add pairwise
-
-
-def _check_arity(model: ForestModel, X: DataTable) -> None:
-    if _signature(X.schema) != model.feature_signature:
-        raise DataError("feature columns do not match the fitted model")
-
-
-def _wrap_predictions(model: ForestModel, raw: np.ndarray) -> LabelVector:
+        raw = model.classes[votes.reshape(n, C).argmax(axis=1)].astype(np.float64)
+    else:
+        raw = sum(out, 0.0) / len(model.trees)   # in tree order: np.sum may add pairwise
     # forest outputs are training labels or their means: valid by construction
-    return LabelVector._unsafe(model.kind, raw, np.zeros(raw.shape, dtype=bool),
+    return LabelVector._unsafe(model.kind, raw, np.zeros(n, dtype=bool),
                                model.label_categories, model.label_name)
 
 
 def predict(model: ForestModel, X: DataTable) -> LabelVector:
-    """Predict on complete rows; regression averages trees, classification
-    takes a majority vote with ties broken by the smallest class index."""
-    _check_arity(model, X)
-    if X.missing.any():
-        raise DataError("X has missing cells; use predict_with_missing")
-    return _wrap_predictions(model, _predict_arrays(model, X.values, None))
+    """Predict rows of X; regression averages trees, classification takes a
+    majority vote with ties broken by the smallest class index.  A row
+    reaching a split on a feature it lacks follows the child that took the
+    majority of the training rows at that node."""
+    return _predict(model, X)
 
 
 def predict_with_missing(model: ForestModel, X: DataTable) -> LabelVector:
-    """Predict rows that may have missing cells: a row reaching a split on
-    a feature it lacks follows the child that took the majority of the
-    training rows at that node."""
-    _check_arity(model, X)
-    miss = X.missing if X.missing.any() else None
-    return _wrap_predictions(model, _predict_arrays(model, X.values, miss))
+    """The same rule as predict, under the name callers use for rows with
+    missing cells."""
+    return _predict(model, X)

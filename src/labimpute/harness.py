@@ -26,6 +26,7 @@ range so the error is comparable across datasets.
 from __future__ import annotations
 
 import csv
+import enum
 import json
 import time
 from dataclasses import dataclass, field
@@ -55,7 +56,6 @@ from .errors import (DataError, _of, _positive, _seed, _tuple_of, _where,
 from .forest import _PARAM_FIELDS, ForestParams, fit_forest, predict
 from .imputers import _MICE_FIELDS, _MISSFOREST_FIELDS, MiceParams, MissForestParams
 from .strategies import (
-    Scenario,
     cbmi_predict,
     di_impute,
     iclf_predict,
@@ -64,6 +64,11 @@ from .strategies import (
 )
 
 _REP_TAG = 565601
+
+
+class Scenario(enum.Enum):
+    TEST_OBSERVED = "test_observed"
+    TEST_MISSING = "test_missing"
 
 # Config method -> its result rows as (row method, strategy, engine).  The
 # head-to-head entries yield a pair of rows sharing one preparation but
@@ -297,7 +302,6 @@ class _CellPrep:
     x_pool_reference: DataTable
     y_pool: LabelVector
     pool_eval_mask: np.ndarray  # (n_pool, p) bool: the cells to score
-    n_train: int
 
 
 def _concat_labels(a: LabelVector, b: LabelVector) -> LabelVector:
@@ -338,7 +342,6 @@ def _prepare_cell(
         x_pool_reference=pool_scaled[1],
         y_pool=_concat_labels(y_tr, y_te),
         pool_eval_mask=eval_mask,
-        n_train=x_tr.n_rows,
     )
 
 
@@ -355,11 +358,11 @@ def _downstream_mse(
     """
     if prep.y_train.kind is not ColumnKind.CONTINUOUS:
         return None
-    idx = np.arange(x_imp_pool.n_rows)
+    idx, n_train = np.arange(x_imp_pool.n_rows), prep.x_train.n_rows
     model = fit_forest(
-        x_imp_pool.take_rows(idx[:prep.n_train]), prep.y_train, config.forest, seed
+        x_imp_pool.take_rows(idx[:n_train]), prep.y_train, config.forest, seed
     )
-    pred = predict(model, x_imp_pool.take_rows(idx[prep.n_train:]))
+    pred = predict(model, x_imp_pool.take_rows(idx[n_train:]))
     diff = pred.values - prep.y_test.values
     return float(diff @ diff / diff.size)
 
@@ -400,7 +403,7 @@ def _run_one_method(
         pred = cbmi_predict(prep.x_train, prep.y_train, prep.x_test, params).y_pred
     elif strategy == "iclf":
         pred = iclf_predict(prep.x_train, prep.y_train, prep.x_test, params,
-                            config.forest, config.scenario, clf_seed)
+                            config.forest, clf_seed)
     else:
         pred = rf_missing_predict(prep.x_train, prep.y_train, prep.x_test,
                                   config.forest, clf_seed)

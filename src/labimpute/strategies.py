@@ -8,14 +8,14 @@ imputation engine can exploit it, then peel it back off.
   cbmi_predict   classify by stacking train and test rows, hiding the test
                  labels, and letting the imputer fill them in; no separate
                  classifier is ever fit
-  iclf_predict   impute first, then fit a forest classifier
+  iclf_predict   impute first, test rows jointly with the training input
+                 when they have holes, then fit a forest classifier
   rf_missing_predict  skip imputation, fit the forest directly on missing
                  data with majority-direction routing
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,14 +29,9 @@ from .data import (
     split_label,
 )
 from .errors import DataError
-from .forest import ForestParams, fit_forest, predict, predict_with_missing
+from .forest import ForestParams, fit_forest, predict
 from .imputers import (ImputerParams, IterationTrace, MissForestParams, impute,
                        missforest_impute)
-
-
-class Scenario(enum.Enum):
-    TEST_OBSERVED = "test_observed"
-    TEST_MISSING = "test_missing"
 
 
 def stack_labels(X: DataTable, y: LabelVector) -> DataTable:
@@ -112,35 +107,35 @@ def cbmi_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
     )
 
 
-def iclf_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
-                 imputer_params: ImputerParams, forest_params: ForestParams,
-                 scenario: Scenario, seed: int) -> LabelVector:
-    """Impute, then classify with a forest.
-
-    Under TEST_MISSING the test rows are row-stacked with the training
-    input for a joint label-free imputation and split back out, while the
-    classifier itself is trained on an imputation of the training input
-    alone.  Under TEST_OBSERVED the test rows must already be complete.
-    The forest is seeded with `seed` directly, so on fully-observed data
-    this composes to a plain fit-and-predict.
-    """
+def _check_classifier_inputs(X_train: DataTable, y_train: LabelVector,
+                              X_test: DataTable) -> None:
     if y_train.kind is not ColumnKind.CATEGORICAL:
         raise DataError("classification needs class labels")
     if y_train.missing.any():
         raise DataError("training labels must be fully observed")
     if X_train.schema != X_test.schema:
         raise DataError("train and test schemas differ")
-    if scenario is Scenario.TEST_MISSING:
+
+
+def iclf_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
+                 imputer_params: ImputerParams, forest_params: ForestParams,
+                 seed: int) -> LabelVector:
+    """Impute, then classify with a forest.
+
+    Test rows with holes are row-stacked with the training input for a
+    joint label-free imputation and split back out; complete ones are used
+    as they are, which is what that imputation would return.  The
+    classifier itself is trained on an imputation of the training input
+    alone.  The forest is seeded with `seed` directly, so on fully-observed
+    data this composes to a plain fit-and-predict.
+    """
+    _check_classifier_inputs(X_train, y_train, X_test)
+    if X_test.missing.any():
         merged = concat_rows(X_train, X_test)
-        X_test_imp = di_impute(merged, imputer_params).take_rows(
+        X_test = di_impute(merged, imputer_params).take_rows(
             np.arange(X_train.n_rows, merged.n_rows))
-    elif X_test.missing.any():
-        raise DataError("test rows must be complete under test_observed")
-    else:
-        X_test_imp = X_test
-    X_train_imp = di_impute(X_train, imputer_params)
-    model = fit_forest(X_train_imp, y_train, forest_params, seed)
-    return predict(model, X_test_imp)
+    model = fit_forest(di_impute(X_train, imputer_params), y_train, forest_params, seed)
+    return predict(model, X_test)
 
 
 def rf_missing_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
@@ -151,11 +146,5 @@ def rf_missing_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTab
     and rows are routed through the majority child at both fit and
     predict time.
     """
-    if y_train.kind is not ColumnKind.CATEGORICAL:
-        raise DataError("classification needs class labels")
-    if y_train.missing.any():
-        raise DataError("training labels must be fully observed")
-    if X_train.schema != X_test.schema:
-        raise DataError("train and test schemas differ")
-    model = fit_forest(X_train, y_train, forest_params, seed, allow_missing=True)
-    return predict_with_missing(model, X_test)
+    _check_classifier_inputs(X_train, y_train, X_test)
+    return predict(fit_forest(X_train, y_train, forest_params, seed), X_test)

@@ -200,8 +200,8 @@ def _mixed_problem(kind, seed=7, n=90):
 @pytest.mark.parametrize("kind", ["class", "regression"])
 def test_first_trees_do_not_depend_on_forest_size(kind):
     X, y = _mixed_problem(kind)
-    big = fit_forest(X, y, ForestParams(n_trees=9), seed=5, allow_missing=True)
-    small = fit_forest(X, y, ForestParams(n_trees=4), seed=5, allow_missing=True)
+    big = fit_forest(X, y, ForestParams(n_trees=9), seed=5)
+    small = fit_forest(X, y, ForestParams(n_trees=4), seed=5)
     assert [_spec(t) for t in big.trees[:4]] == [_spec(t) for t in small.trees]
 
 
@@ -209,10 +209,10 @@ def test_first_trees_do_not_depend_on_forest_size(kind):
 def test_trees_do_not_depend_on_batching(kind, monkeypatch):
     X, y = _mixed_problem(kind)
     params = ForestParams(n_trees=7)
-    together = fit_forest(X, y, params, seed=3, allow_missing=True)
+    together = fit_forest(X, y, params, seed=3)
     for rows in (1, 2 * X.n_rows):   # one tree, then two trees per batch
         monkeypatch.setattr(forest_module, "_BATCH_ROWS", rows)
-        apart = fit_forest(X, y, params, seed=3, allow_missing=True)
+        apart = fit_forest(X, y, params, seed=3)
         assert [_spec(t) for t in apart.trees] == [_spec(t) for t in together.trees]
 
 
@@ -232,7 +232,7 @@ def test_bootstrap_rows_are_in_range_and_cover_the_table(monkeypatch):
 
     monkeypatch.setattr(forest_module, "_below", spy)
     X, y = _mixed_problem("class")
-    fit_forest(X, y, ForestParams(n_trees=100), seed=8, allow_missing=True)
+    fit_forest(X, y, ForestParams(n_trees=100), seed=8)
     assert {n for n, _ in drawn} == {X.n_rows}
     rows = np.concatenate([r for _, r in drawn])   # (tree, bootstrap position)
     assert rows.shape == (100, X.n_rows) and rows.max() < X.n_rows
@@ -241,7 +241,7 @@ def test_bootstrap_rows_are_in_range_and_cover_the_table(monkeypatch):
     distinct = np.mean([np.unique(r).size for r in rows]) / X.n_rows
     assert 0.6 < distinct < 0.67                   # 1 - (1 - 1/90)**90 = 0.634
     drawn.clear()
-    fit_forest(X, y, ForestParams(n_trees=3, bootstrap=False), seed=8, allow_missing=True)
+    fit_forest(X, y, ForestParams(n_trees=3, bootstrap=False), seed=8)
     assert drawn == []
 
 
@@ -249,8 +249,7 @@ def test_extreme_seeds_draw_distinct_trees_without_warnings():
     X, y = _mixed_problem("regression")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        specs = [[_spec(t) for t in fit_forest(X, y, ForestParams(n_trees=3), seed=seed,
-                                               allow_missing=True).trees]
+        specs = [[_spec(t) for t in fit_forest(X, y, ForestParams(n_trees=3), seed=seed).trees]
                  for seed in (-2 ** 63, 0, 2 ** 64 - 1)]
     assert specs[0] != specs[1] and specs[1] != specs[2] and specs[0] != specs[2]
 
@@ -270,7 +269,7 @@ def test_fit_on_missing_predictors_with_majority_routing():
         vals, miss,
     )
     y = class_labels(yv.tolist(), k=2)
-    model = fit_forest(X, y, ForestParams(n_trees=25), seed=6, allow_missing=True)
+    model = fit_forest(X, y, ForestParams(n_trees=25), seed=6)
     clean = cont_table(np.column_stack([np.array([-2.0, 2.0]), np.zeros(2)]))
     pred = predict(model, clean)
     assert pred.values.tolist() == [0.0, 1.0]
@@ -286,9 +285,6 @@ def test_fit_rejects_bad_inputs():
     y = class_labels([0, 1])
     with pytest.raises(DataError):
         fit_forest(X, y, ForestParams(n_trees=1, mtry=2), seed=0)  # mtry > p
-    holey = cont_table([[1.0], [2.0]], missing=[[True], [False]])
-    with pytest.raises(DataError):
-        fit_forest(holey, y, ForestParams(n_trees=1), seed=0)
     y_missing = LabelVector(ColumnKind.CATEGORICAL, np.array([0.0, np.nan]),
                             np.array([False, True]), ("a", "b"))
     with pytest.raises(DataError):
@@ -302,7 +298,11 @@ def test_predict_rejects_arity_mismatch():
     with pytest.raises(DataError):
         predict(model, cont_table([[1.0]]))
     with pytest.raises(DataError):
-        predict(model, cont_table([[1.0, np.nan]], missing=[[False, True]]))
+        predict_with_missing(model, cont_table([[1.0]]))
+    # one predict rule under both names: a holed row is routed, not refused
+    holed = cont_table([[1.0, np.nan]], missing=[[False, True]])
+    assert predict(model, holed).values.tobytes() == \
+        predict_with_missing(model, holed).values.tobytes()
 
 
 def test_forest_learns_iris():
@@ -501,7 +501,7 @@ def test_grower_matches_brute_force_cart(is_class, with_missing, data):
         labels, y, n_classes = reg_labels(yv), yv, 0
     params = ForestParams(n_trees=1, mtry=X.n_cols, min_leaf=min_leaf,
                           max_depth=max_depth, bootstrap=False)
-    model = fit_forest(X, labels, params, seed=0, allow_missing=with_missing)
+    model = fit_forest(X, labels, params, seed=0)
     _check_tree(model.trees[0], X.values, X.missing, cat_sizes, y, np.arange(X.n_rows),
                 0, is_class, n_classes, min_leaf, max_depth)
 
@@ -546,7 +546,7 @@ def _walked(model, X):
 
 @st.composite
 def _predict_case(draw):
-    """A small forest fitted with missing routing, and a batch to predict:
+    """A small forest fitted on a table that may have holes, and a batch to predict:
     rows of repeated quarter-grid values (which hit thresholds exactly),
     wide values, all-missing rows, one row, or one row repeated so that
     every split sends the whole batch one way."""
@@ -590,8 +590,9 @@ def _predict_case(draw):
 @given(case=_predict_case())
 def test_predict_matches_a_one_row_walk(case):
     X, y, params, seed, Q = case
-    model = fit_forest(X, y, params, seed=seed, allow_missing=True)
+    model = fit_forest(X, y, params, seed=seed)
     want = _walked(model, Q)
+    assert predict(model, Q).values.tobytes() == want.tobytes()
     assert predict_with_missing(model, Q).values.tobytes() == want.tobytes()
     complete = (~Q.missing.any(axis=1)).nonzero()[0]
     if complete.size:

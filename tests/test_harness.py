@@ -19,6 +19,7 @@ from labimpute.forest import ForestParams
 from labimpute.harness import (
     AggregateRow,
     ExperimentConfig,
+    Scenario,
     emit_report,
     load_experiment_config,
     resolve_dataset,
@@ -26,7 +27,6 @@ from labimpute.harness import (
     save_experiment_config,
 )
 from labimpute.imputers import MiceParams, MissForestParams
-from labimpute.strategies import Scenario
 
 
 def small_config(**overrides) -> ExperimentConfig:

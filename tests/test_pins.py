@@ -78,7 +78,7 @@ def _forest_outputs(table: DataTable, label: str, missing: bool) -> np.ndarray:
                                predict_with_missing(model, X_te).values])
     X_tr, _ = apply_mcar(X_tr, 0.25, seed=7)
     X_te, _ = apply_mcar(X_te, 0.25, seed=8)
-    model = fit_forest(X_tr, y_tr, params, seed=5, allow_missing=True)
+    model = fit_forest(X_tr, y_tr, params, seed=5)
     return predict_with_missing(model, X_te).values
 
 

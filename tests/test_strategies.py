@@ -7,14 +7,15 @@ from labimpute.data import (
     DataTable,
     LabelVector,
     apply_mcar,
+    concat_rows,
     labels_equal,
     tables_equal,
 )
 from labimpute.errors import DataError
 from labimpute.forest import ForestParams, fit_forest, predict
 from labimpute.imputers import MiceParams, MissForestParams
+from labimpute import strategies
 from labimpute.strategies import (
-    Scenario,
     cbmi_predict,
     di_impute,
     iclf_predict,
@@ -210,12 +211,32 @@ def test_iclf_on_complete_data_equals_plain_forest():
     y = class_labels((Xtr.values[:, 0] > 0).astype(int).tolist(), k=2)
     fp = ForestParams(n_trees=15)
     direct = predict(fit_forest(Xtr, y, fp, seed=21), Xte)
-    via = iclf_predict(Xtr, y, Xte, mf_params(seed=1), fp,
-                       Scenario.TEST_OBSERVED, seed=21)
+    via = iclf_predict(Xtr, y, Xte, mf_params(seed=1), fp, seed=21)
     assert np.array_equal(direct.values, via.values)
-    via2 = iclf_predict(Xtr, y, Xte, mf_params(seed=1), fp,
-                        Scenario.TEST_MISSING, seed=21)
-    assert np.array_equal(direct.values, via2.values)
+
+
+def test_iclf_imputes_complete_test_rows_once(monkeypatch):
+    # complete test rows skip the joint imputation, whose test rows would
+    # come back unchanged: only the training input is imputed
+    rng = np.random.default_rng(7)
+    Xtr, _ = apply_mcar(cont_table(rng.normal(size=(30, 3))), 0.3, seed=11)
+    Xte = cont_table(rng.normal(size=(12, 3)))
+    y = class_labels((rng.normal(size=30) > 0).astype(int).tolist(), k=2)
+    params, fp = mf_params(seed=1), ForestParams(n_trees=15)
+    merged = concat_rows(Xtr, Xte)
+    joint = di_impute(merged, params).take_rows(np.arange(30, merged.n_rows))
+    assert tables_equal(joint, Xte)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return di_impute(*args)
+
+    monkeypatch.setattr(strategies, "di_impute", counted)
+    via = iclf_predict(Xtr, y, Xte, params, fp, seed=21)
+    assert len(calls) == 1 and calls[0][0] is Xtr
+    direct = predict(fit_forest(di_impute(Xtr, params), y, fp, seed=21), Xte)
+    assert via.values.tobytes() == direct.values.tobytes()
 
 
 def test_iclf_test_missing_imputes_both_sides():
@@ -225,18 +246,8 @@ def test_iclf_test_missing_imputes_both_sides():
     y = class_labels((base_tr.values[:, 0] > 0).astype(int).tolist(), k=2)
     Xtr, _ = apply_mcar(base_tr, 0.3, seed=12)
     Xte, _ = apply_mcar(base_te, 0.3, seed=13)
-    pred = iclf_predict(Xtr, y, Xte, mf_params(seed=2), ForestParams(n_trees=15),
-                        Scenario.TEST_MISSING, seed=22)
+    pred = iclf_predict(Xtr, y, Xte, mf_params(seed=2), ForestParams(n_trees=15), seed=22)
     assert pred.n == 15 and pred.is_complete()
-
-
-def test_iclf_test_observed_rejects_missing_test_rows():
-    Xtr = cont_table([[1.0], [2.0], [3.0], [4.0]])
-    y = class_labels([0, 0, 1, 1])
-    Xte = cont_table([[np.nan]], missing=[[True]])
-    with pytest.raises(DataError):
-        iclf_predict(Xtr, y, Xte, mf_params(), ForestParams(n_trees=3),
-                     Scenario.TEST_OBSERVED, seed=0)
 
 
 def test_rf_missing_fits_and_predicts_through_holes():
@@ -266,8 +277,26 @@ def test_strategies_are_deterministic():
     a = cbmi_predict(Xtr, y, Xte, mf_params(seed=30))
     b = cbmi_predict(Xtr, y, Xte, mf_params(seed=30))
     assert np.array_equal(a.y_pred.values, b.y_pred.values)
-    p1 = iclf_predict(Xtr, y, Xte, mf_params(seed=31), ForestParams(n_trees=10),
-                      Scenario.TEST_OBSERVED, seed=32)
-    p2 = iclf_predict(Xtr, y, Xte, mf_params(seed=31), ForestParams(n_trees=10),
-                      Scenario.TEST_OBSERVED, seed=32)
+    p1 = iclf_predict(Xtr, y, Xte, mf_params(seed=31), ForestParams(n_trees=10), seed=32)
+    p2 = iclf_predict(Xtr, y, Xte, mf_params(seed=31), ForestParams(n_trees=10), seed=32)
     assert np.array_equal(p1.values, p2.values)
+
+
+@pytest.mark.parametrize("fault", ["regression label", "missing label", "schema"])
+def test_iclf_and_rf_missing_reject_the_same_inputs(fault):
+    Xtr = cont_table([[1.0], [2.0], [3.0], [4.0]])
+    Xte = cont_table([[2.5]])
+    y = class_labels([0, 0, 1, 1])
+    if fault == "regression label":
+        y = LabelVector(ColumnKind.CONTINUOUS, np.arange(4.0), np.zeros(4, dtype=bool))
+    elif fault == "missing label":
+        y = LabelVector(ColumnKind.CATEGORICAL, np.array([0.0, 0.0, 1.0, np.nan]),
+                        np.array([False, False, False, True]), ("c0", "c1"))
+    else:
+        Xte = cont_table([[2.5, 0.0]])
+    fp = ForestParams(n_trees=3)
+    with pytest.raises(DataError) as iclf_err:
+        iclf_predict(Xtr, y, Xte, mf_params(), fp, seed=0)
+    with pytest.raises(DataError) as rf_err:
+        rf_missing_predict(Xtr, y, Xte, fp, seed=0)
+    assert str(iclf_err.value) == str(rf_err.value)
