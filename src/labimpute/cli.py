@@ -22,7 +22,7 @@ from .data import (
 )
 from .errors import DataError, InvariantError, _non_negative_real, _positive, checked
 from .forest import ForestParams
-from .harness import emit_report, load_experiment_config, run_experiment
+from .harness import _check_formats, emit_report, load_experiment_config, run_experiment
 from .imputers import MiceParams, MissForestParams, impute
 from .strategies import cbmi_predict, stack_labels
 from .theory import sample_instance, verify_theorem1
@@ -130,11 +130,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _out_dir(args) -> Path:
+    """The output directory, made before any work whose result it would hold."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_simulate(args) -> int:
     table = load_csv(args.input)
     masked, mask = apply_mcar(table, args.rate, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_csv(masked, out / "masked.csv")
     with open(out / "mask.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -154,8 +160,7 @@ def _cmd_impute(args) -> int:
     table = load_csv(args.input)
     params = (_missforest_params(args) if args.method == "missforest"
               else MiceParams(n_iter=args.n_iter, ridge=args.ridge))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     if args.strategy == "iul":
         if not args.label:
             raise DataError("--strategy iul needs --label")
@@ -175,10 +180,8 @@ def _cmd_cbmi(args) -> int:
     x_train, y_train = split_label(load_csv(args.train), args.label)
     # read under the training schema: categories keep the training codes
     test = load_csv(args.test, x_train.schema)
+    path = _out_dir(args) / "predictions.csv"
     res = cbmi_predict(x_train, y_train, test, _missforest_params(args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "predictions.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow((args.label,))
@@ -191,8 +194,10 @@ def _cmd_cbmi(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
     formats = tuple(f for f in args.formats.split(",") if f)
+    _check_formats(formats)
+    out = _out_dir(args)
     report = run_experiment(config, threads=args.threads)
-    paths = emit_report(report, args.out_dir, formats=formats)
+    paths = emit_report(report, out, formats=formats)
     n_err = sum(1 for r in report.records if r.status != "ok")
     note = f", {n_err} failed" if n_err else ""
     print(f"{len(report.records)} runs{note} -> " + ", ".join(map(str, paths)))
@@ -210,9 +215,7 @@ def _cmd_theorem_check(args) -> int:
     if not (3 <= args.n_min <= args.n_max):
         raise DataError("need 3 <= --n-min <= --n-max")
     rng = make_rng(args.seed, _THEOREM_TAG)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "theorem_reports.csv"
+    path = _out_dir(args) / "theorem_reports.csv"
     worst = 0.0
     wins = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -609,10 +609,22 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows) -> None:
             writer.writerow([_fmt(getattr(row, c)) for c in columns])
 
 
+_FORMATS = ("csv", "json")
+
+
+def _check_formats(formats: tuple[str, ...]) -> None:
+    known = ", ".join(_FORMATS)
+    if not formats:
+        raise DataError(f"no report format given; known: {known}")
+    for f in formats:
+        if f not in _FORMATS:
+            raise DataError(f"unknown report format {f!r}; known: {known}")
+
+
 def emit_report(
     report: ExperimentReport,
     out_dir: str | Path,
-    formats: tuple[str, ...] = ("csv", "json"),
+    formats: tuple[str, ...] = _FORMATS,
 ) -> list[Path]:
     """Write result tables under out_dir; returns the paths written.
 
@@ -620,9 +632,7 @@ def emit_report(
     runs.csv is byte-stable), aggregates.csv, curves.csv (plot-ready means).
     json: report.json bundling config, runs, and aggregates.
     """
-    for f in formats:
-        if f not in ("csv", "json"):
-            raise DataError(f"unknown report format {f!r}; known: csv, json")
+    _check_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -81,7 +81,7 @@ class IterationTrace:
     stop_reason: str = ""
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["iteration", "delta_continuous", "delta_categorical"])
             for s in self.sweeps:

@@ -241,6 +241,84 @@ def test_experiment_unexpected_failure_exits_3(tmp_path, monkeypatch, capsys):
             assert row["status"] == "ok"
 
 
+def _tiny_experiment_config(tmp_path) -> Path:
+    raw = {"dataset": "builtin:iris", "label": "species", "rates": [0.2, 0.4],
+           "repetitions": 2, "methods": ["rf-missing"], "forest": {"n_trees": 3}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    return cfg
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran before its outputs were checked")
+
+
+@pytest.mark.parametrize("formats, message", [
+    ("xml", "unknown report format 'xml'; known: csv, json"),
+    ("csv,xml", "unknown report format 'xml'; known: csv, json"),
+    ("", "no report format given; known: csv, json"),
+    (",", "no report format given; known: csv, json"),
+])
+def test_experiment_rejects_formats_before_running(formats, message, tmp_path,
+                                                   monkeypatch, capsys):
+    from labimpute import cli
+
+    monkeypatch.setattr(cli, "run_experiment", _refuse)
+    code = cli_main(["experiment", "--config", str(_tiny_experiment_config(tmp_path)),
+                     "--formats", formats, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_and_cbmi_make_out_dir_before_running(iris_csv, tmp_path,
+                                                         monkeypatch, capsys):
+    from labimpute import cli
+
+    monkeypatch.setattr(cli, "run_experiment", _refuse)
+    monkeypatch.setattr(cli, "cbmi_predict", _refuse)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    below_file = str(tmp_path / "file" / "out")
+    assert cli_main(["experiment", "--config", str(_tiny_experiment_config(tmp_path)),
+                     "--out-dir", below_file]) == 2
+    assert "file" in capsys.readouterr().err
+    table = load_csv(iris_csv)
+    save_csv(table.drop_column(table.column_index("species")), tmp_path / "test.csv")
+    assert cli_main(["cbmi", "--train", str(iris_csv), "--test", str(tmp_path / "test.csv"),
+                     "--label", "species", "--out-dir", below_file]) == 2
+    assert "file" in capsys.readouterr().err
+
+
+def test_commands_write_no_file_in_the_locale_encoding(iris_csv, tmp_path):
+    # every file a command opens names its encoding: under these flags an
+    # open() that falls back to the locale encoding fails the command
+    src = Path(cli_main.__code__.co_filename).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    table = load_csv(iris_csv)
+    save_csv(table.drop_column(table.column_index("species")), tmp_path / "test.csv")
+    masked = tmp_path / "sim" / "masked.csv"
+    commands = [
+        ["simulate", str(iris_csv), "--rate", "0.2", "--out-dir", str(tmp_path / "sim")],
+        ["impute", str(masked), "--trees", "3", "--max-iter", "2",
+         "--out-dir", str(tmp_path / "imp")],
+        ["cbmi", "--train", str(iris_csv), "--test", str(tmp_path / "test.csv"),
+         "--label", "species", "--trees", "3", "--max-iter", "2",
+         "--out-dir", str(tmp_path / "cbmi")],
+        ["experiment", "--config", str(_tiny_experiment_config(tmp_path)),
+         "--out-dir", str(tmp_path / "exp")],
+        ["theorem-check", "--instances", "5", "--out-dir", str(tmp_path / "thm")],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "labimpute", *argv],
+            capture_output=True, text=True, encoding="utf-8", timeout=120, env=env,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+    assert (tmp_path / "imp" / "trace.csv").exists()
+
+
 def test_theorem_check(tmp_path):
     code = cli_main([
         "theorem-check", "--instances", "30", "--seed", "2",
