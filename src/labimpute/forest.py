@@ -520,9 +520,9 @@ def _route_tree(node, lo, hi, codes, out):
 def _predict(model: ForestModel, X: DataTable) -> LabelVector:
     """Each tree fills one row of a table: one vote (ties to the smallest
     class) or one mean."""
-    k = np.array(model.feature_signature, dtype=np.intp)
     if tuple(c.n_categories for c in X.schema) != model.feature_signature:
         raise DataError("feature columns do not match the fitted model")
+    k = np.array(model.feature_signature, dtype=np.intp)
     n, cat = X.n_rows, k.nonzero()[0]
     lo = hi = np.ascontiguousarray(X.values.T)
     if X.missing.any():

@@ -70,6 +70,7 @@ class Scenario(enum.Enum):
     TEST_OBSERVED = "test_observed"
     TEST_MISSING = "test_missing"
 
+
 # Config method -> its result rows as (row method, strategy, engine).  The
 # head-to-head entries yield a pair of rows sharing one preparation but
 # carrying independent seeds.  Strategies are named, not held, so the runner

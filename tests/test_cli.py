@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import labimpute
 from labimpute.cli import cli_main
 from labimpute.data import (ColumnKind, DataTable, load_csv, save_csv, split_label,
                             train_test_split)
@@ -292,7 +293,7 @@ def test_experiment_and_cbmi_make_out_dir_before_running(iris_csv, tmp_path,
 def test_commands_write_no_file_in_the_locale_encoding(iris_csv, tmp_path):
     # every file a command opens names its encoding: under these flags an
     # open() that falls back to the locale encoding fails the command
-    src = Path(cli_main.__code__.co_filename).parents[1]
+    src = Path(labimpute.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     table = load_csv(iris_csv)
