@@ -72,6 +72,24 @@ def test_simulate_output_bytes_pinned(tmp_path):
     }
 
 
+def test_impute_output_bytes_pinned(tmp_path):
+    # The bytes impute writes for the bundled iris table, label column
+    # included, masked at rate 0.2; any change to the missForest engine, the
+    # column handling of the command or the CSV format moves them.
+    ref = resources.files("labimpute") / "_assets" / "iris.csv"
+    with resources.as_file(ref) as p:
+        assert cli_main(["simulate", str(p), "--rate", "0.2", "--seed", "2",
+                         "--out-dir", str(tmp_path)]) == 0
+    assert cli_main(["impute", str(tmp_path / "masked.csv"), "--trees", "5",
+                     "--max-iter", "2", "--out-dir", str(tmp_path / "out")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in ("imputed.csv", "trace.csv")}
+    assert digests == {
+        "imputed.csv": "5862fe1461b1eda610e1ba57c0ed6bbab61dfee3ead9b5c6f74395970c665d72",
+        "trace.csv": "a2affc356b90a09553c9af864426f28864da98b5a5e17f2a35d17ce832a99c91",
+    }
+
+
 def test_impute_missforest(iris_csv, tmp_path):
     cli_main([
         "simulate", str(iris_csv), "--rate", "0.3",
