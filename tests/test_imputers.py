@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from labimpute._rng import child_seed
 from labimpute.data import (
     ColumnKind,
     ColumnSchema,
     DataTable,
+    LabelVector,
     apply_mcar,
     tables_equal,
 )
 from labimpute.errors import DataError
-from labimpute.forest import ForestParams
+from labimpute.forest import ForestParams, fit_forest, predict
 from labimpute.imputers import (
     IterationTrace,
     MiceParams,
@@ -428,3 +431,92 @@ def test_mice_matches_naive_loop_bit_for_bit(seed, ridge):
     if ridge > 0:
         j = [col.name for col in t.schema].index("c5")
         assert 4.0 not in t.values[~t.missing[:, j], j]
+
+
+def _reference_missforest(table, params):
+    """The sweep loop of the module docstring written out plainly: a
+    checked table and label per column fit, the two statistics inline.
+    Returns the completed cells, the trace rows and the stop reason."""
+    mask = table.missing
+    if not mask.any():
+        return table.values, [], "no_missing"
+    cur = table.values.copy()
+    for j, col in enumerate(table.schema):
+        obs = table.values[~mask[:, j], j]
+        if col.kind is ColumnKind.CONTINUOUS:
+            cur[mask[:, j], j] = obs.mean()
+        else:   # the mode, ties to the smallest category
+            counts = np.bincount(obs.astype(np.int64), minlength=col.n_categories)
+            cur[mask[:, j], j] = float(np.argmax(counts))
+    counts = mask.sum(axis=0)
+    order = sorted((j for j in range(table.n_cols) if counts[j]), key=lambda j: (counts[j], j))
+    seeds = {s: child_seed(params.seed, 424243, s) for s in order}
+    cont = [j for j, c in enumerate(table.schema) if c.kind is ColumnKind.CONTINUOUS]
+    cats = [j for j, c in enumerate(table.schema) if c.kind is ColumnKind.CATEGORICAL]
+    sweeps, prev = [], (None, None)
+    for it in range(1, params.max_iter + 1):
+        old = cur.copy()
+        for s in order:
+            mis, col = mask[:, s], table.schema[s]
+            keep = [j for j in range(table.n_cols) if j != s]
+            schema = tuple(table.schema[j] for j in keep)
+            X = DataTable(schema, cur[~mis][:, keep], np.zeros((int((~mis).sum()), len(keep)), bool))
+            Q = DataTable(schema, cur[mis][:, keep], np.zeros((int(mis.sum()), len(keep)), bool))
+            y = LabelVector(col.kind, cur[~mis, s], np.zeros(int((~mis).sum()), bool),
+                            col.categories, col.name)
+            cur[mis, s] = predict(fit_forest(X, y, params.forest, seeds[s]), Q).values
+        dc = dg = None
+        if cont:
+            num = float(((cur[:, cont] - old[:, cont]) ** 2).sum())
+            den = float((cur[:, cont] ** 2).sum())
+            dc = None if den == 0.0 else num / den
+        holes = mask[:, cats]
+        if holes.any():
+            changed = int((cur[:, cats][holes] != old[:, cats][holes]).sum())
+            dg = changed / int(holes.sum())
+        sweeps.append((it, dc, dg))
+        if any(d is not None and p is not None and d > p for d, p in zip((dc, dg), prev)):
+            return old, sweeps, "delta_increase"
+        if np.array_equal(cur, old):
+            return cur, sweeps, "fixed_point"
+        prev = dc, dg
+    return cur, sweeps, "max_iter"
+
+
+@st.composite
+def _missforest_case(draw):
+    """A small table of one of three column mixes, with missing counts from
+    a short range so that they tie often; one in six has every continuous
+    cell 0, and one in twenty no missing cell."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, p = int(rng.integers(10, 41)), int(rng.integers(2, 5))
+    kinds = [[0] * p, [1] * p, [0, 1] + rng.integers(0, 2, p - 2).tolist()][rng.integers(3)]
+    zero = rng.integers(6) == 0
+    schema, cols = [], []
+    for j, is_cat in enumerate(kinds):
+        if is_cat:
+            k = int(rng.choice([2, 3, 5, 12]))
+            schema.append(cat(f"c{j}", [f"v{i}" for i in range(k)]))
+            cols.append(rng.integers(0, k, n).astype(float))
+        else:
+            schema.append(cont(f"x{j}"))
+            cols.append(np.zeros(n) if zero else rng.integers(-4, 5, n) * 0.5)
+    missing = np.zeros((n, p), dtype=bool)
+    if rng.integers(20):
+        for j in range(p):
+            missing[rng.choice(n, size=int(rng.integers(0, 6)), replace=False), j] = True
+    params = MissForestParams(forest=ForestParams(n_trees=int(rng.integers(1, 4))),
+                              max_iter=int(rng.integers(1, 7)), seed=int(rng.integers(100)))
+    return DataTable(tuple(schema), np.column_stack(cols), missing), params
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_missforest_case())
+def test_missforest_matches_a_plain_loop_bit_for_bit(case):
+    t, params = case
+    values, sweeps, stop = _reference_missforest(t, params)
+    out, trace = missforest_impute(t, params)
+    assert out.values.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+    assert [(s.iteration, s.delta_continuous, s.delta_categorical)
+            for s in trace.sweeps] == sweeps
+    assert trace.stop_reason == stop
