@@ -470,6 +470,18 @@ def test_module_entry_point():
     assert "command" in proc.stdout
 
 
+def test_import_loads_no_pool_or_parser_module():
+    # a fresh `import labimpute` stays cheap: worker pools and argparse load
+    # only when an experiment or the command line needs them
+    code = ("import sys, labimpute; print(sorted(m for m in ('argparse', "
+            "'concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(labimpute.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # Values of each kind the argv fuzz passes: small numbers and boundary
 # strings; one value in some examples is junk without digits instead, which
 # parses as nothing but nan or inf, and which as an output directory cannot

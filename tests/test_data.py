@@ -27,6 +27,7 @@ from labimpute.data import (
     train_test_split,
 )
 from labimpute.errors import DataError, SchemaError
+from labimpute.strategies import stack_labels
 
 
 def cont(name):
@@ -101,12 +102,55 @@ def test_table_rejects_category_index_out_of_range():
         DataTable(schema, np.array([[0.5]]), np.array([[False]]))
 
 
-def test_table_is_immutable():
-    t = make_table([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        t.values[0, 0] = 9.0
-    with pytest.raises(ValueError):
-        t.missing[0, 0] = True
+_OWNED_SCHEMA = (cont("x"), cat("c", ["a", "b"]), cont("z"))
+
+
+def _owned_table(values, missing):
+    return DataTable(_OWNED_SCHEMA, values, missing)
+
+
+def _owned_label(values, missing):
+    return LabelVector(ColumnKind.CATEGORICAL, values[:, 1], missing[:, 1], ("a", "b"))
+
+
+# Each case builds a result from writable (values, missing, row index) arrays.
+_OWNED_CASES = {
+    "DataTable": lambda v, m, idx: _owned_table(v, m),
+    "LabelVector": lambda v, m, idx: _owned_label(v, m),
+    "take_rows": lambda v, m, idx: _owned_table(v, m).take_rows(idx),
+    "drop_column": lambda v, m, idx: _owned_table(v, m).drop_column(1),
+    "concat_rows": lambda v, m, idx: concat_rows(_owned_table(v, m), _owned_table(v, m)),
+    "apply_mcar": lambda v, m, idx: apply_mcar(_owned_table(v, m), 0.3, 1),
+    "scale_minmax": lambda v, m, idx: scale_minmax(_owned_table(v, m), [_owned_table(v, m)]),
+    "stack_labels": lambda v, m, idx: stack_labels(_owned_table(v, m), _owned_label(v, m)),
+    "split_label": lambda v, m, idx: split_label(_owned_table(v, m), "c"),
+    "LabelVector.take": lambda v, m, idx: _owned_label(v, m).take(idx),
+}
+
+
+def _held_arrays(result):
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, (DataTable, LabelVector)):
+        return [result.values, result.missing]
+    return [a for part in result for a in _held_arrays(part)]
+
+
+@pytest.mark.parametrize("make", _OWNED_CASES.values(), ids=_OWNED_CASES.keys())
+def test_table_is_immutable(make):
+    # every array a result holds is read-only and its own: writing afterwards
+    # to the arrays the caller passed in leaves the result as it was
+    values = np.array([[1.0, 0.0, 3.0], [2.0, 1.0, 5.0], [4.0, 1.0, 6.0]])
+    missing = np.zeros(values.shape, dtype=bool)
+    idx = np.array([2, 0])
+    held = _held_arrays(make(values, missing, idx))
+    before = [a.tobytes() for a in held]
+    for a in held:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
+    values[...], missing[...], idx[...] = 7.0, True, 1
+    assert [a.tobytes() for a in held] == before
 
 
 def test_schema_validation():
