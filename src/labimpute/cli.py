@@ -24,7 +24,7 @@ from .errors import DataError, InvariantError, _non_negative_real, _positive, ch
 from .forest import ForestParams
 from .harness import _check_formats, emit_report, load_experiment_config, run_experiment
 from .imputers import MiceParams, MissForestParams, impute
-from .strategies import cbmi_predict, stack_labels
+from .strategies import cbmi_predict
 from .theory import sample_instance, verify_theorem1
 
 _THEOREM_TAG = 909090
@@ -72,16 +72,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "impute", parents=[seeded],
-        help="fill every missing cell of a CSV",
+        help="fill every missing cell of a CSV, label columns too",
     )
     p.add_argument("input", help="input CSV with missing cells")
     p.add_argument("--method", choices=("missforest", "mice"),
                    default="missforest")
-    p.add_argument("--strategy", choices=("di", "iul"), default="di",
-                   help="di: impute the table as is; iul: stack the label "
-                        "column in as an extra feature first")
-    p.add_argument("--label", default="",
-                   help="label column name (required for --strategy iul)")
     p.add_argument("--trees", type=int, default=ForestParams.n_trees,
                    help="trees per forest (missforest only; default %(default)s)")
     p.add_argument("--max-iter", type=int, default=MissForestParams.max_iter,
@@ -161,11 +156,6 @@ def _cmd_impute(args) -> int:
     params = (_missforest_params(args) if args.method == "missforest"
               else MiceParams(n_iter=args.n_iter, ridge=args.ridge))
     out = _out_dir(args)
-    if args.strategy == "iul":
-        if not args.label:
-            raise DataError("--strategy iul needs --label")
-        # the completed table keeps the label as its last column
-        table = stack_labels(*split_label(table, args.label))
     completed, trace = impute(table, params)
     save_csv(completed, out / "imputed.csv")
     note = ""

@@ -197,8 +197,7 @@ class _Grower:
         self.mtry, self.min_leaf, self.max_depth = mtry, min_leaf, max_depth
         self.onehot = np.eye(n_classes, dtype=np.int64)
         self._sq = (lambda a: (a * a).sum(axis=0)) if n_classes else (lambda a: a * a)
-        self.features = np.arange(self.p)
-        self.hash_features = self.features.astype(np.uint64)
+        self.hash_features = np.arange(self.p, dtype=np.uint64)
         # regression sums are exact in 2^-shift fixed point: a node holds at
         # most n targets scaled into [-1, 1]
         self.shift = 0 if n_classes else 62 - self.n.bit_length()
@@ -283,8 +282,6 @@ class _Grower:
         """The mtry candidate features of each node, ascending.  A node's
         hashes are distinct (splitmix64 is a bijection), so its mtry
         smallest are exactly those at most the mtry-th smallest."""
-        if self.mtry == self.p:
-            return np.broadcast_to(self.features, (min_pos.size, self.p))
         h = _mix(_mix(node_hash ^ min_pos)[:, None] ^ self.hash_features)
         kth = h.copy()
         kth.partition(self.mtry - 1, axis=1)

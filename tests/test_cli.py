@@ -126,19 +126,34 @@ def test_impute_mice_no_trace(iris_csv, tmp_path):
 
 
 def test_impute_iul_keeps_label_column(iris_csv, tmp_path):
+    # a label column in the file is imputed with the rest (IUL): the output
+    # keeps every column, label included, in input order
+    order = ("species", "sepal_length", "sepal_width", "petal_length", "petal_width")
     cli_main([
         "simulate", str(iris_csv), "--rate", "0.2",
         "--seed", "2", "--out-dir", str(tmp_path),
     ])
-    code = cli_main([
-        "impute", str(tmp_path / "masked.csv"),
-        "--strategy", "iul", "--label", "species",
-        "--trees", "5", "--max-iter", "2", "--out-dir", str(tmp_path / "out"),
-    ])
-    assert code == 0
-    completed = load_csv(tmp_path / "out" / "imputed.csv")
-    assert completed.is_complete()
-    assert completed.column_names[-1] == "species"
+    with open(tmp_path / "masked.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(tmp_path / "first.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, order, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    for name in ("masked.csv", "first.csv"):
+        assert cli_main([
+            "impute", str(tmp_path / name),
+            "--trees", "5", "--max-iter", "2", "--out-dir", str(tmp_path / name[:-4]),
+        ]) == 0
+        source = load_csv(tmp_path / name)
+        completed = load_csv(tmp_path / name[:-4] / "imputed.csv", source.schema)
+        assert completed.is_complete()
+        assert completed.column_names == source.column_names
+        assert source.missing[:, source.column_index("species")].any()
+        obs = ~source.missing
+        assert np.array_equal(completed.values[obs], source.values[obs])
+    # no option moves the label column or names it
+    for flag in ("--strategy", "--label"):
+        assert cli_main(["impute", str(iris_csv), flag, "iul", "--out-dir", str(tmp_path)]) == 1
 
 
 def test_cbmi_predictions(iris_csv, tmp_path):
@@ -402,10 +417,6 @@ def test_data_errors(iris_csv, tmp_path, capsys):
         "--out-dir", str(tmp_path),
     ]) == 2
     assert cli_main([
-        "impute", str(iris_csv), "--strategy", "iul",
-        "--out-dir", str(tmp_path),
-    ]) == 2
-    assert cli_main([
         "theorem-check", "--instances", "0", "--out-dir", str(tmp_path),
     ]) == 2
 
@@ -502,14 +513,12 @@ _VALUES = {
     "config": st.sampled_from(["<absent>", "<absent>.json"]),
     "label": st.sampled_from(["a", "b", "species", "c"]),
     "method": st.sampled_from(["missforest", "mice"]),
-    "strategy": st.sampled_from(["di", "iul"]),
     "formats": st.sampled_from(["csv", "json", "csv,json", ",", "xml"]),
 }
 _COMMANDS = {
     "simulate": {"input": "csv", "--rate": "real", "--seed": "seed"},
-    "impute": {"input": "csv", "--method": "method", "--strategy": "strategy",
-               "--label": "label", "--trees": "trees", "--max-iter": "iter",
-               "--n-iter": "iter", "--ridge": "real", "--seed": "seed"},
+    "impute": {"input": "csv", "--method": "method", "--trees": "trees",
+               "--max-iter": "iter", "--n-iter": "iter", "--ridge": "real", "--seed": "seed"},
     "cbmi": {"--train": "csv", "--test": "csv", "--label": "label", "--trees": "trees",
              "--max-iter": "iter", "--seed": "seed"},
     "experiment": {"--config": "config", "--threads": "threads", "--formats": "formats"},
