@@ -468,8 +468,6 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int) ->
     mtry, min_leaf = _resolve(params, X.n_cols, y.kind)
     signature = tuple(c.n_categories for c in X.schema)
     cat_sizes = np.array(signature, dtype=np.int64)
-    if cat_sizes.max(initial=0) > 10 and y.kind is ColumnKind.CATEGORICAL and len(np.unique(y.values)) > 64:
-        raise DataError("too many classes for mean-target category ordering")
 
     classes, n_classes, y_arr = None, 0, y.values
     if y.kind is ColumnKind.CATEGORICAL:

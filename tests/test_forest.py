@@ -280,6 +280,22 @@ def test_fit_on_missing_predictors_with_majority_routing():
     assert out.missing.sum() == 0
 
 
+def test_many_classes_fit_beside_a_wide_categorical_feature():
+    # a k > 10 feature orders its categories by mean class index, which
+    # needs no bound on the class count
+    rng = np.random.default_rng(5)
+    n, k = 400, 12
+    c = rng.integers(0, k, n)
+    schema = (ColumnSchema("x", ColumnKind.CONTINUOUS),
+              ColumnSchema("c", ColumnKind.CATEGORICAL, tuple(f"v{i}" for i in range(k))))
+    X = DataTable(schema, np.column_stack([rng.normal(size=n), c]), np.zeros((n, 2), dtype=bool))
+    y = class_labels(6 * c + rng.integers(0, 10, n), k=80)   # classes 76..79 never occur
+    trained = set(np.unique(y.values))
+    assert len(trained) > 64
+    model = fit_forest(X, y, ForestParams(n_trees=5), seed=1)
+    assert set(np.unique(predict(model, X).values)) <= trained
+
+
 def test_fit_rejects_bad_inputs():
     X = cont_table([[1.0], [2.0]])
     y = class_labels([0, 1])
