@@ -144,11 +144,8 @@ def test_table_is_immutable(make):
     missing = np.zeros(values.shape, dtype=bool)
     idx = np.array([2, 0])
     held = _held_arrays(make(values, missing, idx))
+    assert not any(a.flags.writeable for a in held)
     before = [a.tobytes() for a in held]
-    for a in held:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a.flat[0] = a.flat[0]
     values[...], missing[...], idx[...] = 7.0, True, 1
     assert [a.tobytes() for a in held] == before
 
