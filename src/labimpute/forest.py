@@ -38,29 +38,37 @@ decrease is still divided by the whole node size, and they are sent to the
 child that took the majority of the observed rows; predict routes a row
 missing a split's feature the same way.
 
-Predict makes the majority rule a plain lookup.  Once per call it lays the
-rows out column by column three times: with missing cells at -inf, at +inf,
-and, for categorical columns, as category codes with a missing cell at the
-column's k.  Thresholds are finite, so a continuous split whose majority
-went left compares the -inf copy and one whose majority went right the +inf
-copy; a categorical split holds a boolean table over codes 0..k whose entry
-k is its majority side.  Each node a batch of rows reaches is then one
-gather, one comparison or table lookup, and a split of the row indices.
+A fitted forest is one set of node arrays over all its trees, a node's
+children after it: split j of a grown level owns children 2j and 2j + 1 of
+the next, and a leaf points to itself with threshold +inf.  Predict makes
+the majority rule a plain lookup.  Once per call it lays each row out twice
+side by side, missing cells at -inf and at +inf.  Thresholds are finite, so
+a continuous split whose majority went left reads the -inf copy and one
+whose majority went right the +inf copy; a categorical split reads the +inf
+copy as a code into its boolean table, whose entries from the column's k on
+(the missing code) hold its majority side.  (row, tree) pairs, a chunk of
+trees at a time, then all move one level per step: one gather, one
+comparison, the table lookups of the pairs at categorical splits, and left
+child + went right.  Pairs at a leaf stay there until the next drop.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .data import ColumnKind, DataTable, LabelVector
+from .data import ColumnKind, DataTable, LabelVector, _freeze
 from .errors import DataError, _non_negative, _of, _optional, _positive, check_fields
 
 _TIE_RTOL = 1e-10    # gains closer than this times the node impurity tie
 _BATCH_ROWS = 1 << 13  # bootstrap rows of the trees grown together
 _BLOCK = 1 << 20     # elements per block of categorical subset sums
+_PAIRS = 1 << 15     # (row, tree) pairs routed together
+_DROP = 6            # levels between drops of the pairs that reached a leaf
 _PARAM_FIELDS = {"n_trees": _positive, "mtry": _optional(_positive),
                  "min_leaf": _optional(_positive), "max_depth": _optional(_non_negative),
                  "bootstrap": _of(bool)}
@@ -86,35 +94,50 @@ class ForestParams:
         check_fields(self, _PARAM_FIELDS)
 
 
-class _Leaf:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value  # mean target (regression) or compressed vote (classification)
-
-
-class _Split:
-    __slots__ = ("feature", "threshold", "left_cats", "majority_left", "left", "right")
-
-    def __init__(self, feature, threshold, left_cats, majority_left, left, right):
-        self.feature = feature
-        self.threshold = threshold      # float for continuous splits, else None
-        self.left_cats = left_cats      # bool table over codes 0..k (k: missing), else None
-        self.majority_left = majority_left
-        self.left = left
-        self.right = right
+# read-only views of one node, for readers that walk trees
+_Leaf = namedtuple("_Leaf", "value")
+_Split = namedtuple("_Split", "feature threshold left_cats majority_left left right")
 
 
 @dataclass(frozen=True)
 class ForestModel:
-    """A fitted forest plus the metadata needed to validate inputs."""
+    """A fitted forest, as read-only node arrays over all its trees, plus the
+    metadata needed to validate inputs."""
 
     kind: ColumnKind
-    trees: tuple
     feature_signature: tuple         # categories per feature, 0 if continuous
     classes: np.ndarray | None       # original class ids, ascending
     label_categories: tuple[str, ...]
     label_name: str
+    roots: np.ndarray                # root node of each tree; a node's children come after it
+    feature: np.ndarray              # split feature, 0 at a leaf
+    threshold: np.ndarray            # continuous cut; +inf at a leaf, NaN at a categorical split
+    majority_left: np.ndarray        # the majority of observed rows went left
+    left: np.ndarray                 # left child (right is left + 1); a leaf's own index
+    value: np.ndarray                # mean target (regression) or majority class index
+    leaf: np.ndarray
+    left_cats: np.ndarray            # bool (categorical split, code); codes k.. are missing
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                _freeze(a)
+
+    @cached_property
+    def trees(self) -> tuple:
+        """One _Split/_Leaf root per tree, built on first access; fit and
+        predict never build it."""
+        spec = list(zip(self.leaf.tolist(), self.value.tolist(), self.feature.tolist(),
+                        self.threshold.tolist(), self.majority_left.tolist(), self.left.tolist()))
+        tables = iter(self.left_cats)    # NaN thresholds mark the categorical splits
+        cats = [next(tables)[:self.feature_signature[f] + 1] if t != t else None
+                for _, _, f, t, _, _ in spec]
+        nodes = [None] * len(spec)
+        for i in reversed(range(len(spec))):
+            leaf, v, f, t, mj, l = spec[i]
+            nodes[i] = _Leaf(v) if leaf else _Split(f, t if t == t else None, cats[i], mj,
+                                                    nodes[l], nodes[l + 1])
+        return tuple(nodes[r] for r in self.roots.tolist())
 
 
 def _resolve(params: ForestParams, p: int, kind: ColumnKind) -> tuple[int, int]:
@@ -192,6 +215,7 @@ class _Grower:
         self.masks = {k: _subset_masks(k) for k in self.cat_ks if k <= 10}
         self.n_cut = max([k - 1 if k > 10 else (1 << (k - 1)) - 1 for k in self.cat_ks] or [0])
         self.width = max(self.cat_ks or [0]) + 1   # category codes and the miss code
+        self.no_tab = np.zeros((0, self.width), dtype=bool)
         self.has_miss = miss is not None
         self.y, self.C = y, n_classes         # C is 0 for regression
         self.mtry, self.min_leaf, self.max_depth = mtry, min_leaf, max_depth
@@ -203,7 +227,8 @@ class _Grower:
         self.shift = 0 if n_classes else 62 - self.n.bit_length()
 
     def grow(self, tree_keys: np.ndarray, bootstrap: bool) -> list:
-        """Grow one tree per key; returns the roots in key order."""
+        """Grow one tree per key, roots in key order; returns the levels:
+        (node values, split positions, split specs, categorical tables)."""
         n, T, C, ml = self.n, tree_keys.size, self.C, self.min_leaf
         # hashes of (tree key, position < n): a node's draw starts from the one at
         # its depth (no tree opens a node at depth n), bootstrap row i from the one at i
@@ -230,7 +255,7 @@ class _Grower:
                 open_ = np.maximum.reduceat(y, start) > np.minimum.reduceat(y, start)
             open_ &= (m >= 2 * ml) & (depth != self.max_depth)
             sidx = open_.nonzero()[0]
-            levels.append((value, ()))
+            levels.append((value, sidx[:0], np.zeros((4, 0), dtype=np.int64), self.no_tab))
             if not sidx.size:
                 break
 
@@ -254,8 +279,8 @@ class _Grower:
             if best is None:
                 break
             ok, spec, left_tab = best
-            levels[-1] = (value, sidx[ok].tolist(), spec.compress(ok, axis=1),
-                          None if left_tab is None else left_tab[ok & (spec[1] < 0)])
+            levels[-1] = (value, sidx[ok], spec.compress(ok, axis=1),
+                          self.no_tab if left_tab is None else left_tab[ok & (spec[1] < 0)])
 
             s = node                          # route the rows of split nodes
             if not ok.all():
@@ -276,7 +301,7 @@ class _Grower:
             rows, pos, node = rows[order], pos[order], child[order]
             tree = tree[ok].repeat(2)
             depth += 1
-        return self._build(levels)
+        return levels
 
     def _draw(self, node_hash, min_pos) -> np.ndarray:
         """The mtry candidate features of each node, ascending.  A node's
@@ -417,39 +442,33 @@ class _Grower:
         spec[3] = nl >= n_obs[cp] - nl
         return ok, spec, left_tab
 
-    def _build(self, levels) -> list:
-        """Linked _Split/_Leaf trees from the per-level node arrays.  The
-        thresholds and category sets of all levels are made at once."""
-        specs = [lv[2] for lv in levels if len(lv) > 2]
-        feat, cut, nxt, major = np.concatenate(specs, axis=1) if specs else np.zeros((4, 0), int)
-        num = (cut >= 0).nonzero()[0]
-        at = self.offsets[feat[num]]
-        lo, hi = self.values[at + cut[num]], self.values[at + nxt[num]]
+    def _build(self, levels) -> dict:
+        """ForestModel's node arrays from the levels of every batch, back to
+        back: split j of a level owns children 2j and 2j + 1 of the next
+        level (the last level of a batch has no splits), and a root is a node
+        no split points to."""
+        start = np.cumsum([0] + [lv[0].size for lv in levels])
+        at = np.concatenate([s + lv[1] for s, lv in zip(start, levels)])
+        kids = np.concatenate([s + 2 * np.arange(lv[1].size) for s, lv in zip(start[1:], levels)])
+        feat, cut, nxt, major = np.concatenate([lv[2] for lv in levels], axis=1)
+        num, cat = (cut >= 0).nonzero()[0], (cut < 0).nonzero()[0]
+        off = self.offsets[feat[num]]
+        lo, hi = self.values[off + cut[num]], self.values[off + nxt[num]]
         with np.errstate(over="ignore"):
             mid = (lo + hi) / 2.0
-        thr = np.zeros(cut.size)
-        thr[num] = np.where(mid < hi, mid, lo)
-        # each categorical split's row of left_tab, cut to codes 0..k; code k
-        # (missing) takes the majority side
-        tabs = [lv[3] for lv in levels if len(lv) > 2 and lv[3] is not None]
-        cat = (cut < 0).nonzero()[0]
-        ks = self.cat_sizes[feat[cat]]
-        tab = np.concatenate(tabs) if tabs else np.zeros((0, self.width), dtype=bool)
-        tab[np.arange(cat.size), ks] = major[cat]
-        cats = iter([row[:k + 1] for row, k in zip(tab, ks.tolist())])
-        specs = list(zip(feat.tolist(), thr.tolist(),
-                         [None if c >= 0 else next(cats) for c in cut.tolist()],
-                         major.astype(bool).tolist()))
-        below = []
-        for value, where, *_ in reversed(levels):
-            kids = iter(below)        # split j of a level owns children 2j, 2j + 1
-            splits = (_Split(f, None if c is not None else t, c, mj, next(kids), next(kids))
-                      for f, t, c, mj in specs[len(specs) - len(where):])
-            split_at = set(where)
-            below = [next(splits) if i in split_at else _Leaf(v)
-                     for i, v in enumerate(value.tolist())]
-            del specs[len(specs) - len(where):]
-        return below
+        value = np.concatenate([lv[0] for lv in levels])
+        N = value.size
+        feature, left, leaf = np.zeros(N, dtype=np.int64), np.arange(N), np.ones(N, dtype=bool)
+        majority_left, threshold = np.ones(N, dtype=bool), np.full(N, np.inf)
+        feature[at], left[at], leaf[at], majority_left[at] = feat, kids, False, major
+        threshold[at[num]] = np.where(mid < hi, mid, lo)
+        threshold[at[cat]] = np.nan
+        # a categorical split's codes k.. (k: missing) go to the majority side
+        past = np.arange(self.width) >= self.cat_sizes[feat[cat], None]
+        tab = np.concatenate([lv[3] for lv in levels])
+        return dict(roots=np.setdiff1d(np.arange(N), np.concatenate((kids, kids + 1))),
+                    feature=feature, threshold=threshold, majority_left=majority_left, left=left,
+                    value=value, leaf=leaf, left_cats=np.where(past, major[cat, None] == 1, tab))
 
 
 def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int) -> ForestModel:
@@ -479,61 +498,55 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int) ->
                      params.max_depth)
     z = _mix(_mix(np.array([int(seed) % (1 << 64)], dtype=np.uint64)) ^ _TREE_TAG)
     keys = _mix(z ^ np.arange(params.n_trees, dtype=np.uint64))   # of (seed, tag, t)
-    per_batch, trees = max(1, _BATCH_ROWS // n), []
+    per_batch, levels = max(1, _BATCH_ROWS // n), []
     for t0 in range(0, params.n_trees, per_batch):
-        trees += grower.grow(keys[t0:t0 + per_batch], params.bootstrap)
-
-    return ForestModel(y.kind, tuple(trees), signature, classes, y.categories, y.name)
-
-
-def _route_tree(node, lo, hi, codes, out):
-    """Fill out[i] with the leaf value that row i reaches; lo and hi are the
-    rows' columns with missing cells at -inf and +inf, codes their category
-    codes with a missing cell at k."""
-    stack = [(node, np.arange(out.size))]
-    while stack:
-        node, idx = stack.pop()
-        while type(node) is _Split:
-            if node.left_cats is None:
-                # thresholds are finite: -inf goes left and +inf goes right,
-                # so each copy sends a missing cell to the majority side
-                x = (lo if node.majority_left else hi)[node.feature]
-                go_left = x.take(idx) <= node.threshold
-            else:
-                go_left = node.left_cats.take(codes[node.feature].take(idx))
-            n_left = np.count_nonzero(go_left)
-            if n_left == idx.size:
-                node = node.left
-            elif n_left == 0:
-                node = node.right
-            else:
-                stack.append((node.right, idx.compress(~go_left)))
-                node, idx = node.left, idx.compress(go_left)
-        out[idx] = node.value
+        levels += grower.grow(keys[t0:t0 + per_batch], params.bootstrap)
+    return ForestModel(y.kind, signature, classes, y.categories, y.name, **grower._build(levels))
 
 
 def _predict(model: ForestModel, X: DataTable) -> LabelVector:
     """Each tree fills one row of a table: one vote (ties to the smallest
-    class) or one mean."""
+    class) or one mean.  Pairs that reached a leaf are dropped every _DROP
+    levels; a leaf keeps the pairs it holds until then."""
     if tuple(c.n_categories for c in X.schema) != model.feature_signature:
         raise DataError("feature columns do not match the fitted model")
-    k = np.array(model.feature_signature, dtype=np.intp)
-    n, cat = X.n_rows, k.nonzero()[0]
-    lo = hi = np.ascontiguousarray(X.values.T)
-    if X.missing.any():
-        lo, hi = np.where(X.missing.T, -np.inf, lo), np.where(X.missing.T, np.inf, lo)
-    codes = np.zeros(lo.shape, dtype=np.intp)
-    codes[cat] = np.minimum(hi[cat], k[cat, None])   # a missing cell's +inf becomes k
-    is_class = model.kind is ColumnKind.CATEGORICAL
-    out = np.empty((len(model.trees), n), dtype=np.int64 if is_class else np.float64)
-    for tree, row in zip(model.trees, out):
-        _route_tree(tree, lo, hi, codes, row)
-    if is_class:
+    (n, p), T = X.values.shape, model.roots.size
+    # column-major: the pairs at one node read one column
+    cells = np.concatenate((np.where(X.missing, -np.inf, X.values),
+                            np.where(X.missing, np.inf, X.values)), axis=1).T.ravel()
+    thr, left, width = model.threshold, model.left, model.left_cats.shape[1]
+    cat = np.isnan(thr)
+    col = (model.feature + p * ~(model.majority_left & ~cat)) * n
+    tab, tab_at = model.left_cats.ravel(), (cat.cumsum() - 1) * width   # a split's row of tab
+    out = np.empty(T * n, dtype=model.value.dtype)
+    per = max(1, _PAIRS // max(n, 1))                  # trees per chunk
+    for t0 in range(0, T, per):
+        roots = model.roots[t0:t0 + per]
+        node, row = roots.repeat(n), np.tile(np.arange(n), roots.size)
+        pair = np.arange(t0 * n, t0 * n + node.size)
+        while node.size:
+            for _ in range(_DROP):
+                x = cells.take(row + col.take(node))
+                t = thr.take(node)
+                right = x > t
+                if tab.size:
+                    c = np.isnan(t).nonzero()[0]
+                    code = np.minimum(x.take(c), width - 1).astype(np.intp)
+                    right[c] = ~tab.take(tab_at.take(node.take(c)) + code)
+                node = left.take(node) + right
+            done = model.leaf.take(node)
+            d = done.nonzero()[0]
+            out[pair.take(d)] = model.value.take(node.take(d))
+            if d.size:
+                k = (~done).nonzero()[0]
+                node, row, pair = node.take(k), row.take(k), pair.take(k)
+    out = out.reshape(T, n)
+    if model.kind is ColumnKind.CATEGORICAL:
         C = int(model.classes.size)
         votes = np.bincount((out + np.arange(n) * C).ravel(), minlength=n * C)
         raw = model.classes[votes.reshape(n, C).argmax(axis=1)].astype(np.float64)
     else:
-        raw = sum(out, 0.0) / len(model.trees)   # in tree order: np.sum may add pairwise
+        raw = sum(out, 0.0) / T   # in tree order: np.sum may add pairwise
     # forest outputs are training labels or their means: valid by construction
     return LabelVector._unsafe(model.kind, raw, np.zeros(n, dtype=bool),
                                model.label_categories, model.label_name)

@@ -27,6 +27,7 @@ from labimpute.data import (
     train_test_split,
 )
 from labimpute.errors import DataError, SchemaError
+from labimpute.forest import ForestModel, ForestParams, fit_forest
 from labimpute.strategies import stack_labels
 
 
@@ -125,6 +126,8 @@ _OWNED_CASES = {
     "stack_labels": lambda v, m, idx: stack_labels(_owned_table(v, m), _owned_label(v, m)),
     "split_label": lambda v, m, idx: split_label(_owned_table(v, m), "c"),
     "LabelVector.take": lambda v, m, idx: _owned_label(v, m).take(idx),
+    "fit_forest": lambda v, m, idx: fit_forest(_owned_table(v, m), _owned_label(v, m),
+                                               ForestParams(n_trees=2, min_leaf=1), 1),
 }
 
 
@@ -133,6 +136,8 @@ def _held_arrays(result):
         return [result]
     if isinstance(result, (DataTable, LabelVector)):
         return [result.values, result.missing]
+    if isinstance(result, ForestModel):
+        return [a for a in vars(result).values() if isinstance(a, np.ndarray)]
     return [a for part in result for a in _held_arrays(part)]
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from labimpute.forest import (
     ForestParams,
     _Leaf,
     _Split,
-    ForestModel,
     fit_forest,
     predict,
     predict_with_missing,
@@ -119,17 +120,14 @@ def test_leaf_tie_votes_smallest_class():
 
 
 def test_forest_vote_tie_breaks_to_smallest_class():
-    # hand-built two-tree model with opposing unanimous votes
+    # hand-built two-tree model, two root leaves with opposing unanimous votes
     base = fit_forest(cont_table([[0.0], [1.0]]), class_labels([0, 1]),
                       ForestParams(n_trees=1, bootstrap=False), seed=0)
-    tied = ForestModel(
-        kind=base.kind,
-        trees=(_Leaf(1), _Leaf(0)),
-        feature_signature=base.feature_signature,
-        classes=base.classes,
-        label_categories=base.label_categories,
-        label_name=base.label_name,
-    )
+    tied = dataclasses.replace(
+        base, roots=np.array([0, 1]), feature=np.zeros(2, dtype=np.int64),
+        threshold=np.full(2, np.inf), majority_left=np.ones(2, dtype=bool),
+        left=np.arange(2), value=np.array([1, 0]), leaf=np.ones(2, dtype=bool))
+    assert tied.trees == (_Leaf(1), _Leaf(0))
     pred = predict(tied, cont_table([[0.5]]))
     assert pred.values[0] == 0.0
 
@@ -564,8 +562,10 @@ def _walked(model, X):
 def _predict_case(draw):
     """A small forest fitted on a table that may have holes, and a batch to predict:
     rows of repeated quarter-grid values (which hit thresholds exactly),
-    wide values, all-missing rows, one row, or one row repeated so that
-    every split sends the whole batch one way."""
+    wide values, all-missing rows, no row, one row, or one row repeated so
+    that every split sends the whole batch one way; and where the batch's
+    (row, tree) pair count stands against the chunk size: one below, at or
+    one above it, or None for the default size."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     ks = draw(st.lists(st.sampled_from([0, 0, 2, 3, 10, 11, 13]), min_size=1, max_size=4))
     schema = tuple(ColumnSchema(f"x{j}", ColumnKind.CONTINUOUS) if k == 0 else
@@ -590,26 +590,29 @@ def _predict_case(draw):
     params = ForestParams(n_trees=draw(st.integers(2, 6)), min_leaf=draw(st.integers(1, 3)),
                           max_depth=draw(st.sampled_from([None, None, 2])))
 
-    shape = draw(st.sampled_from(["batch", "batch", "one", "same"]))
-    m = 1 if shape == "one" else draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["batch", "batch", "empty", "one", "same"]))
+    m = 0 if shape == "empty" else 1 if shape == "one" else draw(st.integers(1, 30))
     values, miss = table(m, draw(st.sampled_from([0.0, 0.2, 0.5])))
     if shape == "same":
         values, miss = values[[0] * m], miss[[0] * m]
     if draw(st.booleans()):
         miss[rng.random(m) < 0.3] = True   # all-missing rows
     Q = DataTable(schema, np.where(miss, np.nan, values), miss)
-    return X, y, params, draw(st.integers(0, 2 ** 16)), Q
+    return X, y, params, draw(st.integers(0, 2 ** 16)), Q, draw(st.sampled_from([None, -1, 0, 1]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_predict_case())
 def test_predict_matches_a_one_row_walk(case):
-    X, y, params, seed, Q = case
+    X, y, params, seed, Q, edge = case
     model = fit_forest(X, y, params, seed=seed)
     want = _walked(model, Q)
-    assert predict(model, Q).values.tobytes() == want.tobytes()
-    assert predict_with_missing(model, Q).values.tobytes() == want.tobytes()
+    pairs = Q.n_rows * params.n_trees
+    chunk = forest_module._PAIRS if edge is None or not pairs else pairs - edge
+    with mock.patch.object(forest_module, "_PAIRS", chunk):
+        assert predict(model, Q).values.tobytes() == want.tobytes()
+        assert predict_with_missing(model, Q).values.tobytes() == want.tobytes()
     complete = (~Q.missing.any(axis=1)).nonzero()[0]
     if complete.size:
         got = predict(model, Q.take_rows(complete)).values
