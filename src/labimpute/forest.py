@@ -99,10 +99,10 @@ _Leaf = namedtuple("_Leaf", "value")
 _Split = namedtuple("_Split", "feature threshold left_cats majority_left left right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
     """A fitted forest, as read-only node arrays over all its trees, plus the
-    metadata needed to validate inputs."""
+    metadata needed to validate inputs.  Models compare by identity."""
 
     kind: ColumnKind
     feature_signature: tuple         # categories per feature, 0 if continuous
