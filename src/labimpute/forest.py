@@ -67,7 +67,7 @@ from .errors import DataError, _non_negative, _of, _optional, _positive, check_f
 _TIE_RTOL = 1e-10    # gains closer than this times the node impurity tie
 _BATCH_ROWS = 1 << 13  # bootstrap rows of the trees grown together
 _BLOCK = 1 << 20     # elements per block of categorical subset sums
-_PAIRS = 1 << 15     # (row, tree) pairs routed together
+_PAIRS = 1 << 15     # (row, tree) pairs routed together: whole trees, at least one
 _DROP = 6            # levels between drops of the pairs that reached a leaf
 _PARAM_FIELDS = {"n_trees": _positive, "mtry": _optional(_positive),
                  "min_leaf": _optional(_positive), "max_depth": _optional(_non_negative),
