@@ -8,12 +8,15 @@ changed, which a change meant to be bit-neutral (a faster grower, a new tree
 layout) must not do.
 
 The forest and missForest pins depend only on numpy's integer and IEEE
-arithmetic.  MICE goes through LAPACK ``solve``, so its pin holds for one
-numpy/BLAS build; its failure message names the build.
+arithmetic.  MICE goes through BLAS products and LAPACK ``solve``, so its
+pin holds for one numpy/BLAS build and one OpenBLAS core; its failure
+message names both.
 """
 
+import ctypes
 import hashlib
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +135,19 @@ def _numpy_build() -> str:
     return f"numpy {np.__version__}, BLAS {blas}"
 
 
+def _openblas_core() -> str:
+    """The core OpenBLAS picked at load time (e.g. SkylakeX), read from the
+    OpenBLAS that numpy ships, or "unknown" without that library."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 MICE_PINS = {
     "iris": "e3ce6258a24ae7e17f943f9672c951cbcf35e7cdec8ad98b45cfd86426524cca",
     "mixed": "577fe853bb63b46bba0cf35bb3684e147839ffadf713e2a85d56b79182e67cd4",
@@ -140,13 +156,14 @@ MICE_PINS = {
 
 @pytest.mark.parametrize("dataset", sorted(MICE_PINS))
 def test_mice_values_pinned(dataset):
-    # LAPACK solve: bit-stable for one numpy/BLAS build only
+    # BLAS and LAPACK: bit-stable for one numpy/BLAS build and one OpenBLAS core
     table = _iris() if dataset == "iris" else _mixed()
     masked, _ = apply_mcar(table, 0.2, seed=17)
     done = mice_impute(masked, MiceParams(n_iter=5))
     assert _sha(done.values) == MICE_PINS[dataset], (
         f"MICE output changed; the pin was taken with numpy 2.4.6 and "
-        f"scipy-openblas; this run uses {_numpy_build()}")
+        f"scipy-openblas on the SkylakeX core; this run uses {_numpy_build()} "
+        f"on the {_openblas_core()} core")
 
 
 CBMI_PIN = "ae10177263cd9d03f82b915b59a4a3de432633544859c5c3043c962bbe7cc895"
