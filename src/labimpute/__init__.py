@@ -54,13 +54,9 @@ from .imputers import (
     MiceParams,
     MissForestParams,
     SweepRecord,
-    delta_categorical,
-    delta_continuous,
     impute,
-    init_impute,
     mice_impute,
     missforest_impute,
-    order_columns_by_missing,
 )
 from .strategies import (
     CbmiResult,
@@ -125,13 +121,9 @@ __all__ = [
     "MiceParams",
     "MissForestParams",
     "SweepRecord",
-    "delta_categorical",
-    "delta_continuous",
     "impute",
-    "init_impute",
     "mice_impute",
     "missforest_impute",
-    "order_columns_by_missing",
     "CbmiResult",
     "cbmi_predict",
     "di_impute",

@@ -92,7 +92,7 @@ class IterationTrace:
                 ])
 
 
-def init_impute(table: DataTable) -> DataTable:
+def _init_impute(table: DataTable) -> DataTable:
     """Fill every missing cell with its column mean (continuous) or mode
     (categorical, ties to the smallest category index)."""
     values = table.values.copy()
@@ -111,7 +111,7 @@ def init_impute(table: DataTable) -> DataTable:
     return table.with_cells(values)
 
 
-def order_columns_by_missing(table: DataTable) -> list[int]:
+def _order_columns_by_missing(table: DataTable) -> list[int]:
     """Column indices sorted by ascending missing count, ties by index."""
     counts = table.missing_count_by_column()
     return [int(j) for j in np.argsort(counts, kind="stable")]
@@ -121,14 +121,14 @@ def _set_up(table: DataTable, engine: str) -> tuple[np.ndarray, list[int], np.nd
     """The start both engines share: the missing flags, the columns that
     have holes in ascending-missing order, and a writable copy of the
     mean/mode-filled cells."""
-    cells = init_impute(table).values.copy()
+    cells = _init_impute(table).values.copy()
     if table.n_cols < 2:
         raise DataError(f"{engine} needs at least two columns")
     counts = table.missing_count_by_column()
-    return table.missing, [j for j in order_columns_by_missing(table) if counts[j]], cells
+    return table.missing, [j for j in _order_columns_by_missing(table) if counts[j]], cells
 
 
-def delta_continuous(new: np.ndarray, old: np.ndarray, columns: Iterable[int]) -> float:
+def _delta_continuous(new: np.ndarray, old: np.ndarray, columns: Iterable[int]) -> float:
     """Relative squared change over the given continuous columns."""
     cols = np.asarray(list(columns), dtype=np.intp)
     if cols.size == 0:
@@ -140,7 +140,7 @@ def delta_continuous(new: np.ndarray, old: np.ndarray, columns: Iterable[int]) -
     return num / den
 
 
-def delta_categorical(new: np.ndarray, old: np.ndarray, columns: Iterable[int],
+def _delta_categorical(new: np.ndarray, old: np.ndarray, columns: Iterable[int],
                       missing: np.ndarray) -> float:
     """Fraction of originally-missing categorical cells that changed."""
     cols = np.asarray(list(columns), dtype=np.intp)
@@ -199,10 +199,10 @@ def missforest_impute(table: DataTable, params: MissForestParams
         dc: float | None = None
         if cont_cols:
             try:
-                dc = delta_continuous(cur, old, cont_cols)
+                dc = _delta_continuous(cur, old, cont_cols)
             except DataError:
                 dc = None  # zero denominator: criterion unusable this run
-        dg = delta_categorical(cur, old, cat_cols, mask) if cat_holes else None
+        dg = _delta_categorical(cur, old, cat_cols, mask) if cat_holes else None
         trace.sweeps.append(SweepRecord(it, dc, dg))
 
         if any(d is not None and p is not None and d > p for d, p in zip((dc, dg), prev)):

@@ -17,13 +17,13 @@ from labimpute.imputers import (
     IterationTrace,
     MiceParams,
     MissForestParams,
-    delta_categorical,
-    delta_continuous,
+    _delta_categorical,
+    _delta_continuous,
+    _init_impute,
+    _order_columns_by_missing,
     impute,
-    init_impute,
     mice_impute,
     missforest_impute,
-    order_columns_by_missing,
 )
 
 
@@ -65,7 +65,7 @@ def test_init_impute_mean_and_mode():
     schema = (cont("x"), cat("c", ["a", "b", "d"]))
     t = table([[1.0, 0.0], [3.0, 1.0], [np.nan, 1.0], [2.0, np.nan]],
               [[0, 0], [0, 0], [1, 0], [0, 1]], schema)
-    out = init_impute(t)
+    out = _init_impute(t)
     assert out.is_complete()
     assert out.values[2, 0] == 2.0          # mean of 1, 3, 2
     assert out.values[3, 1] == 1.0          # mode of {0, 1, 1}
@@ -77,14 +77,14 @@ def test_init_impute_mode_tie_takes_smallest_index():
     schema = (cat("c", ["a", "b"]), cont("x"))
     t = table([[0.0, 1.0], [1.0, 1.0], [np.nan, 1.0]],
               [[0, 0], [0, 0], [1, 0]], schema)
-    out = init_impute(t)
+    out = _init_impute(t)
     assert out.values[2, 0] == 0.0
 
 
 def test_init_impute_rejects_fully_missing_column():
     t = table([[np.nan], [np.nan]], [[1], [1]])
     with pytest.raises(DataError, match="x0"):
-        init_impute(t)
+        _init_impute(t)
 
 
 def test_order_columns_ascending_with_index_ties():
@@ -92,7 +92,7 @@ def test_order_columns_ascending_with_index_ties():
         [[np.nan, 1.0, np.nan], [np.nan, 1.0, 2.0], [3.0, 1.0, 2.0]],
         [[1, 0, 1], [1, 0, 0], [0, 0, 0]],
     )
-    assert order_columns_by_missing(t) == [1, 2, 0]
+    assert _order_columns_by_missing(t) == [1, 2, 0]
 
 
 def test_delta_continuous_hand_value_and_scale_invariance():
@@ -100,17 +100,17 @@ def test_delta_continuous_hand_value_and_scale_invariance():
     new = old.copy()
     new[0, 0] = 2.0
     # (2-1)^2 / (4+1+1+1) ... only column 0 in scope: (2-1)^2/(2^2+1^2)=0.2
-    assert delta_continuous(new, old, [0]) == pytest.approx(1.0 / 5.0)
+    assert _delta_continuous(new, old, [0]) == pytest.approx(1.0 / 5.0)
     # single-cell example over one column with one row
-    assert delta_continuous(np.array([[2.0]]), np.array([[1.0]]), [0]) == 0.25
+    assert _delta_continuous(np.array([[2.0]]), np.array([[1.0]]), [0]) == 0.25
     c = 3.7
-    assert delta_continuous(new * c, old * c, [0]) == pytest.approx(1.0 / 5.0)
+    assert _delta_continuous(new * c, old * c, [0]) == pytest.approx(1.0 / 5.0)
 
 
 def test_delta_continuous_zero_denominator_errors():
     z = np.zeros((2, 1))
     with pytest.raises(DataError):
-        delta_continuous(z, z + 1.0, [0])
+        _delta_continuous(z, z + 1.0, [0])
 
 
 def test_delta_categorical_counts_only_masked_cells():
@@ -118,11 +118,11 @@ def test_delta_categorical_counts_only_masked_cells():
     new = np.array([[1.0, 1.0], [1.0, 0.0]])
     missing = np.array([[True, False], [False, True]])
     # masked cells: (0,0) changed, (1,1) changed -> 2/2; observed changes ignored
-    assert delta_categorical(new, old, [0, 1], missing) == 1.0
+    assert _delta_categorical(new, old, [0, 1], missing) == 1.0
     missing2 = np.array([[True, False], [False, False]])
-    assert delta_categorical(new, old, [0, 1], missing2) == 1.0
+    assert _delta_categorical(new, old, [0, 1], missing2) == 1.0
     with pytest.raises(DataError):
-        delta_categorical(new, old, [0, 1], np.zeros((2, 2), dtype=bool))
+        _delta_categorical(new, old, [0, 1], np.zeros((2, 2), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_missforest_recovers_strong_linear_signal():
     masked, mask = apply_mcar(t, 0.2, seed=6)
     out, _ = missforest_impute(masked, MissForestParams(ForestParams(n_trees=40), seed=1))
     err = out.values[mask] - t.values[mask]
-    baseline = init_impute(masked)
+    baseline = _init_impute(masked)
     err0 = baseline.values[mask] - t.values[mask]
     assert np.mean(err ** 2) < 0.35 * np.mean(err0 ** 2)
 
@@ -375,13 +375,13 @@ def _reference_mice(table, params):
     """The naive loop: the design rebuilt for every column fit and one
     normal matrix per one-vs-rest category."""
     mask = table.missing
-    cur = init_impute(table).values.copy()
+    cur = _init_impute(table).values.copy()
     observed_cats = {
         j: np.unique(table.values[~mask[:, j], j]).astype(np.int64)
         for j in table.categorical_columns()
     }
     for _ in range(params.n_iter):
-        for s in order_columns_by_missing(table):
+        for s in _order_columns_by_missing(table):
             mis = mask[:, s]
             if not mis.any():
                 continue
