@@ -13,12 +13,13 @@ reached.  Two statistics are tracked:
 mice_impute is the deterministic chained-equations counterpart: ridge
 least squares per continuous column, one-vs-rest least-squares scoring
 with argmax per categorical column, a fixed number of sweeps, no sampling.
-Its design is an intercept plus the columns two index arrays describe:
-`source` (the table column) and `level` (-1 for a continuous column, else
-a category 1..k-1 of a categorical one).  It is expanded once per call
-and updated one column block at a time; each column fit gathers its rows
-once and forms one normal matrix, which serves every category of a
-categorical column.
+Its design D, expanded once per call, is an intercept plus one block per
+column: the cells, or the indicators of categories 1..k-1.  Each fit reads
+its normal equations from G = DᵀD, formed afresh every sweep: the observed
+rows' Gram matrix is G - D_misᵀD_mis, or D_obsᵀD_obs when a column has
+more missing than observed rows, and a filled block moves G by the change
+in D_misᵀD_mis.  That rounds unlike the direct normal equations: on the
+tests' tables continuous cells stay within 1e-12 of their largest value.
 
 impute is the one entry point that picks an engine, from the type of the
 params it is given.
@@ -222,38 +223,37 @@ def missforest_impute(table: DataTable, params: MissForestParams
 # Chained equations
 # ---------------------------------------------------------------------------
 
-def _write_design(design: np.ndarray, rows: slice | np.ndarray, cols: np.ndarray,
+def _write_design(design: np.ndarray, rows: slice | np.ndarray, block: slice,
                   cells: np.ndarray, level: np.ndarray) -> None:
-    """Write design columns `cols` in `rows` from one table column's cells:
-    the cells as-is where the level is -1, else the indicator cells == level.
-    Column by column, so no block-sized temporary is made."""
-    for c in cols:
+    """Write the design columns in `block` in `rows` from one table column's
+    cells: the cells as-is where the level is -1, else the indicator
+    cells == level.  Column by column, so no block-sized temporary is made."""
+    for c in range(block.start, block.stop):
         design[rows, c] = cells if level[c] < 0 else cells == level[c]
 
 
-def _ridge_fill(design: np.ndarray, others: np.ndarray, mis: np.ndarray,
-                y: np.ndarray, cats: np.ndarray | None, ridge: float) -> np.ndarray:
-    """Ridge least squares of y on the design columns `others` (intercept
-    first, unpenalized), fitted on the rows outside `mis` and evaluated on
-    the rows in it.  With `cats`, each category is scored one-vs-rest and
-    the argmax is returned, ties to the smallest index.  One normal matrix
-    serves every category."""
-    A_obs = design.compress(~mis, axis=0).take(others, axis=1)
-    A_mis = design.compress(mis, axis=0).take(others, axis=1)
-    M = A_obs.T @ A_obs
-    reg = np.full(M.shape[0], ridge)
-    reg[0] = 0.0
-    M = M + np.diag(reg)
+def _ridge_fill(G: np.ndarray, d_mis: np.ndarray, own: slice, others: np.ndarray,
+                reg: np.ndarray, cats: np.ndarray | None, ridge: float) -> np.ndarray:
+    """Ridge least squares on the design columns `others` (intercept first,
+    unpenalized: `reg` is the ridge diagonal), read from G, the Gram matrix
+    of the observed rows, and evaluated on the missing rows `d_mis`.  The
+    target is the column's own design column, or with `cats` the indicator
+    of each observed category, scored one-vs-rest in one stacked solve and
+    argmaxed, ties to the smallest index; level 0 is the intercept column
+    minus the indicators of levels 1..k-1."""
+    Go = G[others]
+    M = Go[:, others] + reg
     if ridge == 0.0 and np.linalg.matrix_rank(M) < M.shape[0]:
         raise DataError("singular design; set ridge > 0 to regularize")
-    targets = [y] if cats is None else [(y == c).astype(np.float64) for c in cats]
+    rhs = Go[:, own.start] if cats is None else np.column_stack(
+        [Go[:, 0] - Go[:, own].sum(axis=1), Go[:, own]])[:, cats]
+    coef = np.zeros((G.shape[0],) + rhs.shape[1:])  # zero on the own block
     try:
-        scores = [A_mis @ np.linalg.solve(M, A_obs.T @ b) for b in targets]
+        coef[others] = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise DataError(f"normal equations failed ({exc}); set ridge > 0") from exc
-    if cats is None:
-        return scores[0]
-    return cats[np.argmax(np.column_stack(scores), axis=1)].astype(np.float64)
+    scores = d_mis @ coef
+    return scores if cats is None else cats[np.argmax(scores, axis=1)].astype(np.float64)
 
 
 def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
@@ -266,33 +266,53 @@ def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
     scores over the column's observed categories, ties to the smallest
     index.  No randomness is involved anywhere.
 
-    The design of all columns is expanded once.  A fit on column s reads
-    every block but s's; writing s refreshes s's block in its missing rows.
+    A fit gathers only its missing rows, or also its observed rows when
+    they are fewer, and makes one solve (see the module docstring).
     """
     if table.is_complete():
         return table
     mask, order, cur = _set_up(table, "chained-equations imputation")
-    observed_cats = {
-        j: np.unique(table.values[~mask[:, j], j]).astype(np.int64)
-        for j in table.categorical_columns()
-    }
-    # design column -> table column (-1 for the intercept) and level; the
-    # first category is the reference level and is dropped
+    # each table column's block of design columns and their levels: -1 for
+    # a continuous column, else categories 1..k-1 (the first category is the
+    # reference level and is dropped); design column 0 is the intercept
     levels = [np.arange(1, col.n_categories) if col.kind is ColumnKind.CATEGORICAL
               else np.array([-1]) for col in table.schema]
-    source = np.repeat(np.arange(-1, table.n_cols), [1] + [lv.size for lv in levels])
+    edges = np.cumsum([1] + [lv.size for lv in levels])
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     level = np.concatenate([[-1], *levels])
-    design = np.ones((table.n_rows, source.size))
-    for j in range(table.n_cols):
-        _write_design(design, slice(None), np.flatnonzero(source == j), cur[:, j], level)
+    design = np.ones((table.n_rows, edges[-1]))
+    for j, block in enumerate(blocks):
+        _write_design(design, slice(None), block, cur[:, j], level)
+    # per column, fixed for the call: rows, design blocks and path; a fit
+    # downdates G when its missing rows are no more than its observed rows
+    downdates = [2 * mask[:, s].sum() <= table.n_rows for s in order]
+    fits = []
+    for i, s in enumerate(order):
+        block, mis = blocks[s], mask[:, s]
+        others = np.delete(np.arange(edges[-1]), block)
+        cats = (np.unique(table.values[~mis, s]).astype(np.int64)
+                if table.schema[s].kind is ColumnKind.CATEGORICAL else None)
+        fits.append((s, np.flatnonzero(mis), None if downdates[i] else np.flatnonzero(~mis),
+                     block, others, params.ridge * np.diag(others > 0), cats,
+                     any(downdates[i + 1:])))
 
     for _ in range(params.n_iter):
-        for s in order:
-            mis = mask[:, s]
-            # a call, so the gathered rows are freed before the next fit gathers
-            cur[mis, s] = _ridge_fill(design, np.flatnonzero(source != s), mis,
-                                      cur[~mis, s], observed_cats.get(s), params.ridge)
-            _write_design(design, mis, np.flatnonzero(source == s), cur[mis, s], level)
+        # afresh each sweep, so the downdates do not drift
+        G = design.T @ design if any(downdates) else None
+        for s, mis, obs, block, others, reg, cats, upkeep in fits:
+            d_mis = design.take(mis, axis=0)
+            d_obs = d_mis if obs is None else design.take(obs, axis=0)
+            # Gram products only (X.T @ X): unlike a thin product over as many
+            # rows, their bits do not depend on the BLAS thread count
+            old = d_obs.T @ d_obs
+            G_obs = G - old if obs is None else old
+            cur[mis, s] = filled = _ridge_fill(G_obs, d_mis, block, others, reg, cats,
+                                               params.ridge)
+            _write_design(design, mis, block, filled, level)
+            if upkeep:  # a later fit of this sweep reads G, and this one downdated it
+                _write_design(d_mis, slice(None), block, filled, level)
+                G[block] += (d_mis.T @ d_mis)[block] - old[block]
+                G[:, block] = G[block].T
     return table.with_cells(cur)
 
 

@@ -340,6 +340,21 @@ def test_mice_singular_design_instructs_ridge_for_categorical_target():
     assert mice_impute(t, MiceParams(ridge=1e-8)).is_complete()
 
 
+@pytest.mark.parametrize("target", [cont("y"), cat("c", ["a", "b", "d"])])
+def test_mice_singular_design_instructs_ridge_when_most_rows_are_missing(target):
+    # the same duplicated predictors with four of seven cells hidden, so the
+    # fit forms the observed rows' normal matrix directly instead of
+    # downdating the Gram matrix of all rows
+    x = np.arange(1.0, 8.0)
+    vals = np.column_stack([x, x, np.array([0.0, np.nan, 1.0, np.nan, 2.0, np.nan, np.nan])])
+    miss = np.zeros((7, 3), dtype=bool)
+    miss[[1, 3, 5, 6], 2] = True
+    t = DataTable((cont("x0"), cont("x1"), target), vals, miss)
+    with pytest.raises(DataError, match="ridge"):
+        mice_impute(t, MiceParams(ridge=0.0))
+    assert mice_impute(t, MiceParams(ridge=1e-8)).is_complete()
+
+
 @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1.0, "a", np.True_])
 def test_mice_params_reject_bad_ridge(ridge):
     with pytest.raises(DataError, match="ridge"):
@@ -399,7 +414,7 @@ def _reference_mice(table, params):
     return cur
 
 
-def mixed_k_table(seed, n, absent_category):
+def mixed_k_table(seed, n, absent_category, rate=0.25):
     """Continuous columns and categoricals of k = 2..8 with shared signal;
     with absent_category the k = 5 column never takes its last category."""
     rng = np.random.default_rng(seed)
@@ -415,22 +430,46 @@ def mixed_k_table(seed, n, absent_category):
         schema.append(cat(f"c{k}", [f"v{i}" for i in range(k)]))
         cols.append(codes.astype(float))
     t = DataTable(tuple(schema), np.column_stack(cols), np.zeros((n, len(cols)), dtype=bool))
-    return apply_mcar(t, 0.25, seed=seed + 1)[0]
+    return apply_mcar(t, rate, seed=seed + 1)[0]
+
+
+def _check_mice_against_reference(seed, n, ridge, rate):
+    """The engine reads its normal equations from a maintained Gram matrix,
+    so it rounds differently from the direct normal equations of
+    _reference_mice: every categorical cell must be identical and every
+    continuous cell within 1e-12 of the largest reference value."""
+    # a never-seen category leaves an all-zero design column, which only a
+    # positive ridge can carry
+    t = mixed_k_table(seed, n, absent_category=ridge > 0, rate=rate)
+    params = MiceParams(n_iter=4, ridge=ridge)
+    expected = _reference_mice(t, params)
+    got = mice_impute(t, params).values
+    cats = t.categorical_columns()
+    conts = t.continuous_columns()
+    assert np.array_equal(got[:, cats], expected[:, cats])
+    gap = np.abs(got[:, conts] - expected[:, conts]).max()
+    assert gap <= 1e-12 * np.abs(expected[:, conts]).max()
+    if ridge > 0:
+        j = [col.name for col in t.schema].index("c5")
+        assert 4.0 not in t.values[~t.missing[:, j], j]
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])
 @pytest.mark.parametrize("ridge", [0.0, 1e-8])
 def test_mice_matches_naive_loop_bit_for_bit(seed, ridge):
-    # a never-seen category leaves an all-zero design column, which only a
-    # positive ridge can carry
-    t = mixed_k_table(seed, 160, absent_category=ridge > 0)
-    params = MiceParams(n_iter=4, ridge=ridge)
-    expected = _reference_mice(t, params)
-    got = mice_impute(t, params).values
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-    if ridge > 0:
-        j = [col.name for col in t.schema].index("c5")
-        assert 4.0 not in t.values[~t.missing[:, j], j]
+    # a quarter of each column missing: every fit downdates the Gram matrix
+    _check_mice_against_reference(seed, 160, ridge, rate=0.25)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+@pytest.mark.parametrize("ridge", [0.0, 1e-8])
+@pytest.mark.parametrize("rate", [0.5, 0.6])
+def test_mice_matches_naive_loop_at_high_rates(rate, seed, ridge):
+    # at 0.6 every fit forms its observed rows' Gram matrix directly; at 0.5
+    # the fits of about half the columns downdate and the rest form it
+    # directly.  400 rows, since at 160 the reference's own design is
+    # singular at ridge 0 and ill-conditioned at 1e-8
+    _check_mice_against_reference(seed, 400, ridge, rate)
 
 
 def _reference_missforest(table, params):

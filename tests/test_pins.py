@@ -144,13 +144,13 @@ def _openblas_core() -> str:
         corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
     except (IndexError, OSError, AttributeError):
         return "unknown"
-    corename.restype = ctypes.c_char_p
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
 
 
 MICE_PINS = {
-    "iris": "e3ce6258a24ae7e17f943f9672c951cbcf35e7cdec8ad98b45cfd86426524cca",
-    "mixed": "577fe853bb63b46bba0cf35bb3684e147839ffadf713e2a85d56b79182e67cd4",
+    "iris": "476d7dd2dfc4cdd733b126a1c63f3c67b9ace28df9621b2712c07448432aa891",
+    "mixed": "3a48333528133ed73600e5597917a76a7416c60d3af9484cc65b90a797221305",
 }
 
 
