@@ -301,17 +301,17 @@ def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
         G = design.T @ design if any(downdates) else None
         for s, mis, obs, block, others, reg, cats, upkeep in fits:
             d_mis = design.take(mis, axis=0)
-            d_obs = d_mis if obs is None else design.take(obs, axis=0)
-            # Gram products only (X.T @ X): unlike a thin product over as many
-            # rows, their bits do not depend on the BLAS thread count
-            old = d_obs.T @ d_obs
-            G_obs = G - old if obs is None else old
+            d = d_mis if obs is None else design.take(obs, axis=0)
+            # Gram products only (X.T @ X): unlike a thin product summed over
+            # as many rows, their bits do not depend on the BLAS thread count
+            gram = d.T @ d
+            G_obs = G - gram if obs is None else gram
             cur[mis, s] = filled = _ridge_fill(G_obs, d_mis, block, others, reg, cats,
                                                params.ridge)
             _write_design(design, mis, block, filled, level)
             if upkeep:  # a later fit of this sweep reads G, and this one downdated it
                 _write_design(d_mis, slice(None), block, filled, level)
-                G[block] += (d_mis.T @ d_mis)[block] - old[block]
+                G[block] += (d_mis.T @ d_mis)[block] - gram[block]
                 G[:, block] = G[block].T
     return table.with_cells(cur)
 
