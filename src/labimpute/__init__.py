@@ -71,10 +71,7 @@ from .strategies import (
 from .theory import (
     TheoremInstance,
     TheoremReport,
-    compute_E,
-    fit_ols_full,
     sample_instance,
-    split_V,
     verify_theorem1,
 )
 
@@ -134,10 +131,7 @@ __all__ = [
     "unstack",
     "TheoremInstance",
     "TheoremReport",
-    "compute_E",
-    "fit_ols_full",
     "sample_instance",
-    "split_V",
     "verify_theorem1",
     "__version__",
 ]

@@ -76,7 +76,7 @@ class TheoremReport:
     iul_wins: bool
 
 
-def fit_ols_full(inst: TheoremInstance) -> tuple[float, float, float]:
+def _fit_ols_full(inst: TheoremInstance) -> tuple[float, float, float]:
     """Least-squares coefficients of x on [1, z, y] via normal equations.
 
     Rejects rank-deficient designs and verifies the residuals are
@@ -93,21 +93,15 @@ def fit_ols_full(inst: TheoremInstance) -> tuple[float, float, float]:
     return float(g[0]), float(g[1]), float(g[2])
 
 
-def compute_E(z: np.ndarray, y: np.ndarray,
-              gamma: tuple[float, float, float]) -> np.ndarray:
+def _compute_E(z: np.ndarray, y: np.ndarray,
+               gamma: tuple[float, float, float]) -> np.ndarray:
     """Per-row effect terms E_i driven by the fitted coefficients."""
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     _, g1, g2 = gamma
     return g2 * g2 * (y - 2.0 * y.mean()) + 2.0 * g1 * g2 * (z - z.mean())
 
 
-def split_V(y: np.ndarray, effects: np.ndarray) -> tuple[float, float]:
+def _split_V(y: np.ndarray, effects: np.ndarray) -> tuple[float, float]:
     """Split sum(y_i * E_i) by the sign of E_i; ties at zero count as plus."""
-    y = np.asarray(y, dtype=np.float64)
-    effects = np.asarray(effects, dtype=np.float64)
-    if y.shape != effects.shape:
-        raise DataError("y and effects lengths differ")
     terms = y * effects
     plus = effects >= 0
     return float(terms[plus].sum()), float(terms[~plus].sum())
@@ -120,7 +114,7 @@ def verify_theorem1(inst: TheoremInstance, tol: float = 1e-8) -> TheoremReport:
     tol * max(1, |SSE_DI|) or the win condition disagrees with the sign
     of V+ + V- beyond that tolerance.
     """
-    g = fit_ols_full(inst)
+    g = _fit_ols_full(inst)
     x, z, y = inst.x, inst.z, inst.y
     xhat = g[0] + g[1] * z + g[2] * y
     sse_iul = float(np.sum((xhat - x) ** 2))
@@ -133,8 +127,8 @@ def verify_theorem1(inst: TheoremInstance, tol: float = 1e-8) -> TheoremReport:
     b, *_ = np.linalg.lstsq(B, x, rcond=None)
     sse_di_refit = float(np.sum((B @ b - x) ** 2))
 
-    effects = compute_E(z, y, g)
-    v_plus, v_minus = split_V(y, effects)
+    effects = _compute_E(z, y, g)
+    v_plus, v_minus = _split_V(y, effects)
     if v_plus < 0 or v_minus > 0:
         raise InvariantError("V+ / V- landed on the wrong side of zero")
     vsum = v_plus + v_minus

@@ -4,10 +4,10 @@ import pytest
 from labimpute.errors import DataError, InvariantError
 from labimpute.theory import (
     TheoremInstance,
-    compute_E,
-    fit_ols_full,
+    _compute_E,
+    _fit_ols_full,
+    _split_V,
     sample_instance,
-    split_V,
     verify_theorem1,
 )
 
@@ -32,7 +32,7 @@ def test_fit_ols_matches_pseudoinverse_oracle():
     for _ in range(50):
         n = int(rng.integers(5, 40))
         inst = sample_instance(rng, n)
-        g = np.array(fit_ols_full(inst))
+        g = np.array(_fit_ols_full(inst))
         A = np.column_stack([np.ones(n), inst.z, inst.y])
         oracle = np.linalg.pinv(A) @ inst.x
         assert np.allclose(g, oracle, rtol=1e-8, atol=1e-10)
@@ -43,23 +43,23 @@ def test_fit_ols_rejects_rank_deficiency():
     z = np.array([1.0, 2.0, 3.0, 4.0])
     inst = TheoremInstance(np.array([0.5, 1.0, 2.0, 1.5]), z, z.copy())
     with pytest.raises(DataError):
-        fit_ols_full(inst)
+        _fit_ols_full(inst)
 
 
 def test_compute_E_hand_instance():
     # y=(0,2), z=(1,3), g1=g2=1: means are 1 and 2
     # E_1 = 1*(0-2) + 2*1*1*(1-2) = -4 ; E_2 = (2-2) + 2*(3-2) = 2
-    E = compute_E(np.array([1.0, 3.0]), np.array([0.0, 2.0]), (0.0, 1.0, 1.0))
+    E = _compute_E(np.array([1.0, 3.0]), np.array([0.0, 2.0]), (0.0, 1.0, 1.0))
     assert E.tolist() == [-4.0, 2.0]
 
 
 def test_split_V_hand_values():
-    v_plus, v_minus = split_V(np.array([1.0, 1.0]), np.array([-4.0, 2.0]))
+    v_plus, v_minus = _split_V(np.array([1.0, 1.0]), np.array([-4.0, 2.0]))
     assert (v_plus, v_minus) == (2.0, -4.0)
-    v_plus, v_minus = split_V(np.zeros(3), np.array([-1.0, 0.0, 1.0]))
+    v_plus, v_minus = _split_V(np.zeros(3), np.array([-1.0, 0.0, 1.0]))
     assert (v_plus, v_minus) == (0.0, 0.0)
     # a zero effect lands on the plus side
-    v_plus, v_minus = split_V(np.array([5.0]), np.array([0.0]))
+    v_plus, v_minus = _split_V(np.array([5.0]), np.array([0.0]))
     assert (v_plus, v_minus) == (0.0, 0.0)
 
 
@@ -126,5 +126,5 @@ def test_refit_diagnostic_never_beats_full_model():
 def test_effects_scale_with_coefficients():
     z = np.array([0.0, 1.0, 2.0])
     y = np.array([1.0, 2.0, 3.0])
-    zero = compute_E(z, y, (5.0, 2.0, 0.0))
+    zero = _compute_E(z, y, (5.0, 2.0, 0.0))
     assert np.all(zero == 0.0)
