@@ -1,14 +1,24 @@
 """Iterative imputation engines.
 
-missforest_impute fills a mixed-type table by cycling over columns in
-ascending missing-count order, refitting a random forest per column on the
-currently-completed values of the other columns and overwriting only the
+Both engines start alike.  Each hole is filled with its column's mean, or
+its mode with ties to the smallest category, and the columns with holes
+are visited in ascending missing count, ties by index.  The start refuses
+a fully missing column and a column whose mean is not finite (one that
+overflows float64), each named, and then a table of fewer than two columns.
+
+missforest_impute refits a random forest per column on the
+currently-completed values of the other columns and overwrites only the
 originally-missing cells.  Sweeps repeat until a convergence statistic
-first worsens (the previous sweep's matrix is returned) or max_iter is
-reached.  Two statistics are tracked:
+first worsens (the previous sweep's matrix is returned), a sweep changes
+no cell (fixed_point: with per-column seeds fixed, every later sweep would
+repeat it), or max_iter is reached.  Two statistics are tracked:
 
   continuous   sum((new - old)^2) / sum(new^2) over all continuous columns
   categorical  changed originally-missing categorical cells / their count
+
+A statistic is None when it is untracked (no continuous column, or no
+categorical hole), and the continuous one also while every continuous cell
+is 0.
 
 mice_impute is the deterministic chained-equations counterpart: ridge
 least squares per continuous column, one-vs-rest least-squares scoring
@@ -30,7 +40,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -93,66 +102,26 @@ class IterationTrace:
                 ])
 
 
-def _init_impute(table: DataTable) -> DataTable:
-    """Fill every missing cell with its column mean (continuous) or mode
-    (categorical, ties to the smallest category index)."""
-    values = table.values.copy()
-    for j, col in enumerate(table.schema):
-        holes = table.missing[:, j]
-        if not holes.any():
-            continue
-        if holes.all():
-            raise DataError(f"column {col.name!r} is fully missing; cannot impute")
-        obs = table.values[~holes, j]
-        if col.kind is ColumnKind.CONTINUOUS:
-            values[holes, j] = obs.mean()
-        else:
-            counts = np.bincount(obs.astype(np.int64), minlength=col.n_categories)
-            values[holes, j] = float(np.argmax(counts))
-    return table.with_cells(values)
-
-
-def _order_columns_by_missing(table: DataTable) -> list[int]:
-    """Column indices sorted by ascending missing count, ties by index."""
-    counts = table.missing_count_by_column()
-    return [int(j) for j in np.argsort(counts, kind="stable")]
-
-
 def _set_up(table: DataTable, engine: str) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The start both engines share: the missing flags, the columns that
-    have holes in ascending-missing order, and a writable copy of the
-    mean/mode-filled cells."""
-    cells = _init_impute(table).values.copy()
+    """The start of the module docstring: the missing flags, the columns with
+    holes in visiting order, and a writable copy of the filled cells."""
+    mask, cells = table.missing, table.values.copy()
+    counts = mask.sum(axis=0)
+    for j in np.flatnonzero(counts):
+        col, obs = table.schema[j], table.values[~mask[:, j], j]
+        if not obs.size:
+            raise DataError(f"column {col.name!r} is fully missing; cannot impute")
+        if col.kind is ColumnKind.CATEGORICAL:
+            fill = np.argmax(np.bincount(obs.astype(np.int64), minlength=col.n_categories))
+        else:
+            with np.errstate(over="ignore"):
+                fill = obs.mean()
+            if not np.isfinite(fill):  # the grower's split tables hold finite values only
+                raise DataError(f"column {col.name!r} has no finite mean; cannot impute")
+        cells[mask[:, j], j] = fill
     if table.n_cols < 2:
         raise DataError(f"{engine} needs at least two columns")
-    counts = table.missing_count_by_column()
-    return table.missing, [j for j in _order_columns_by_missing(table) if counts[j]], cells
-
-
-def _delta_continuous(new: np.ndarray, old: np.ndarray, columns: Iterable[int]) -> float:
-    """Relative squared change over the given continuous columns."""
-    cols = np.asarray(list(columns), dtype=np.intp)
-    if cols.size == 0:
-        raise DataError("delta_continuous needs at least one column")
-    num = float(((new[:, cols] - old[:, cols]) ** 2).sum())
-    den = float((new[:, cols] ** 2).sum())
-    if den == 0.0:
-        raise DataError("delta_continuous denominator is zero")
-    return num / den
-
-
-def _delta_categorical(new: np.ndarray, old: np.ndarray, columns: Iterable[int],
-                      missing: np.ndarray) -> float:
-    """Fraction of originally-missing categorical cells that changed."""
-    cols = np.asarray(list(columns), dtype=np.intp)
-    if cols.size == 0:
-        raise DataError("delta_categorical needs at least one column")
-    holes = missing[:, cols]
-    total = int(holes.sum())
-    if total == 0:
-        raise DataError("delta_categorical needs at least one missing cell")
-    changed = int((new[:, cols][holes] != old[:, cols][holes]).sum())
-    return changed / total
+    return mask, [int(j) for j in np.argsort(counts, kind="stable") if counts[j]], cells
 
 
 def _fit_predict_column(values: np.ndarray, table: DataTable, s: int, mis: np.ndarray,
@@ -184,9 +153,10 @@ def missforest_impute(table: DataTable, params: MissForestParams
     if table.is_complete():
         return table, IterationTrace(stop_reason="no_missing")
     mask, order, cur = _set_up(table, "forest imputation")
-    cont_cols = [int(j) for j in table.continuous_columns()]
-    cat_cols = [int(j) for j in table.categorical_columns()]
-    cat_holes = bool(mask[:, cat_cols].any())
+    cont = table.continuous_columns()
+    cat_holes = mask.copy()
+    cat_holes[:, cont] = False
+    n_holes = int(cat_holes.sum())
     col_seeds = {s: child_seed(params.seed, _COLUMN_TAG, s) for s in order}
 
     trace = IterationTrace(stop_reason="max_iter")
@@ -197,22 +167,20 @@ def missforest_impute(table: DataTable, params: MissForestParams
             mis = mask[:, s]
             cur[mis, s] = _fit_predict_column(cur, table, s, mis, params.forest,
                                               col_seeds[s])
-        dc: float | None = None
-        if cont_cols:
-            try:
-                dc = _delta_continuous(cur, old, cont_cols)
-            except DataError:
-                dc = None  # zero denominator: criterion unusable this run
-        dg = _delta_categorical(cur, old, cat_cols, mask) if cat_holes else None
+        dc = dg = None
+        if cont.size:
+            new = cur[:, cont]
+            den = float((new ** 2).sum())
+            dc = float(((new - old[:, cont]) ** 2).sum()) / den if den else None
+        if n_holes:
+            dg = int((cur[cat_holes] != old[cat_holes]).sum()) / n_holes
         trace.sweeps.append(SweepRecord(it, dc, dg))
 
         if any(d is not None and p is not None and d > p for d, p in zip((dc, dg), prev)):
             trace.stop_reason = "delta_increase"
             cur = old  # the sweep before the increase
             break
-        if np.array_equal(cur, old):
-            # a full sweep changed nothing; with per-column seeds fixed
-            # across sweeps every later sweep would repeat it exactly
+        if np.array_equal(cur, old):  # every later sweep would repeat this one
             trace.stop_reason = "fixed_point"
             break
         prev = dc, dg

@@ -17,10 +17,7 @@ from labimpute.imputers import (
     IterationTrace,
     MiceParams,
     MissForestParams,
-    _delta_categorical,
-    _delta_continuous,
-    _init_impute,
-    _order_columns_by_missing,
+    _set_up,
     impute,
     mice_impute,
     missforest_impute,
@@ -58,71 +55,41 @@ def random_mixed(rng, n, p, rate):
 
 
 # ---------------------------------------------------------------------------
-# init / ordering / deltas
+# the shared start
 # ---------------------------------------------------------------------------
 
 def test_init_impute_mean_and_mode():
     schema = (cont("x"), cat("c", ["a", "b", "d"]))
     t = table([[1.0, 0.0], [3.0, 1.0], [np.nan, 1.0], [2.0, np.nan]],
               [[0, 0], [0, 0], [1, 0], [0, 1]], schema)
-    out = _init_impute(t)
-    assert out.is_complete()
-    assert out.values[2, 0] == 2.0          # mean of 1, 3, 2
-    assert out.values[3, 1] == 1.0          # mode of {0, 1, 1}
+    mask, _, cells = _set_up(t, "test")
+    assert mask is t.missing and not np.isnan(cells).any()
+    assert cells[2, 0] == 2.0          # mean of 1, 3, 2
+    assert cells[3, 1] == 1.0          # mode of {0, 1, 1}
     # observed cells untouched
-    assert np.array_equal(out.values[:2], t.values[:2])
+    assert np.array_equal(cells[:2], t.values[:2])
 
 
 def test_init_impute_mode_tie_takes_smallest_index():
     schema = (cat("c", ["a", "b"]), cont("x"))
     t = table([[0.0, 1.0], [1.0, 1.0], [np.nan, 1.0]],
               [[0, 0], [0, 0], [1, 0]], schema)
-    out = _init_impute(t)
-    assert out.values[2, 0] == 0.0
+    assert _set_up(t, "test")[2][2, 0] == 0.0
 
 
 def test_init_impute_rejects_fully_missing_column():
     t = table([[np.nan], [np.nan]], [[1], [1]])
     with pytest.raises(DataError, match="x0"):
-        _init_impute(t)
+        _set_up(t, "test")
 
 
 def test_order_columns_ascending_with_index_ties():
+    # two holes in x0, one each in x1 and x2 (tied), none in x3
     t = table(
-        [[np.nan, 1.0, np.nan], [np.nan, 1.0, 2.0], [3.0, 1.0, 2.0]],
-        [[1, 0, 1], [1, 0, 0], [0, 0, 0]],
+        [[np.nan, 1.0, np.nan, 1.0], [np.nan, np.nan, 2.0, 1.0], [3.0, 1.0, 2.0, 1.0]],
+        [[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]],
     )
-    assert _order_columns_by_missing(t) == [1, 2, 0]
-
-
-def test_delta_continuous_hand_value_and_scale_invariance():
-    old = np.array([[1.0, 1.0], [1.0, 1.0]])
-    new = old.copy()
-    new[0, 0] = 2.0
-    # (2-1)^2 / (4+1+1+1) ... only column 0 in scope: (2-1)^2/(2^2+1^2)=0.2
-    assert _delta_continuous(new, old, [0]) == pytest.approx(1.0 / 5.0)
-    # single-cell example over one column with one row
-    assert _delta_continuous(np.array([[2.0]]), np.array([[1.0]]), [0]) == 0.25
-    c = 3.7
-    assert _delta_continuous(new * c, old * c, [0]) == pytest.approx(1.0 / 5.0)
-
-
-def test_delta_continuous_zero_denominator_errors():
-    z = np.zeros((2, 1))
-    with pytest.raises(DataError):
-        _delta_continuous(z, z + 1.0, [0])
-
-
-def test_delta_categorical_counts_only_masked_cells():
-    old = np.array([[0.0, 0.0], [1.0, 1.0]])
-    new = np.array([[1.0, 1.0], [1.0, 0.0]])
-    missing = np.array([[True, False], [False, True]])
-    # masked cells: (0,0) changed, (1,1) changed -> 2/2; observed changes ignored
-    assert _delta_categorical(new, old, [0, 1], missing) == 1.0
-    missing2 = np.array([[True, False], [False, False]])
-    assert _delta_categorical(new, old, [0, 1], missing2) == 1.0
-    with pytest.raises(DataError):
-        _delta_categorical(new, old, [0, 1], np.zeros((2, 2), dtype=bool))
+    assert _set_up(t, "test")[1] == [1, 2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +199,11 @@ def test_engines_share_the_set_up_errors(engine, run):
     # the fully-missing check comes first
     with pytest.raises(DataError, match="^column 'x0' is fully missing; cannot impute$"):
         run(table([[np.nan], [np.nan]], [[1], [1]]))
+    # a mean past the float64 range would hand the forests an infinite fill
+    huge = table([[1e308, 1.0], [1.7e308, 2.0], [np.nan, 3.0]], [[0, 0], [0, 0], [1, 0]],
+                 schema=(cont("huge"), cont("b")))
+    with pytest.raises(DataError, match="^column 'huge' has no finite mean; cannot impute$"):
+        run(huge)
 
 
 def test_missforest_recovers_strong_linear_signal():
@@ -243,8 +215,8 @@ def test_missforest_recovers_strong_linear_signal():
     masked, mask = apply_mcar(t, 0.2, seed=6)
     out, _ = missforest_impute(masked, MissForestParams(ForestParams(n_trees=40), seed=1))
     err = out.values[mask] - t.values[mask]
-    baseline = _init_impute(masked)
-    err0 = baseline.values[mask] - t.values[mask]
+    baseline = _set_up(masked, "test")[2]
+    err0 = baseline[mask] - t.values[mask]
     assert np.mean(err ** 2) < 0.35 * np.mean(err0 ** 2)
 
 
@@ -386,20 +358,35 @@ def _reference_design(table, values, skip):
     return np.column_stack(cols)
 
 
+def _reference_start(table):
+    """The engines' start of the imputers module docstring written out
+    plainly: the mean/mode-filled cells, and the columns with holes sorted
+    by (missing count, index)."""
+    mask = table.missing
+    cur = table.values.copy()
+    for j, col in enumerate(table.schema):
+        obs = table.values[~mask[:, j], j]
+        if col.kind is ColumnKind.CONTINUOUS:
+            cur[mask[:, j], j] = obs.mean()
+        else:   # the mode, ties to the smallest category
+            counts = np.bincount(obs.astype(np.int64), minlength=col.n_categories)
+            cur[mask[:, j], j] = float(np.argmax(counts))
+    counts = mask.sum(axis=0)
+    return cur, sorted((j for j in range(table.n_cols) if counts[j]), key=lambda j: (counts[j], j))
+
+
 def _reference_mice(table, params):
     """The naive loop: the design rebuilt for every column fit and one
     normal matrix per one-vs-rest category."""
     mask = table.missing
-    cur = _init_impute(table).values.copy()
+    cur, order = _reference_start(table)
     observed_cats = {
         j: np.unique(table.values[~mask[:, j], j]).astype(np.int64)
         for j in table.categorical_columns()
     }
     for _ in range(params.n_iter):
-        for s in _order_columns_by_missing(table):
+        for s in order:
             mis = mask[:, s]
-            if not mis.any():
-                continue
             obs = ~mis
             A = _reference_design(table, cur, s)
             if table.schema[s].kind is ColumnKind.CONTINUOUS:
@@ -479,16 +466,7 @@ def _reference_missforest(table, params):
     mask = table.missing
     if not mask.any():
         return table.values, [], "no_missing"
-    cur = table.values.copy()
-    for j, col in enumerate(table.schema):
-        obs = table.values[~mask[:, j], j]
-        if col.kind is ColumnKind.CONTINUOUS:
-            cur[mask[:, j], j] = obs.mean()
-        else:   # the mode, ties to the smallest category
-            counts = np.bincount(obs.astype(np.int64), minlength=col.n_categories)
-            cur[mask[:, j], j] = float(np.argmax(counts))
-    counts = mask.sum(axis=0)
-    order = sorted((j for j in range(table.n_cols) if counts[j]), key=lambda j: (counts[j], j))
+    cur, order = _reference_start(table)
     seeds = {s: child_seed(params.seed, 424243, s) for s in order}
     cont = [j for j, c in enumerate(table.schema) if c.kind is ColumnKind.CONTINUOUS]
     cats = [j for j, c in enumerate(table.schema) if c.kind is ColumnKind.CATEGORICAL]
