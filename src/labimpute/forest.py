@@ -442,11 +442,11 @@ class _Grower:
         spec[3] = nl >= n_obs[cp] - nl
         return ok, spec, left_tab
 
-    def _build(self, levels) -> dict:
+    def _build(self, levels, firsts) -> dict:
         """ForestModel's node arrays from the levels of every batch, back to
         back: split j of a level owns children 2j and 2j + 1 of the next
-        level (the last level of a batch has no splits), and a root is a node
-        no split points to."""
+        level (the last level of a batch has no splits), and the roots are
+        the nodes of each batch's first level, levels[f] for f in firsts."""
         start = np.cumsum([0] + [lv[0].size for lv in levels])
         at = np.concatenate([s + lv[1] for s, lv in zip(start, levels)])
         kids = np.concatenate([s + 2 * np.arange(lv[1].size) for s, lv in zip(start[1:], levels)])
@@ -466,7 +466,8 @@ class _Grower:
         # a categorical split's codes k.. (k: missing) go to the majority side
         past = np.arange(self.width) >= self.cat_sizes[feat[cat], None]
         tab = np.concatenate([lv[3] for lv in levels])
-        return dict(roots=np.setdiff1d(np.arange(N), np.concatenate((kids, kids + 1))),
+        roots = np.concatenate([start[f] + np.arange(levels[f][0].size) for f in firsts])
+        return dict(roots=roots,
                     feature=feature, threshold=threshold, majority_left=majority_left, left=left,
                     value=value, leaf=leaf, left_cats=np.where(past, major[cat, None] == 1, tab))
 
@@ -498,10 +499,12 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int) ->
                      params.max_depth)
     z = _mix(_mix(np.array([int(seed) % (1 << 64)], dtype=np.uint64)) ^ _TREE_TAG)
     keys = _mix(z ^ np.arange(params.n_trees, dtype=np.uint64))   # of (seed, tag, t)
-    per_batch, levels = max(1, _BATCH_ROWS // n), []
+    per_batch, levels, firsts = max(1, _BATCH_ROWS // n), [], []
     for t0 in range(0, params.n_trees, per_batch):
+        firsts.append(len(levels))
         levels += grower.grow(keys[t0:t0 + per_batch], params.bootstrap)
-    return ForestModel(y.kind, signature, classes, y.categories, y.name, **grower._build(levels))
+    return ForestModel(y.kind, signature, classes, y.categories, y.name,
+                       **grower._build(levels, firsts))
 
 
 def _predict(model: ForestModel, X: DataTable) -> LabelVector:
