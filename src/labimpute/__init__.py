@@ -17,16 +17,9 @@ from .data import (
     MaskedMse,
     accuracy,
     apply_mcar,
-    concat_rows,
-    labels_equal,
     load_csv,
     masked_mse,
-    save_csv,
-    scale_minmax,
-    schema_from_json,
-    schema_to_json,
     split_label,
-    tables_equal,
     train_test_split,
 )
 from .errors import DataError, InvariantError, SchemaError
@@ -43,11 +36,7 @@ from .harness import (
     ExperimentReport,
     RunRecord,
     Scenario,
-    emit_report,
-    load_experiment_config,
-    resolve_dataset,
     run_experiment,
-    save_experiment_config,
 )
 from .imputers import (
     IterationTrace,
@@ -58,22 +47,8 @@ from .imputers import (
     mice_impute,
     missforest_impute,
 )
-from .strategies import (
-    CbmiResult,
-    cbmi_predict,
-    di_impute,
-    iclf_predict,
-    iul_impute,
-    rf_missing_predict,
-    stack_labels,
-    unstack,
-)
-from .theory import (
-    TheoremInstance,
-    TheoremReport,
-    sample_instance,
-    verify_theorem1,
-)
+from .strategies import CbmiResult, cbmi_predict, di_impute, iul_impute
+from .theory import TheoremInstance, TheoremReport, verify_theorem1
 
 __version__ = "0.1.0"
 
@@ -85,16 +60,9 @@ __all__ = [
     "MaskedMse",
     "accuracy",
     "apply_mcar",
-    "concat_rows",
-    "labels_equal",
     "load_csv",
     "masked_mse",
-    "save_csv",
-    "scale_minmax",
-    "schema_from_json",
-    "schema_to_json",
     "split_label",
-    "tables_equal",
     "train_test_split",
     "DataError",
     "InvariantError",
@@ -109,11 +77,7 @@ __all__ = [
     "ExperimentReport",
     "RunRecord",
     "Scenario",
-    "emit_report",
-    "load_experiment_config",
-    "resolve_dataset",
     "run_experiment",
-    "save_experiment_config",
     "IterationTrace",
     "MiceParams",
     "MissForestParams",
@@ -124,14 +88,9 @@ __all__ = [
     "CbmiResult",
     "cbmi_predict",
     "di_impute",
-    "iclf_predict",
     "iul_impute",
-    "rf_missing_predict",
-    "stack_labels",
-    "unstack",
     "TheoremInstance",
     "TheoremReport",
-    "sample_instance",
     "verify_theorem1",
     "__version__",
 ]

@@ -14,18 +14,13 @@ import sys
 from pathlib import Path
 
 from ._rng import make_rng
-from .data import (
-    apply_mcar,
-    load_csv,
-    save_csv,
-    split_label,
-)
+from .data import _save_csv, apply_mcar, load_csv, split_label
 from .errors import DataError, InvariantError, _non_negative_real, _positive, checked
 from .forest import ForestParams
 from .harness import _check_formats, emit_report, load_experiment_config, run_experiment
 from .imputers import MiceParams, MissForestParams, impute
 from .strategies import cbmi_predict
-from .theory import sample_instance, verify_theorem1
+from .theory import _sample_instance, verify_theorem1
 
 _THEOREM_TAG = 909090
 
@@ -136,7 +131,7 @@ def _cmd_simulate(args) -> int:
     table = load_csv(args.input)
     masked, mask = apply_mcar(table, args.rate, args.seed)
     out = _out_dir(args)
-    save_csv(masked, out / "masked.csv")
+    _save_csv(masked, out / "masked.csv")
     with open(out / "mask.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("row", "col"))
@@ -157,7 +152,7 @@ def _cmd_impute(args) -> int:
               else MiceParams(n_iter=args.n_iter, ridge=args.ridge))
     out = _out_dir(args)
     completed, trace = impute(table, params)
-    save_csv(completed, out / "imputed.csv")
+    _save_csv(completed, out / "imputed.csv")
     note = ""
     if trace is not None:
         trace.to_csv(out / "trace.csv")
@@ -217,7 +212,7 @@ def _cmd_theorem_check(args) -> int:
         ))
         for i in range(args.instances):
             n = int(rng.integers(args.n_min, args.n_max + 1))
-            inst = sample_instance(rng, n)
+            inst = _sample_instance(rng, n)
             rep = verify_theorem1(inst, tol=args.tol)
             worst = max(worst, rep.identity_residual)
             wins += rep.iul_wins

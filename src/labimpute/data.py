@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._rng import make_rng
-from .errors import DataError, SchemaError, _number, _shown, _where, checked
+from .errors import DataError, SchemaError, _number, _where, checked
 
 #: Field tokens read as a missing cell, per common UCI and numpy/pandas
 #: export conventions.
@@ -162,9 +161,6 @@ class DataTable:
     def is_complete(self) -> bool:
         return not self.missing.any()
 
-    def missing_count_by_column(self) -> np.ndarray:
-        return self.missing.sum(axis=0)
-
     def observed_column(self, j: int) -> np.ndarray:
         """Observed values of column j, in row order."""
         return self.values[~self.missing[:, j], j]
@@ -190,7 +186,7 @@ def _same_cells(a: DataTable | LabelVector, b: DataTable | LabelVector) -> bool:
             and np.array_equal(a.values[~a.missing], b.values[~b.missing]))
 
 
-def tables_equal(a: DataTable, b: DataTable) -> bool:
+def _tables_equal(a: DataTable, b: DataTable) -> bool:
     """Bit-exact equality: same schema, same flags, same present values."""
     return a.schema == b.schema and _same_cells(a, b)
 
@@ -272,10 +268,6 @@ class LabelVector:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.categories)
-
     def is_complete(self) -> bool:
         return not self.missing.any()
 
@@ -290,7 +282,7 @@ class LabelVector:
                                    self.categories, self.name)
 
 
-def labels_equal(a: LabelVector, b: LabelVector) -> bool:
+def _labels_equal(a: LabelVector, b: LabelVector) -> bool:
     """Bit-exact equality of kind, categories, flags and present values."""
     return a.kind is b.kind and a.categories == b.categories and _same_cells(a, b)
 
@@ -407,7 +399,7 @@ def _infer_schema(header: Sequence[str], rows: Sequence[Sequence[str]]
     return tuple(schema)
 
 
-def save_csv(table: DataTable, path: str | Path) -> None:
+def _save_csv(table: DataTable, path: str | Path) -> None:
     """Write a DataTable to CSV that load_csv, given the table's schema,
     reads back to the same table; floats use shortest round-trip form and
     missing cells ``NA``.
@@ -433,45 +425,6 @@ def save_csv(table: DataTable, path: str | Path) -> None:
         rows.append(row)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-
-
-def schema_from_json(path: str | Path) -> tuple[ColumnSchema, ...]:
-    """Read a sidecar JSON list of {name, kind, categories} into schemas.
-
-    Text that is not such a list is a SchemaError naming the bad entry.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            spec_list = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(spec_list, list):
-        raise SchemaError(f"{path}: expected a JSON list of column entries")
-    out = []
-    for i, entry in enumerate(spec_list):
-        try:
-            name, cats = entry["name"], entry.get("categories", [])
-            if not (isinstance(name, str) and isinstance(cats, list)
-                    and all(isinstance(c, str) for c in cats)):
-                raise TypeError
-            out.append(ColumnSchema(name, ColumnKind(entry["kind"]), tuple(cats)))
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(
-                f"{path}: column entry {i} {_shown(entry)} needs a string name, a kind in "
-                f"{[k.value for k in ColumnKind]} and a list of category names") from None
-        except SchemaError as exc:  # no, repeated or stray categories
-            raise SchemaError(f"{path}: column entry {i}: {exc}") from None
-    return tuple(out)
-
-
-def schema_to_json(schema: Sequence[ColumnSchema], path: str | Path) -> None:
-    payload = [
-        {"name": c.name, "kind": c.kind.value, "categories": list(c.categories)}
-        for c in schema
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def split_label(table: DataTable, label: str | int) -> tuple[DataTable, LabelVector]:

@@ -86,7 +86,7 @@ _METHODS = {
 }
 
 _BUILTIN_PREFIX = "builtin:"
-_BUILTIN_DATASETS = {"iris": ("iris.csv", "species")}
+_BUILTIN_DATASETS = {"iris": "iris.csv"}
 
 
 def _rate_key(rate: float) -> int:
@@ -213,27 +213,20 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig.from_json_dict(raw)
 
 
-def save_experiment_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def resolve_dataset(name: str) -> tuple[DataTable, str]:
-    """Load the configured dataset, returning (table, default label column)."""
+def resolve_dataset(name: str) -> DataTable:
+    """Load the configured dataset: a builtin or a CSV path."""
     if name.startswith(_BUILTIN_PREFIX):
         key = name[len(_BUILTIN_PREFIX):]
         if key not in _BUILTIN_DATASETS:
             known = ", ".join(sorted(_BUILTIN_DATASETS))
             raise DataError(f"unknown builtin dataset {key!r}; known: {known}")
-        fname, label = _BUILTIN_DATASETS[key]
-        ref = resources.files("labimpute") / "_assets" / fname
+        ref = resources.files("labimpute") / "_assets" / _BUILTIN_DATASETS[key]
         with resources.as_file(ref) as p:
-            return load_csv(p), label
+            return load_csv(p)
     p = Path(name)
     if not p.is_file():
         raise DataError(f"dataset file not found: {p}")
-    return load_csv(p), ""
+    return load_csv(p)
 
 
 @dataclass(frozen=True)
@@ -546,9 +539,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     order never change any emitted value, only wall times.
     """
     threads = checked(threads, _positive, "threads")
-    table, _ = resolve_dataset(config.dataset)
     label = config.label
-    x, y = split_label(table, label)
+    x, y = split_label(resolve_dataset(config.dataset), label)
     if not y.is_complete():
         raise DataError(f"label column {label!r} has missing entries")
     if y.kind is not ColumnKind.CATEGORICAL:

@@ -8,10 +8,11 @@ overflows float64), each named, and then a table of fewer than two columns.
 
 missforest_impute refits a random forest per column on the
 currently-completed values of the other columns and overwrites only the
-originally-missing cells.  Sweeps repeat until a convergence statistic
-first worsens (the previous sweep's matrix is returned), a sweep changes
-no cell (fixed_point: with per-column seeds fixed, every later sweep would
-repeat it), or max_iter is reached.  Two statistics are tracked:
+originally-missing cells.  Sweeps repeat until either tracked statistic
+rises above its value in the previous sweep (the previous sweep's matrix
+is returned; a tie sweeps on), a sweep changes no cell (fixed_point: with
+per-column seeds fixed, every later sweep would repeat it), or max_iter is
+reached.  Two statistics are tracked:
 
   continuous   sum((new - old)^2) / sum(new^2) over all continuous columns
   categorical  changed originally-missing categorical cells / their count

@@ -34,7 +34,7 @@ from .imputers import (ImputerParams, IterationTrace, MissForestParams, impute,
                        missforest_impute)
 
 
-def stack_labels(X: DataTable, y: LabelVector) -> DataTable:
+def _stack_labels(X: DataTable, y: LabelVector) -> DataTable:
     """Append y as the last column of X, renamed ``<name>_target`` if X
     already has a column of its name."""
     if y.n != X.n_rows:
@@ -48,7 +48,7 @@ def stack_labels(X: DataTable, y: LabelVector) -> DataTable:
                              np.column_stack([X.missing, y.missing]))
 
 
-def unstack(table: DataTable, name: str) -> tuple[DataTable, LabelVector]:
+def _unstack(table: DataTable, name: str) -> tuple[DataTable, LabelVector]:
     """Split the last column back off as the label vector called `name`."""
     X, y = split_label(table, table.n_cols - 1)
     return X, replace(y, name=name)
@@ -61,7 +61,7 @@ def iul_impute(X: DataTable, y: LabelVector, params: ImputerParams
     The label may itself have missing entries (they are imputed along with
     everything else); a fully-observed label comes back bit-exact.
     """
-    return unstack(impute(stack_labels(X, y), params)[0], y.name)
+    return _unstack(impute(_stack_labels(X, y), params)[0], y.name)
 
 
 def di_impute(X: DataTable, params: ImputerParams) -> DataTable:
@@ -96,9 +96,9 @@ def cbmi_predict(X_train: DataTable, y_train: LabelVector, X_test: DataTable,
     n_train = X_train.n_rows
     y_hidden = LabelVector.all_missing(X_test.n_rows, ColumnKind.CATEGORICAL,
                                        y_train.categories, y_train.name)
-    stacked = concat_rows(stack_labels(X_train, y_train), stack_labels(X_test, y_hidden))
+    stacked = concat_rows(_stack_labels(X_train, y_train), _stack_labels(X_test, y_hidden))
     completed, trace = missforest_impute(stacked, params)
-    _, y_all = unstack(completed, y_train.name)
+    _, y_all = _unstack(completed, y_train.name)
     return CbmiResult(
         y_pred=y_all.take(np.arange(n_train, n_train + X_test.n_rows)),
         y_train_imputed=y_all.take(np.arange(n_train)),

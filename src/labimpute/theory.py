@@ -17,11 +17,10 @@ label-free model's error measured through the total-minus-regression
 decomposition SSE = SST - SSR around mean(x).  The label-stacked model
 wins exactly when V+ + V- >= 0, and y >= 0 forces V+ >= 0 and V- <= 0.
 
-Measuring the label-free predictions by raw squared error instead would
-make the comparison vacuous: the full fit minimizes squared error over a
-superset of models, so its raw SSE can never be larger.  The SST - SSR
-form is what the identity is about; the raw refit error is still reported
-as a diagnostic (`sse_di_refit`).
+Measuring the label-free predictions by raw squared error instead, or
+refitting the label-free model, would make the comparison vacuous: the
+full fit minimizes squared error over a superset of models, so its raw SSE
+can never be larger.  The SST - SSR form is what the identity is about.
 """
 
 from __future__ import annotations
@@ -65,13 +64,10 @@ class TheoremInstance:
 @dataclass(frozen=True)
 class TheoremReport:
     gamma: tuple[float, float, float]
-    means: tuple[float, float, float]   # mean(x), mean(z), mean(y)
-    effects: np.ndarray                 # E_i, one per row
     v_plus: float
     v_minus: float
     sse_iul: float
     sse_di: float
-    sse_di_refit: float
     identity_residual: float
     iul_wins: bool
 
@@ -122,10 +118,6 @@ def verify_theorem1(inst: TheoremInstance, tol: float = 1e-8) -> TheoremReport:
     sst = float(np.sum((x - mux) ** 2))
     xd = g[0] + g[1] * z
     sse_di = sst - float(np.sum((xd - mux) ** 2))
-    # diagnostic: the independently refit label-free model's raw error
-    B = np.column_stack([np.ones(inst.n), z])
-    b, *_ = np.linalg.lstsq(B, x, rcond=None)
-    sse_di_refit = float(np.sum((B @ b - x) ** 2))
 
     effects = _compute_E(z, y, g)
     v_plus, v_minus = _split_V(y, effects)
@@ -144,19 +136,16 @@ def verify_theorem1(inst: TheoremInstance, tol: float = 1e-8) -> TheoremReport:
         raise InvariantError("win condition disagrees with the sign of V+ + V-")
     return TheoremReport(
         gamma=g,
-        means=(mux, float(z.mean()), float(y.mean())),
-        effects=effects,
         v_plus=v_plus,
         v_minus=v_minus,
         sse_iul=sse_iul,
         sse_di=sse_di,
-        sse_di_refit=sse_di_refit,
         identity_residual=residual,
         iul_wins=iul_wins,
     )
 
 
-def sample_instance(rng: np.random.Generator, n: int) -> TheoremInstance:
+def _sample_instance(rng: np.random.Generator, n: int) -> TheoremInstance:
     """A random full-rank instance with non-negative labels."""
     if n < 3:
         raise DataError("need n >= 3")

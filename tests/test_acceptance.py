@@ -32,19 +32,17 @@ from labimpute import (
     cbmi_predict,
     di_impute,
     iul_impute,
-    labels_equal,
     mice_impute,
     missforest_impute,
-    resolve_dataset,
     run_experiment,
-    sample_instance,
     split_label,
-    tables_equal,
     train_test_split,
     verify_theorem1,
 )
 from labimpute.cli import cli_main
-from labimpute.data import round_half_away
+from labimpute.data import _labels_equal, _tables_equal, round_half_away
+from labimpute.harness import resolve_dataset
+from labimpute.theory import _sample_instance
 
 SEED = 20260816
 
@@ -82,7 +80,7 @@ def test_acceptance_01_sse_identity_and_win_condition(capsys):
     neg_seen = pos_seen = 0
     for _ in range(1000):
         n = int(rng.integers(5, 51))
-        inst = sample_instance(rng, n)
+        inst = _sample_instance(rng, n)
         rep = verify_theorem1(inst, tol=tol)  # raises on any violation
         scale = max(1.0, abs(rep.sse_di))
         worst = max(worst, rep.identity_residual / scale)
@@ -174,24 +172,23 @@ def test_acceptance_02_imputers_preserve_observed_and_close_categories(capsys):
 
 def test_acceptance_03_complete_data_identity_and_pure_transduction(capsys):
     t0 = time.perf_counter()
-    iris, label = resolve_dataset("builtin:iris")
-    x, y = split_label(iris, label)
+    x, y = split_label(resolve_dataset("builtin:iris"), "species")
     mf = MissForestParams(forest=ForestParams(n_trees=30), max_iter=10, seed=SEED)
 
     out_mf, trace = missforest_impute(x, mf)
-    assert tables_equal(out_mf, x)
+    assert _tables_equal(out_mf, x)
     out_mice = mice_impute(x, MiceParams())
-    assert tables_equal(out_mice, x)
+    assert _tables_equal(out_mice, x)
     out_di = di_impute(x, mf)
-    assert tables_equal(out_di, x)
+    assert _tables_equal(out_di, x)
     out_iul, y_iul = iul_impute(x, y, mf)
-    assert tables_equal(out_iul, x)
-    assert labels_equal(y_iul, y)
+    assert _tables_equal(out_iul, x)
+    assert _labels_equal(y_iul, y)
 
     # zero-rate label imputation: only the hidden test labels get filled
     (x_tr, y_tr), (x_te, _) = train_test_split(x, y, 0.6, SEED + 3)
     res = cbmi_predict(x_tr, y_tr, x_te, mf)
-    assert labels_equal(res.y_train_imputed, y_tr)
+    assert _labels_equal(res.y_train_imputed, y_tr)
     stacked_vals = np.vstack([x_tr.values, x_te.values])
     assert np.array_equal(res.completed.values[:, :-1], stacked_vals)
     assert not res.completed.missing.any()

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import labimpute
 from labimpute.cli import cli_main
-from labimpute.data import (ColumnKind, DataTable, load_csv, save_csv, split_label,
+from labimpute.data import (ColumnKind, DataTable, _save_csv, load_csv, split_label,
                             train_test_split)
 from labimpute.forest import ForestParams
 from labimpute.imputers import MissForestParams
@@ -28,7 +28,7 @@ def iris_csv(tmp_path_factory):
     with resources.as_file(ref) as p:
         table = load_csv(p)
     path = root / "iris.csv"
-    save_csv(table, path)
+    _save_csv(table, path)
     return path
 
 
@@ -160,8 +160,8 @@ def test_cbmi_predictions(iris_csv, tmp_path):
     table = load_csv(iris_csv)
     _, y = split_label(table, "species")
     (tr, _), (te, _) = train_test_split(table, y, 0.6, 1)
-    save_csv(tr, tmp_path / "train.csv")
-    save_csv(te.drop_column(te.column_index("species")), tmp_path / "test.csv")
+    _save_csv(tr, tmp_path / "train.csv")
+    _save_csv(te.drop_column(te.column_index("species")), tmp_path / "test.csv")
     code = cli_main([
         "cbmi", "--train", str(tmp_path / "train.csv"),
         "--test", str(tmp_path / "test.csv"), "--label", "species",
@@ -317,7 +317,7 @@ def test_experiment_and_cbmi_make_out_dir_before_running(iris_csv, tmp_path,
                      "--out-dir", below_file]) == 2
     assert "file" in capsys.readouterr().err
     table = load_csv(iris_csv)
-    save_csv(table.drop_column(table.column_index("species")), tmp_path / "test.csv")
+    _save_csv(table.drop_column(table.column_index("species")), tmp_path / "test.csv")
     assert cli_main(["cbmi", "--train", str(iris_csv), "--test", str(tmp_path / "test.csv"),
                      "--label", "species", "--out-dir", below_file]) == 2
     assert "file" in capsys.readouterr().err
@@ -330,7 +330,7 @@ def test_commands_write_no_file_in_the_locale_encoding(iris_csv, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     table = load_csv(iris_csv)
-    save_csv(table.drop_column(table.column_index("species")), tmp_path / "test.csv")
+    _save_csv(table.drop_column(table.column_index("species")), tmp_path / "test.csv")
     masked = tmp_path / "sim" / "masked.csv"
     commands = [
         ["simulate", str(iris_csv), "--rate", "0.2", "--out-dir", str(tmp_path / "sim")],

@@ -1,4 +1,3 @@
-import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,23 +11,21 @@ from labimpute.data import (
     ColumnSchema,
     DataTable,
     LabelVector,
+    _save_csv,
+    _tables_equal,
     accuracy,
     apply_mcar,
     concat_rows,
     load_csv,
     masked_mse,
     round_half_away,
-    save_csv,
     scale_minmax,
-    schema_from_json,
-    schema_to_json,
     split_label,
-    tables_equal,
     train_test_split,
 )
 from labimpute.errors import DataError, SchemaError
 from labimpute.forest import ForestModel, ForestParams, fit_forest
-from labimpute.strategies import stack_labels
+from labimpute.strategies import _stack_labels
 
 
 def cont(name):
@@ -86,7 +83,7 @@ def test_table_flags_are_authoritative():
     t = make_table([[1.0, 2.0], [3.0, 4.0]], missing=[[False, True], [False, False]])
     assert np.isnan(t.values[0, 1])
     assert t.missing[0, 1]
-    assert t.missing_count_by_column().tolist() == [0, 1]
+    assert t.missing.sum(axis=0).tolist() == [0, 1]
     assert not t.is_complete()
 
 
@@ -123,7 +120,7 @@ _OWNED_CASES = {
     "concat_rows": lambda v, m, idx: concat_rows(_owned_table(v, m), _owned_table(v, m)),
     "apply_mcar": lambda v, m, idx: apply_mcar(_owned_table(v, m), 0.3, 1),
     "scale_minmax": lambda v, m, idx: scale_minmax(_owned_table(v, m), [_owned_table(v, m)]),
-    "stack_labels": lambda v, m, idx: stack_labels(_owned_table(v, m), _owned_label(v, m)),
+    "stack_labels": lambda v, m, idx: _stack_labels(_owned_table(v, m), _owned_label(v, m)),
     "split_label": lambda v, m, idx: split_label(_owned_table(v, m), "c"),
     "LabelVector.take": lambda v, m, idx: _owned_label(v, m).take(idx),
     "fit_forest": lambda v, m, idx: fit_forest(_owned_table(v, m), _owned_label(v, m),
@@ -169,7 +166,7 @@ def test_label_vector_class_range():
         LabelVector(ColumnKind.CATEGORICAL, np.array([0.0, 3.0]),
                     np.zeros(2, dtype=bool), ("a", "b"))
     y = LabelVector.from_ints([0, 1, 1], ["a", "b"])
-    assert y.n_classes == 2
+    assert y.categories == ("a", "b")
     assert y.as_ints().tolist() == [0, 1, 1]
 
 
@@ -212,7 +209,7 @@ def test_label_vector_rejects_a_float_max_scale_class_id():
 
 def test_label_vector_names_unnamed_classes_up_to_the_cap():
     y = LabelVector.from_ints([0, 2 ** 16 - 1])
-    assert y.n_classes == 2 ** 16 and y.categories[-1] == "65535"
+    assert len(y.categories) == 2 ** 16 and y.categories[-1] == "65535"
     with pytest.raises(DataError, match="up to 65535"):
         LabelVector.from_ints([2 ** 16])
 
@@ -232,7 +229,7 @@ def test_load_csv_iris_asset():
     assert kinds[4] is ColumnKind.CATEGORICAL
     assert t.schema[4].categories == ("setosa", "versicolor", "virginica")
     X, y = split_label(t, "species")
-    assert X.n_cols == 4 and y.kind is ColumnKind.CATEGORICAL and y.n_classes == 3
+    assert X.n_cols == 4 and y.kind is ColumnKind.CATEGORICAL and len(y.categories) == 3
     assert t.is_complete()
 
 
@@ -303,8 +300,8 @@ def test_load_csv_blank_line_is_a_missing_cell_in_one_column(tmp_path):
     t = load_csv(f)
     assert t.n_rows == 3 and t.missing[:, 0].tolist() == [False, True, False]
     assert t.values[[0, 2], 0].tolist() == [1.0, 3.0]
-    save_csv(t, tmp_path / "out.csv")
-    assert tables_equal(load_csv(tmp_path / "out.csv", t.schema), t)
+    _save_csv(t, tmp_path / "out.csv")
+    assert _tables_equal(load_csv(tmp_path / "out.csv", t.schema), t)
     f.write_text("x\n1\n\ninf\n")
     with pytest.raises(DataError, match=r"row 2, column 'x'"):
         load_csv(f)
@@ -336,9 +333,9 @@ def test_csv_round_trip(tmp_path):
     t = random_table(rng, 23, 5)
     masked, _ = apply_mcar(t, 0.3, seed=11)
     out = tmp_path / "round.csv"
-    save_csv(masked, out)
+    _save_csv(masked, out)
     back = load_csv(out, schema=masked.schema)
-    assert tables_equal(masked, back)
+    assert _tables_equal(masked, back)
 
 
 def test_save_csv_reads_back_and_refuses_missing_token_labels(tmp_path):
@@ -348,58 +345,29 @@ def test_save_csv_reads_back_and_refuses_missing_token_labels(tmp_path):
                   np.array([[False, False, False], [True, False, False],
                             [False, True, True]]))
     out = tmp_path / "holes.csv"
-    save_csv(t, out)
-    assert tables_equal(load_csv(out, schema=schema), t)
-    assert tables_equal(load_csv(out), t)  # inference recovers every kind
+    _save_csv(t, out)
+    assert _tables_equal(load_csv(out, schema=schema), t)
+    assert _tables_equal(load_csv(out), t)  # inference recovers every kind
     bad = DataTable((cont("x"), cat("grade", ["A", "NA"])),
                     np.array([[1.0, 0.0], [2.0, 1.0]]), np.zeros((2, 2), dtype=bool))
     with pytest.raises(DataError, match="'grade'.*'NA'"):
-        save_csv(bad, tmp_path / "bad.csv")
+        _save_csv(bad, tmp_path / "bad.csv")
     assert not (tmp_path / "bad.csv").exists()
 
 
-def test_schema_sidecar_round_trip(tmp_path):
-    schema = (cont("x"), cat("c", ["u", "v", "w"]))
-    path = tmp_path / "schema.json"
-    schema_to_json(schema, path)
-    assert schema_from_json(path) == schema
-
-
-@pytest.mark.parametrize("text, match", [
-    ('[{"name": "x", "kind": "continuous"}, {"name": "a"}]', r"entry 1 \{'name': 'a'\}"),
-    ('{"name": "a", "kind": "continuous"}', "JSON list"),
-    ('[{"name": "a", "kind": "ordinal"}]', "entry 0 .*'ordinal'"),
-    ("name,kind\n", "not valid JSON"),
-    ('[{"name": 5, "kind": "continuous"}]', "entry 0 .*string name"),
-    ('[{"name": "c", "kind": "categorical", "categories": "ab"}]', "entry 0 .*list"),
-], ids=["no-kind", "not-a-list", "unknown-kind", "not-json", "int-name",
-        "string-categories"])
-def test_schema_from_json_malformed_is_schema_error(tmp_path, text, match):
-    path = tmp_path / "schema.json"
-    path.write_text(text)
-    with pytest.raises(SchemaError, match=match):
-        schema_from_json(path)
-
-
-def test_csv_and_schema_files_are_utf8(tmp_path):
+def test_csv_files_are_utf8(tmp_path):
     # written and read as UTF-8 whatever the locale; other bytes are a
     # DataError that names the file, not a UnicodeDecodeError
     schema = (cont("x"), cat("città", ["é", "ß"]))
     table = make_table([[1.5, 0.0], [2.0, 1.0]], schema=schema)
-    save_csv(table, tmp_path / "t.csv")
-    schema_to_json(schema, tmp_path / "s.json")
+    _save_csv(table, tmp_path / "t.csv")
     data = (tmp_path / "t.csv").read_bytes()
     assert "città".encode("utf-8") in data and "é".encode("utf-8") in data
-    assert tables_equal(load_csv(tmp_path / "t.csv", schema_from_json(tmp_path / "s.json")),
-                        table)
+    assert _tables_equal(load_csv(tmp_path / "t.csv", table.schema), table)
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"a,b\n1,\xff\n")
     with pytest.raises(DataError, match="bad.csv: not UTF-8"):
         load_csv(bad)
-    bad_schema = tmp_path / "bad.json"
-    bad_schema.write_bytes(b'[{"name": "\xff", "kind": "continuous"}]')
-    with pytest.raises(SchemaError, match="bad.json: not valid JSON"):
-        schema_from_json(bad_schema)
 
 
 def test_csv_field_over_the_reader_limit_is_a_data_error(tmp_path):
@@ -450,74 +418,8 @@ def test_load_csv_fuzz_round_trips_or_raises_a_data_error(raw):
             table = load_csv(src)
         except (DataError, SchemaError):
             return
-        save_csv(table, out)
-        assert tables_equal(load_csv(out, table.schema), table)
-
-
-_SCALAR = st.none() | st.booleans() | st.integers() | st.floats()
-_JSON = st.recursive(_SCALAR | _LABEL, lambda inner: st.lists(inner, max_size=3)
-                     | st.dictionaries(st.text(max_size=2), inner, max_size=3), max_leaves=4)
-
-
-@st.composite
-def _schema_bytes(draw):
-    """A list of mostly valid column entries, now and then with one key
-    dropped or set to arbitrary JSON; or arbitrary JSON, deep nesting or bytes."""
-    pick = draw(st.integers(0, 9))
-    if pick == 0:
-        return draw(st.binary(max_size=40))
-    if pick == 1:
-        depth = draw(st.sampled_from([3, 500, 5000]))
-        return ("[" * depth + "]" * draw(st.sampled_from([0, depth]))).encode()
-    if pick == 2:
-        return json.dumps(draw(_JSON)).encode()
-    entries = []
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(ColumnKind))
-        entry = {"name": draw(_LABEL), "kind": kind.value,
-                 "categories": draw(st.lists(_LABEL, min_size=1, max_size=3, unique=True))
-                 if kind is ColumnKind.CATEGORICAL else []}
-        if draw(st.integers(0, 3)) == 0:
-            key = draw(st.sampled_from(sorted(entry)))
-            if draw(st.booleans()):
-                entry[key] = draw(st.one_of(_SCALAR, _JSON))
-            else:
-                del entry[key]
-        entries.append(entry)
-    return json.dumps(entries).encode()
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(raw=_schema_bytes())
-def test_schema_json_fuzz_round_trips_or_raises_a_data_error(raw):
-    # every input is a schema or a DataError/SchemaError, and a schema that
-    # loads comes back the same through schema_to_json and schema_from_json
-    with tempfile.TemporaryDirectory() as tmp:
-        src, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
-        src.write_bytes(raw)
-        try:
-            schema = schema_from_json(src)
-        except DataError:
-            return
-        assert all(isinstance(col, ColumnSchema) for col in schema)
-        schema_to_json(schema, out)
-        assert schema_from_json(out) == schema
-
-
-def test_schema_json_too_deeply_nested_is_a_schema_error(tmp_path):
-    # the JSON decoder gives up on deep nesting with a RecursionError
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000)
-    with pytest.raises(SchemaError, match="deep.json: not valid JSON"):
-        schema_from_json(deep)
-
-
-def test_schema_json_category_rule_names_the_file_and_entry(tmp_path):
-    f = tmp_path / "s.json"
-    f.write_text('[{"name": "a", "kind": "continuous"}, '
-                 '{"name": "b", "kind": "categorical", "categories": ["x", "x"]}]')
-    with pytest.raises(SchemaError, match="s.json: column entry 1: duplicate category"):
-        schema_from_json(f)
+        _save_csv(table, out)
+        assert _tables_equal(load_csv(out, table.schema), table)
 
 
 def test_split_label_equals_the_checked_label():
@@ -572,7 +474,7 @@ def test_split_is_deterministic():
     y = LabelVector.from_ints([i % 2 for i in range(30)], ["a", "b"])
     a = train_test_split(t, y, 0.5, seed=42)
     b = train_test_split(t, y, 0.5, seed=42)
-    assert tables_equal(a[0][0], b[0][0]) and tables_equal(a[1][0], b[1][0])
+    assert _tables_equal(a[0][0], b[0][0]) and _tables_equal(a[1][0], b[1][0])
 
 
 def test_split_rejects_tiny_or_bad_ratio():
@@ -610,7 +512,7 @@ def test_mcar_rate_zero_is_identity():
     masked, mask = apply_mcar(t, 0.0, seed=1)
     assert mask.sum() == 0
     assert mask.dtype == bool and np.array_equal(mask, masked.missing)
-    assert tables_equal(masked, t)
+    assert _tables_equal(masked, t)
 
 
 def test_mcar_rejects_bad_rate_and_premasked():

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labimpute import harness
-from labimpute.data import load_csv, save_csv
 from labimpute.errors import DataError
 from labimpute.forest import ForestParams
 from labimpute.harness import (
@@ -24,7 +23,6 @@ from labimpute.harness import (
     load_experiment_config,
     resolve_dataset,
     run_experiment,
-    save_experiment_config,
 )
 from labimpute.imputers import MiceParams, MissForestParams
 
@@ -64,7 +62,7 @@ def test_config_json_round_trip(tmp_path):
     cfg = small_config(rates=(0.1, 0.5), forest=ForestParams(n_trees=7, mtry=2),
                        seed=2**62 + 1)
     path = tmp_path / "cfg.json"
-    save_experiment_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_json_dict()), encoding="utf-8")
     loaded = load_experiment_config(path)
     assert loaded == cfg
 
@@ -204,7 +202,7 @@ def test_rejected_huge_integer_is_a_data_error():
 @pytest.mark.parametrize("seed", [0, (1 << 64) - 1, -(1 << 63), 2**53 + 1])
 def test_config_round_trips_every_accepted_seed(tmp_path, seed):
     cfg = ExperimentConfig("builtin:iris", "species", seed=seed)
-    save_experiment_config(cfg, tmp_path / "cfg.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_json_dict()), encoding="utf-8")
     assert load_experiment_config(tmp_path / "cfg.json") == cfg
 
 
@@ -303,9 +301,9 @@ def test_record_method_expansion():
 
 
 def test_resolve_builtin_iris():
-    table, label = resolve_dataset("builtin:iris")
+    table = resolve_dataset("builtin:iris")
     assert (table.n_rows, table.n_cols) == (150, 5)
-    assert label == "species"
+    assert table.column_names[-1] == "species"
     assert table.is_complete()
     with pytest.raises(DataError, match="unknown builtin"):
         resolve_dataset("builtin:nope")

@@ -6,23 +6,23 @@ from labimpute.data import (
     ColumnSchema,
     DataTable,
     LabelVector,
+    _labels_equal,
+    _tables_equal,
     apply_mcar,
     concat_rows,
-    labels_equal,
-    tables_equal,
 )
 from labimpute.errors import DataError
 from labimpute.forest import ForestParams, fit_forest, predict
 from labimpute.imputers import MiceParams, MissForestParams
 from labimpute import strategies
 from labimpute.strategies import (
+    _stack_labels,
+    _unstack,
     cbmi_predict,
     di_impute,
     iclf_predict,
     iul_impute,
     rf_missing_predict,
-    stack_labels,
-    unstack,
 )
 
 
@@ -54,34 +54,34 @@ def test_stack_unstack_round_trip():
     rng = np.random.default_rng(0)
     X = cont_table(rng.normal(size=(12, 3)))
     y = class_labels(rng.integers(0, 2, 12).tolist(), k=2)
-    st = stack_labels(X, y)
+    st = _stack_labels(X, y)
     assert st.n_cols == 4
     assert st.schema[3].kind is ColumnKind.CATEGORICAL
-    X2, y2 = unstack(st, y.name)
-    assert tables_equal(X, X2)
-    assert labels_equal(y, y2)
+    X2, y2 = _unstack(st, y.name)
+    assert _tables_equal(X, X2)
+    assert _labels_equal(y, y2)
 
 
 def test_stack_regression_label_and_missing_labels():
     X = cont_table([[1.0], [2.0]])
     y = LabelVector(ColumnKind.CONTINUOUS, np.array([0.5, np.nan]),
                     np.array([False, True]))
-    st = stack_labels(X, y)
+    st = _stack_labels(X, y)
     assert st.schema[1].kind is ColumnKind.CONTINUOUS
     assert st.missing[1, 1]
-    _, y2 = unstack(st, y.name)
-    assert labels_equal(y, y2)
+    _, y2 = _unstack(st, y.name)
+    assert _labels_equal(y, y2)
 
 
 def test_stack_renames_colliding_label():
     X = DataTable((ColumnSchema("label", ColumnKind.CONTINUOUS),),
                   np.array([[1.0]]), np.array([[False]]))
     y = class_labels([0], k=1)
-    st = stack_labels(X, y)
+    st = _stack_labels(X, y)
     assert st.schema[1].name == "label_target"
-    X2, y2 = unstack(st, "label")
-    assert y2.name == "label" and labels_equal(y, y2)
-    assert tables_equal(X, X2)
+    X2, y2 = _unstack(st, "label")
+    assert y2.name == "label" and _labels_equal(y, y2)
+    assert _tables_equal(X, X2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_iul_preserves_fully_observed_labels_bit_exact():
     y = class_labels(rng.integers(0, 2, 30).tolist(), k=2)
     X_imp, y_imp = iul_impute(masked, y, mf_params(seed=3))
     assert X_imp.is_complete()
-    assert labels_equal(y, y_imp)
+    assert _labels_equal(y, y_imp)
 
 
 def test_iul_fills_missing_labels_semisupervised():
@@ -130,7 +130,7 @@ def test_di_equals_engine_on_plain_table():
     from labimpute.imputers import missforest_impute
 
     direct, _ = missforest_impute(masked, mf_params(seed=7))
-    assert tables_equal(di_impute(masked, mf_params(seed=7)), direct)
+    assert _tables_equal(di_impute(masked, mf_params(seed=7)), direct)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_cbmi_transduction_no_train_row_is_touched():
     Xte = cont_table(rng.normal(size=(8, 3)))
     y = class_labels(rng.integers(0, 3, 20).tolist(), k=3)
     res = cbmi_predict(Xtr, y, Xte, mf_params(seed=9))
-    assert labels_equal(res.y_train_imputed, y)
+    assert _labels_equal(res.y_train_imputed, y)
     assert res.completed.is_complete()
     # feature cells were fully observed: completion preserved them
     assert np.array_equal(res.completed.values[:20, :3], Xtr.values)
@@ -225,7 +225,7 @@ def test_iclf_imputes_complete_test_rows_once(monkeypatch):
     params, fp = mf_params(seed=1), ForestParams(n_trees=15)
     merged = concat_rows(Xtr, Xte)
     joint = di_impute(merged, params).take_rows(np.arange(30, merged.n_rows))
-    assert tables_equal(joint, Xte)
+    assert _tables_equal(joint, Xte)
     calls = []
 
     def counted(*args):
