@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=MissForestParams.max_iter,
                    help="sweep limit (missforest only; default %(default)s)")
     p.add_argument("--n-iter", type=int, default=MiceParams.n_iter,
-                   help="sweep count (mice only; default %(default)s)")
+                   help="sweep limit (mice only; default %(default)s)")
     p.add_argument("--ridge", type=float, default=MiceParams.ridge,
                    help="ridge penalty (mice only; default %(default)s)")
 
@@ -153,11 +153,9 @@ def _cmd_impute(args) -> int:
     out = _out_dir(args)
     completed, trace = impute(table, params)
     _save_csv(completed, out / "imputed.csv")
-    note = ""
-    if trace is not None:
-        trace.to_csv(out / "trace.csv")
-        note = f" ({len(trace.sweeps)} sweeps, stopped: {trace.stop_reason})"
-    print(f"imputed -> {out / 'imputed.csv'}{note}")
+    trace.to_csv(out / "trace.csv")
+    print(f"imputed -> {out / 'imputed.csv'} "
+          f"({len(trace.sweeps)} sweeps, stopped: {trace.stop_reason})")
     return 0
 
 

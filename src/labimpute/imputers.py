@@ -1,29 +1,32 @@
 """Iterative imputation engines.
 
-Both engines start alike.  Each hole is filled with its column's mean, or
-its mode with ties to the smallest category, and the columns with holes
-are visited in ascending missing count, ties by index.  The start refuses
-a fully missing column and a column whose mean is not finite (one that
-overflows float64), each named, and then a table of fewer than two columns.
+impute runs one sweep loop for both engines, missForest or MICE, picked by
+the type of the params it is given.  Both start alike.  Each hole is filled
+with its column's mean, or its mode with ties to the smallest category, and
+the columns with holes are visited in ascending missing count, ties by
+index.  The start refuses a fully missing column and a column whose mean is
+not finite (one that overflows float64), each named, and then a table of
+fewer than two columns.
 
-missforest_impute refits a random forest per column on the
-currently-completed values of the other columns and overwrites only the
-originally-missing cells.  Sweeps repeat until either tracked statistic
-rises above its value in the previous sweep (the previous sweep's matrix
-is returned; a tie sweeps on), a sweep changes no cell (fixed_point: with
-per-column seeds fixed, every later sweep would repeat it), or max_iter is
-reached.  Two statistics are tracked:
+A sweep refits every column with holes on the currently-completed values of
+the other columns and overwrites only its originally-missing cells.  Each
+sweep records two statistics:
 
   continuous   sum((new - old)^2) / sum(new^2) over all continuous columns
   categorical  changed originally-missing categorical cells / their count
 
 A statistic is None when it is untracked (no continuous column, or no
 categorical hole), and the continuous one also while every continuous cell
-is 0.
+is 0.  Sweeps repeat until a sweep changes no cell (fixed_point: neither
+engine draws anything that differs between sweeps, so every later sweep
+would repeat it), the sweep limit (max_iter or n_iter) is reached, or, for
+missForest only, either statistic rises above its value in the previous
+sweep (the previous sweep's matrix is returned; a tie sweeps on).
 
-mice_impute is the deterministic chained-equations counterpart: ridge
-least squares per continuous column, one-vs-rest least-squares scoring
-with argmax per categorical column, a fixed number of sweeps, no sampling.
+missForest fits a random forest per column, seeded per column.  MICE is the
+deterministic chained-equations counterpart: ridge least squares per
+continuous column, one-vs-rest least-squares scoring with argmax per
+categorical column, at most n_iter sweeps, stopping early at fixed_point.
 Its design D, expanded once per call, is an intercept plus one block per
 column: the cells, or the indicators of categories 1..k-1.  Each fit reads
 its normal equations from G = DᵀD, formed afresh every sweep: the observed
@@ -31,14 +34,12 @@ rows' Gram matrix is G - D_misᵀD_mis, or D_obsᵀD_obs when a column has
 more missing than observed rows, and a filled block moves G by the change
 in D_misᵀD_mis.  That rounds unlike the direct normal equations: on the
 tests' tables continuous cells stay within 1e-12 of their largest value.
-
-impute is the one entry point that picks an engine, from the type of the
-params it is given.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,67 +126,23 @@ def _set_up(table: DataTable, engine: str) -> tuple[np.ndarray, list[int], np.nd
     return mask, [int(j) for j in np.argsort(counts, kind="stable") if counts[j]], cells
 
 
-def _fit_predict_column(values: np.ndarray, table: DataTable, s: int, mis: np.ndarray,
-                        forest_params: ForestParams, seed: int) -> np.ndarray:
-    """Forest-regress column s on all other columns; return predictions for
-    the rows flagged in `mis`.  Each block is gathered once; `values` is
-    complete, so no block has a missing cell."""
-    keep = np.flatnonzero(np.arange(values.shape[1]) != s)
-    schema, col = tuple(table.schema[j] for j in keep), table.schema[s]
-
-    def rows(flags):
-        block = values[np.ix_(flags, keep)]
-        return DataTable._unsafe(schema, block, np.zeros(block.shape, dtype=bool))
-
-    target = values[~mis, s]
-    y = LabelVector._unsafe(col.kind, target, np.zeros(target.shape, dtype=bool),
-                            col.categories, col.name)
-    return predict(fit_forest(rows(~mis), y, forest_params, seed), rows(mis)).values
-
-
-def missforest_impute(table: DataTable, params: MissForestParams
-                      ) -> tuple[DataTable, IterationTrace]:
-    """Iterative per-column random-forest imputation.
-
-    Returns the completed table and a per-sweep trace.  Observed cells are
-    preserved bit-exactly; a table with no missing cells is returned
-    unchanged with an empty trace.
-    """
-    if table.is_complete():
-        return table, IterationTrace(stop_reason="no_missing")
-    mask, order, cur = _set_up(table, "forest imputation")
-    cont = table.continuous_columns()
-    cat_holes = mask.copy()
-    cat_holes[:, cont] = False
-    n_holes = int(cat_holes.sum())
-    col_seeds = {s: child_seed(params.seed, _COLUMN_TAG, s) for s in order}
-
-    trace = IterationTrace(stop_reason="max_iter")
-    prev: tuple[float | None, float | None] = (None, None)
-    for it in range(1, params.max_iter + 1):
-        old = cur.copy()
+def _forest_sweeps(table: DataTable, params: MissForestParams, mask: np.ndarray,
+                   order: list[int], cur: np.ndarray) -> Iterator[None]:
+    """missForest's step: forest-regress each column with holes, in order, on
+    all other columns and overwrite its missing cells.  Each block is
+    gathered once; `cur` is complete, so no block has a missing cell."""
+    seeds = {s: child_seed(params.seed, _COLUMN_TAG, s) for s in order}
+    while True:
         for s in order:
-            mis = mask[:, s]
-            cur[mis, s] = _fit_predict_column(cur, table, s, mis, params.forest,
-                                              col_seeds[s])
-        dc = dg = None
-        if cont.size:
-            new = cur[:, cont]
-            den = float((new ** 2).sum())
-            dc = float(((new - old[:, cont]) ** 2).sum()) / den if den else None
-        if n_holes:
-            dg = int((cur[cat_holes] != old[cat_holes]).sum()) / n_holes
-        trace.sweeps.append(SweepRecord(it, dc, dg))
-
-        if any(d is not None and p is not None and d > p for d, p in zip((dc, dg), prev)):
-            trace.stop_reason = "delta_increase"
-            cur = old  # the sweep before the increase
-            break
-        if np.array_equal(cur, old):  # every later sweep would repeat this one
-            trace.stop_reason = "fixed_point"
-            break
-        prev = dc, dg
-    return table.with_cells(cur), trace
+            mis, col = mask[:, s], table.schema[s]
+            keep = np.flatnonzero(np.arange(table.n_cols) != s)
+            schema = tuple(table.schema[j] for j in keep)
+            X, Q = (DataTable._unsafe(schema, b, np.zeros(b.shape, dtype=bool))
+                    for b in (cur[np.ix_(~mis, keep)], cur[np.ix_(mis, keep)]))
+            y = LabelVector._unsafe(col.kind, cur[~mis, s], np.zeros(X.n_rows, dtype=bool),
+                                    col.categories, col.name)
+            cur[mis, s] = predict(fit_forest(X, y, params.forest, seeds[s]), Q).values
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +182,11 @@ def _ridge_fill(G: np.ndarray, d_mis: np.ndarray, own: slice, others: np.ndarray
     return scores if cats is None else cats[np.argmax(scores, axis=1)].astype(np.float64)
 
 
-def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
-    """Deterministic chained-equations imputation.
-
-    Runs exactly n_iter sweeps in ascending-missing-count column order.
-    Continuous columns are refit by ridge least squares on all other
-    columns (categoricals one-hot encoded, reference level dropped);
-    categorical columns take the argmax of one-vs-rest least-squares
-    scores over the column's observed categories, ties to the smallest
-    index.  No randomness is involved anywhere.
-
-    A fit gathers only its missing rows, or also its observed rows when
-    they are fewer, and makes one solve (see the module docstring).
-    """
-    if table.is_complete():
-        return table
-    mask, order, cur = _set_up(table, "chained-equations imputation")
+def _mice_sweeps(table: DataTable, params: MiceParams, mask: np.ndarray,
+                 order: list[int], cur: np.ndarray) -> Iterator[None]:
+    """MICE's step: refit each column with holes, in order, on all other
+    columns and overwrite its missing cells, one solve per fit (see the
+    module docstring)."""
     # each table column's block of design columns and their levels: -1 for
     # a continuous column, else categories 1..k-1 (the first category is the
     # reference level and is dropped); design column 0 is the intercept
@@ -265,7 +211,7 @@ def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
                      block, others, params.ridge * np.diag(others > 0), cats,
                      any(downdates[i + 1:])))
 
-    for _ in range(params.n_iter):
+    while True:
         # afresh each sweep, so the downdates do not drift
         G = design.T @ design if any(downdates) else None
         for s, mis, obs, block, others, reg, cats, upkeep in fits:
@@ -282,18 +228,74 @@ def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
                 _write_design(d_mis, slice(None), block, filled, level)
                 G[block] += (d_mis.T @ d_mis)[block] - gram[block]
                 G[:, block] = G[block].T
-    return table.with_cells(cur)
+        yield
 
 
 ImputerParams = MissForestParams | MiceParams
 
 
-def impute(table: DataTable, params: ImputerParams
-           ) -> tuple[DataTable, IterationTrace | None]:
-    """Fill every missing cell with the engine the type of params selects:
-    missforest_impute and its trace, or mice_impute and no trace (None)."""
-    if isinstance(params, MiceParams):
-        return mice_impute(table, params), None
+def impute(table: DataTable, params: ImputerParams) -> tuple[DataTable, IterationTrace]:
+    """Fill every missing cell with the engine the type of params selects;
+    return the completed table and its per-sweep trace.  Observed cells are
+    preserved bit-exactly; a complete table is returned with an empty trace."""
     if isinstance(params, MissForestParams):
-        return missforest_impute(table, params)
-    raise DataError(f"unknown imputer parameter type {type(params).__name__}")
+        engine, sweeps, limit = "forest imputation", _forest_sweeps, params.max_iter
+    elif isinstance(params, MiceParams):
+        engine, sweeps, limit = "chained-equations imputation", _mice_sweeps, params.n_iter
+    else:
+        raise DataError(f"unknown imputer parameter type {type(params).__name__}")
+    if table.is_complete():
+        return table, IterationTrace(stop_reason="no_missing")
+    mask, order, cur = _set_up(table, engine)
+    cont = table.continuous_columns()
+    cat_holes = mask.copy()
+    cat_holes[:, cont] = False
+    # a sweep writes the holes alone: their flat indices, continuous first,
+    # and where the continuous ones sit in the continuous block
+    holes = np.concatenate([np.flatnonzero(mask & ~cat_holes), np.flatnonzero(cat_holes)])
+    at = np.nonzero(mask[:, cont])
+    k, n_holes = at[0].size, int(cat_holes.sum())
+    step = sweeps(table, params, mask, order, cur)
+    trace = IterationTrace(stop_reason="max_iter")
+    prev = None, None
+    for it in range(1, limit + 1):
+        old = cur.take(holes)
+        next(step)
+        new = cur.take(holes)
+        dc = dg = None
+        if cont.size:  # both sums span the whole block, zeros too: that fixes the bits
+            block = cur[:, cont]
+            den = float(np.square(block, out=block).sum())
+            block.fill(0.0)
+            block[at] = new[:k] - old[:k]
+            dc = float(np.square(block, out=block).sum()) / den if den else None
+        if n_holes:
+            dg = int((new[k:] != old[k:]).sum()) / n_holes
+        trace.sweeps.append(SweepRecord(it, dc, dg))
+        if sweeps is _forest_sweeps and any(
+                d is not None and p is not None and d > p for d, p in zip((dc, dg), prev)):
+            trace.stop_reason = "delta_increase"
+            cur.put(holes, old)  # the sweep before the increase
+            break
+        if np.array_equal(new, old):  # every later sweep would repeat this one
+            trace.stop_reason = "fixed_point"
+            break
+        prev = dc, dg
+    step.close()  # the engine's arrays go before the output table is built
+    return table.with_cells(cur), trace
+
+
+def missforest_impute(table: DataTable, params: MissForestParams
+                      ) -> tuple[DataTable, IterationTrace]:
+    """Iterative per-column random-forest imputation: impute's result."""
+    return impute(table, params)
+
+
+def mice_impute(table: DataTable, params: MiceParams) -> DataTable:
+    """Deterministic chained-equations imputation: the completed table after
+    at most n_iter sweeps, stopping early at fixed_point.  Continuous columns
+    are refit by ridge least squares on all other columns (categoricals
+    one-hot encoded, reference level dropped); categorical columns take the
+    argmax of one-vs-rest least-squares scores over the column's observed
+    categories, ties to the smallest index.  No randomness is involved."""
+    return impute(table, params)[0]

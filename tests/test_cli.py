@@ -17,7 +17,7 @@ from labimpute.cli import cli_main
 from labimpute.data import (ColumnKind, DataTable, _save_csv, load_csv, split_label,
                             train_test_split)
 from labimpute.forest import ForestParams
-from labimpute.imputers import MissForestParams
+from labimpute.imputers import MiceParams, MissForestParams, impute
 from labimpute.strategies import cbmi_predict
 
 
@@ -111,18 +111,23 @@ def test_impute_missforest(iris_csv, tmp_path):
     assert len(trace) >= 2
 
 
-def test_impute_mice_no_trace(iris_csv, tmp_path):
+def test_impute_mice_writes_trace(iris_csv, tmp_path, capsys):
     cli_main([
         "simulate", str(iris_csv), "--rate", "0.2",
         "--seed", "1", "--out-dir", str(tmp_path),
     ])
     code = cli_main([
         "impute", str(tmp_path / "masked.csv"),
-        "--method", "mice", "--out-dir", str(tmp_path / "out"),
+        "--method", "mice", "--n-iter", "3", "--out-dir", str(tmp_path / "out"),
     ])
     assert code == 0
     assert load_csv(tmp_path / "out" / "imputed.csv").is_complete()
-    assert not (tmp_path / "out" / "trace.csv").exists()
+    _, trace = impute(load_csv(tmp_path / "masked.csv"), MiceParams(n_iter=3))
+    assert trace.stop_reason in {"fixed_point", "max_iter"} and 1 <= len(trace.sweeps) <= 3
+    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert rows[0] == "iteration,delta_continuous,delta_categorical"
+    assert [r.split(",")[0] for r in rows[1:]] == [str(s.iteration) for s in trace.sweeps]
+    assert f"({len(trace.sweeps)} sweeps, stopped: {trace.stop_reason})" in capsys.readouterr().out
 
 
 def test_impute_iul_keeps_label_column(iris_csv, tmp_path):

@@ -148,7 +148,10 @@ def test_impute_picks_the_engine_from_the_params_type():
     ref, ref_trace = missforest_impute(t, small_params(seed=9))
     assert _tables_equal(out, ref) and trace == ref_trace
     out, trace = impute(t, MiceParams(n_iter=3))
-    assert _tables_equal(out, mice_impute(t, MiceParams(n_iter=3))) and trace is None
+    assert _tables_equal(out, mice_impute(t, MiceParams(n_iter=3)))
+    assert isinstance(trace, IterationTrace) and 1 <= len(trace.sweeps) <= 3
+    assert [s.iteration for s in trace.sweeps] == list(range(1, len(trace.sweeps) + 1))
+    assert trace.stop_reason in {"fixed_point", "max_iter"}
     with pytest.raises(DataError, match="unknown imputer parameter type"):
         impute(t, ForestParams())
 
@@ -420,6 +423,15 @@ def mixed_k_table(seed, n, absent_category, rate=0.25):
     return apply_mcar(t, rate, seed=seed + 1)[0]
 
 
+def _assert_near_reference(t, got, expected):
+    cats = t.categorical_columns()
+    conts = t.continuous_columns()
+    assert np.array_equal(got[:, cats], expected[:, cats])
+    if conts.size:
+        gap = np.abs(got[:, conts] - expected[:, conts]).max()
+        assert gap <= 1e-12 * np.abs(expected[:, conts]).max()
+
+
 def _check_mice_against_reference(seed, n, ridge, rate):
     """The engine reads its normal equations from a maintained Gram matrix,
     so it rounds differently from the direct normal equations of
@@ -429,13 +441,7 @@ def _check_mice_against_reference(seed, n, ridge, rate):
     # positive ridge can carry
     t = mixed_k_table(seed, n, absent_category=ridge > 0, rate=rate)
     params = MiceParams(n_iter=4, ridge=ridge)
-    expected = _reference_mice(t, params)
-    got = mice_impute(t, params).values
-    cats = t.categorical_columns()
-    conts = t.continuous_columns()
-    assert np.array_equal(got[:, cats], expected[:, cats])
-    gap = np.abs(got[:, conts] - expected[:, conts]).max()
-    assert gap <= 1e-12 * np.abs(expected[:, conts]).max()
+    _assert_near_reference(t, mice_impute(t, params).values, _reference_mice(t, params))
     if ridge > 0:
         j = [col.name for col in t.schema].index("c5")
         assert 4.0 not in t.values[~t.missing[:, j], j]
@@ -457,6 +463,40 @@ def test_mice_matches_naive_loop_at_high_rates(rate, seed, ridge):
     # directly.  400 rows, since at 160 the reference's own design is
     # singular at ridge 0 and ill-conditioned at 1e-8
     _check_mice_against_reference(seed, 400, ridge, rate)
+
+
+def _mice_runs_to_30_sweeps():
+    """40 small mixed tables and MICE's output and trace on each at
+    n_iter = 30; a few of them reach a fixed point."""
+    rng = np.random.default_rng(3)
+    params = MiceParams(n_iter=30)
+    for _ in range(40):
+        t, _ = random_mixed(rng, 60, 4, 0.25)
+        yield t, params, *impute(t, params)
+
+
+def test_mice_stops_early_at_a_fixed_point_with_the_output_of_every_sweep():
+    # MICE draws nothing and forms G afresh from a design that is a function
+    # of the cells, so a sweep that changes no cell would repeat forever
+    fixed = []
+    for t, params, out, trace in _mice_runs_to_30_sweeps():
+        if trace.stop_reason == "fixed_point":
+            assert len(trace.sweeps) < params.n_iter
+            _assert_near_reference(t, out.values, _reference_mice(t, params))
+            fixed.append(t)
+    assert any(t.continuous_columns().size for t in fixed), "no fixed point with a continuous column"
+
+
+def test_mice_never_stops_on_a_rising_statistic():
+    # the rise rule is missForest's alone; on most of these tables a MICE
+    # statistic rises, and the sweeps go on
+    rises = 0
+    for _, _, _, trace in _mice_runs_to_30_sweeps():
+        assert trace.stop_reason in {"fixed_point", "max_iter"}
+        rises += any(b.delta_continuous > a.delta_continuous
+                     for a, b in zip(trace.sweeps, trace.sweeps[1:])
+                     if a.delta_continuous is not None and b.delta_continuous is not None)
+    assert rises, "no rising statistic in the sample"
 
 
 def _reference_missforest(table, params):

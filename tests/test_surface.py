@@ -24,8 +24,8 @@ _REACHED_THROUGH = {
     "RunRecord": "run_experiment",         # ExperimentReport.records
     "AggregateRow": "run_experiment",      # ExperimentReport.aggregates
     "Scenario": "ExperimentConfig",        # its scenario field
-    "IterationTrace": "missforest_impute",  # returns it
-    "SweepRecord": "missforest_impute",    # IterationTrace.sweeps
+    "IterationTrace": "impute",            # returns it, for either engine
+    "SweepRecord": "impute",               # IterationTrace.sweeps
     "CbmiResult": "cbmi_predict",          # returns it
 }
 
