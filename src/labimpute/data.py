@@ -181,16 +181,6 @@ class DataTable:
                                  self.missing.take(keep, axis=1))
 
 
-def _same_cells(a: DataTable | LabelVector, b: DataTable | LabelVector) -> bool:
-    return (a.values.shape == b.values.shape and np.array_equal(a.missing, b.missing)
-            and np.array_equal(a.values[~a.missing], b.values[~b.missing]))
-
-
-def _tables_equal(a: DataTable, b: DataTable) -> bool:
-    """Bit-exact equality: same schema, same flags, same present values."""
-    return a.schema == b.schema and _same_cells(a, b)
-
-
 def concat_rows(top: DataTable, bottom: DataTable) -> DataTable:
     """Row-stack two tables sharing an identical schema."""
     if top.schema != bottom.schema:
@@ -280,11 +270,6 @@ class LabelVector:
         idx = np.asarray(idx, dtype=np.intp)
         return LabelVector._unsafe(self.kind, self.values[idx], self.missing[idx],
                                    self.categories, self.name)
-
-
-def _labels_equal(a: LabelVector, b: LabelVector) -> bool:
-    """Bit-exact equality of kind, categories, flags and present values."""
-    return a.kind is b.kind and a.categories == b.categories and _same_cells(a, b)
 
 
 # ---------------------------------------------------------------------------

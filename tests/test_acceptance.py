@@ -40,9 +40,11 @@ from labimpute import (
     verify_theorem1,
 )
 from labimpute.cli import cli_main
-from labimpute.data import _labels_equal, _tables_equal, round_half_away
+from labimpute.data import round_half_away
 from labimpute.harness import resolve_dataset
 from labimpute.theory import _sample_instance
+
+from equality import labels_equal, tables_equal
 
 SEED = 20260816
 
@@ -176,19 +178,19 @@ def test_acceptance_03_complete_data_identity_and_pure_transduction(capsys):
     mf = MissForestParams(forest=ForestParams(n_trees=30), max_iter=10, seed=SEED)
 
     out_mf, trace = missforest_impute(x, mf)
-    assert _tables_equal(out_mf, x)
+    assert tables_equal(out_mf, x)
     out_mice = mice_impute(x, MiceParams())
-    assert _tables_equal(out_mice, x)
+    assert tables_equal(out_mice, x)
     out_di = di_impute(x, mf)
-    assert _tables_equal(out_di, x)
+    assert tables_equal(out_di, x)
     out_iul, y_iul = iul_impute(x, y, mf)
-    assert _tables_equal(out_iul, x)
-    assert _labels_equal(y_iul, y)
+    assert tables_equal(out_iul, x)
+    assert labels_equal(y_iul, y)
 
     # zero-rate label imputation: only the hidden test labels get filled
     (x_tr, y_tr), (x_te, _) = train_test_split(x, y, 0.6, SEED + 3)
     res = cbmi_predict(x_tr, y_tr, x_te, mf)
-    assert _labels_equal(res.y_train_imputed, y_tr)
+    assert labels_equal(res.y_train_imputed, y_tr)
     stacked_vals = np.vstack([x_tr.values, x_te.values])
     assert np.array_equal(res.completed.values[:, :-1], stacked_vals)
     assert not res.completed.missing.any()

@@ -12,7 +12,6 @@ from labimpute.data import (
     DataTable,
     LabelVector,
     _save_csv,
-    _tables_equal,
     accuracy,
     apply_mcar,
     concat_rows,
@@ -26,6 +25,8 @@ from labimpute.data import (
 from labimpute.errors import DataError, SchemaError
 from labimpute.forest import ForestModel, ForestParams, fit_forest
 from labimpute.strategies import _stack_labels
+
+from equality import tables_equal
 
 
 def cont(name):
@@ -301,7 +302,7 @@ def test_load_csv_blank_line_is_a_missing_cell_in_one_column(tmp_path):
     assert t.n_rows == 3 and t.missing[:, 0].tolist() == [False, True, False]
     assert t.values[[0, 2], 0].tolist() == [1.0, 3.0]
     _save_csv(t, tmp_path / "out.csv")
-    assert _tables_equal(load_csv(tmp_path / "out.csv", t.schema), t)
+    assert tables_equal(load_csv(tmp_path / "out.csv", t.schema), t)
     f.write_text("x\n1\n\ninf\n")
     with pytest.raises(DataError, match=r"row 2, column 'x'"):
         load_csv(f)
@@ -335,7 +336,7 @@ def test_csv_round_trip(tmp_path):
     out = tmp_path / "round.csv"
     _save_csv(masked, out)
     back = load_csv(out, schema=masked.schema)
-    assert _tables_equal(masked, back)
+    assert tables_equal(masked, back)
 
 
 def test_save_csv_reads_back_and_refuses_missing_token_labels(tmp_path):
@@ -346,8 +347,8 @@ def test_save_csv_reads_back_and_refuses_missing_token_labels(tmp_path):
                             [False, True, True]]))
     out = tmp_path / "holes.csv"
     _save_csv(t, out)
-    assert _tables_equal(load_csv(out, schema=schema), t)
-    assert _tables_equal(load_csv(out), t)  # inference recovers every kind
+    assert tables_equal(load_csv(out, schema=schema), t)
+    assert tables_equal(load_csv(out), t)  # inference recovers every kind
     bad = DataTable((cont("x"), cat("grade", ["A", "NA"])),
                     np.array([[1.0, 0.0], [2.0, 1.0]]), np.zeros((2, 2), dtype=bool))
     with pytest.raises(DataError, match="'grade'.*'NA'"):
@@ -363,7 +364,7 @@ def test_csv_files_are_utf8(tmp_path):
     _save_csv(table, tmp_path / "t.csv")
     data = (tmp_path / "t.csv").read_bytes()
     assert "città".encode("utf-8") in data and "é".encode("utf-8") in data
-    assert _tables_equal(load_csv(tmp_path / "t.csv", table.schema), table)
+    assert tables_equal(load_csv(tmp_path / "t.csv", table.schema), table)
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"a,b\n1,\xff\n")
     with pytest.raises(DataError, match="bad.csv: not UTF-8"):
@@ -419,7 +420,7 @@ def test_load_csv_fuzz_round_trips_or_raises_a_data_error(raw):
         except (DataError, SchemaError):
             return
         _save_csv(table, out)
-        assert _tables_equal(load_csv(out, table.schema), table)
+        assert tables_equal(load_csv(out, table.schema), table)
 
 
 def test_split_label_equals_the_checked_label():
@@ -474,7 +475,7 @@ def test_split_is_deterministic():
     y = LabelVector.from_ints([i % 2 for i in range(30)], ["a", "b"])
     a = train_test_split(t, y, 0.5, seed=42)
     b = train_test_split(t, y, 0.5, seed=42)
-    assert _tables_equal(a[0][0], b[0][0]) and _tables_equal(a[1][0], b[1][0])
+    assert tables_equal(a[0][0], b[0][0]) and tables_equal(a[1][0], b[1][0])
 
 
 def test_split_rejects_tiny_or_bad_ratio():
@@ -512,7 +513,7 @@ def test_mcar_rate_zero_is_identity():
     masked, mask = apply_mcar(t, 0.0, seed=1)
     assert mask.sum() == 0
     assert mask.dtype == bool and np.array_equal(mask, masked.missing)
-    assert _tables_equal(masked, t)
+    assert tables_equal(masked, t)
 
 
 def test_mcar_rejects_bad_rate_and_premasked():

@@ -8,7 +8,6 @@ from labimpute.data import (
     ColumnSchema,
     DataTable,
     LabelVector,
-    _tables_equal,
     apply_mcar,
 )
 from labimpute.errors import DataError
@@ -22,6 +21,8 @@ from labimpute.imputers import (
     mice_impute,
     missforest_impute,
 )
+
+from equality import tables_equal
 
 
 def cont(name):
@@ -104,7 +105,7 @@ def test_missforest_complete_table_is_unchanged():
     rng = np.random.default_rng(0)
     t, _ = random_mixed(rng, 20, 4, 0.0)
     out, trace = missforest_impute(t, small_params())
-    assert _tables_equal(out, t)
+    assert tables_equal(out, t)
     assert trace.sweeps == [] and trace.stop_reason == "no_missing"
 
 
@@ -137,7 +138,7 @@ def test_missforest_is_deterministic():
     t, _ = random_mixed(rng, 30, 4, 0.25)
     a, tra = missforest_impute(t, small_params(seed=9))
     b, trb = missforest_impute(t, small_params(seed=9))
-    assert _tables_equal(a, b)
+    assert tables_equal(a, b)
     assert tra.sweeps == trb.sweeps and tra.stop_reason == trb.stop_reason
 
 
@@ -146,9 +147,9 @@ def test_impute_picks_the_engine_from_the_params_type():
     t, _ = random_mixed(rng, 30, 4, 0.25)
     out, trace = impute(t, small_params(seed=9))
     ref, ref_trace = missforest_impute(t, small_params(seed=9))
-    assert _tables_equal(out, ref) and trace == ref_trace
+    assert tables_equal(out, ref) and trace == ref_trace
     out, trace = impute(t, MiceParams(n_iter=3))
-    assert _tables_equal(out, mice_impute(t, MiceParams(n_iter=3)))
+    assert tables_equal(out, mice_impute(t, MiceParams(n_iter=3)))
     assert isinstance(trace, IterationTrace) and 1 <= len(trace.sweeps) <= 3
     assert [s.iteration for s in trace.sweeps] == list(range(1, len(trace.sweeps) + 1))
     assert trace.stop_reason in {"fixed_point", "max_iter"}
@@ -176,7 +177,7 @@ def test_missforest_returns_previous_matrix_on_delta_increase():
         # same matrix the increase rule rolled back to
         k = len(trace.sweeps) - 1
         ref, ref_trace = missforest_impute(t, small_params(seed=seed, max_iter=k))
-        assert _tables_equal(out, ref)
+        assert tables_equal(out, ref)
         assert [s.iteration for s in ref_trace.sweeps] == list(range(1, k + 1))
         break
     assert found, "no delta_increase stop observed in the seed sweep"
@@ -252,7 +253,7 @@ def test_mice_recovers_exact_linear_dependence():
 def test_mice_complete_table_is_unchanged():
     rng = np.random.default_rng(7)
     t, _ = random_mixed(rng, 15, 3, 0.0)
-    assert _tables_equal(mice_impute(t, MiceParams()), t)
+    assert tables_equal(mice_impute(t, MiceParams()), t)
 
 
 def test_mice_completes_preserves_and_closes_categories():
@@ -273,7 +274,7 @@ def test_mice_is_deterministic():
     t, _ = random_mixed(rng, 30, 4, 0.25)
     a = mice_impute(t, MiceParams(n_iter=3))
     b = mice_impute(t, MiceParams(n_iter=3))
-    assert _tables_equal(a, b)
+    assert tables_equal(a, b)
 
 
 def test_mice_singular_design_instructs_ridge():

@@ -6,8 +6,6 @@ from labimpute.data import (
     ColumnSchema,
     DataTable,
     LabelVector,
-    _labels_equal,
-    _tables_equal,
     apply_mcar,
     concat_rows,
 )
@@ -24,6 +22,8 @@ from labimpute.strategies import (
     iul_impute,
     rf_missing_predict,
 )
+
+from equality import labels_equal, tables_equal
 
 
 def cont_table(values, missing=None):
@@ -58,8 +58,8 @@ def test_stack_unstack_round_trip():
     assert st.n_cols == 4
     assert st.schema[3].kind is ColumnKind.CATEGORICAL
     X2, y2 = _unstack(st, y.name)
-    assert _tables_equal(X, X2)
-    assert _labels_equal(y, y2)
+    assert tables_equal(X, X2)
+    assert labels_equal(y, y2)
 
 
 def test_stack_regression_label_and_missing_labels():
@@ -70,7 +70,7 @@ def test_stack_regression_label_and_missing_labels():
     assert st.schema[1].kind is ColumnKind.CONTINUOUS
     assert st.missing[1, 1]
     _, y2 = _unstack(st, y.name)
-    assert _labels_equal(y, y2)
+    assert labels_equal(y, y2)
 
 
 def test_stack_renames_colliding_label():
@@ -80,8 +80,8 @@ def test_stack_renames_colliding_label():
     st = _stack_labels(X, y)
     assert st.schema[1].name == "label_target"
     X2, y2 = _unstack(st, "label")
-    assert y2.name == "label" and _labels_equal(y, y2)
-    assert _tables_equal(X, X2)
+    assert y2.name == "label" and labels_equal(y, y2)
+    assert tables_equal(X, X2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_iul_preserves_fully_observed_labels_bit_exact():
     y = class_labels(rng.integers(0, 2, 30).tolist(), k=2)
     X_imp, y_imp = iul_impute(masked, y, mf_params(seed=3))
     assert X_imp.is_complete()
-    assert _labels_equal(y, y_imp)
+    assert labels_equal(y, y_imp)
 
 
 def test_iul_fills_missing_labels_semisupervised():
@@ -130,7 +130,7 @@ def test_di_equals_engine_on_plain_table():
     from labimpute.imputers import missforest_impute
 
     direct, _ = missforest_impute(masked, mf_params(seed=7))
-    assert _tables_equal(di_impute(masked, mf_params(seed=7)), direct)
+    assert tables_equal(di_impute(masked, mf_params(seed=7)), direct)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_cbmi_transduction_no_train_row_is_touched():
     Xte = cont_table(rng.normal(size=(8, 3)))
     y = class_labels(rng.integers(0, 3, 20).tolist(), k=3)
     res = cbmi_predict(Xtr, y, Xte, mf_params(seed=9))
-    assert _labels_equal(res.y_train_imputed, y)
+    assert labels_equal(res.y_train_imputed, y)
     assert res.completed.is_complete()
     # feature cells were fully observed: completion preserved them
     assert np.array_equal(res.completed.values[:20, :3], Xtr.values)
@@ -225,7 +225,7 @@ def test_iclf_imputes_complete_test_rows_once(monkeypatch):
     params, fp = mf_params(seed=1), ForestParams(n_trees=15)
     merged = concat_rows(Xtr, Xte)
     joint = di_impute(merged, params).take_rows(np.arange(30, merged.n_rows))
-    assert _tables_equal(joint, Xte)
+    assert tables_equal(joint, Xte)
     calls = []
 
     def counted(*args):
