@@ -263,7 +263,7 @@ def impute(table: DataTable, params: ImputerParams) -> tuple[DataTable, Iteratio
         next(step)
         new = cur.take(holes)
         dc = dg = None
-        if cont.size:  # both sums span the whole block, zeros too: that fixes the bits
+        if cont.size:  # both sums span the whole block, zeros included: that fixes their rounding
             block = cur[:, cont]
             den = float(np.square(block, out=block).sum())
             block.fill(0.0)
