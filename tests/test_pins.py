@@ -90,6 +90,8 @@ FOREST_PINS = {
     ("iris", "species", True): "7e2756021bf9ff8d319d8984e9c108b711b063acc13763b054fdc85c1a8e0974",
     ("iris", "petal_width", False): "12106956de1cb15fd65cd66348b4edcfb561d5e902fd950dfdd9f8778a89571e",
     ("iris", "petal_width", True): "a00ec2225544d4cf3e9eb546f5b1971299e2c701a2f8139fb03e8c2d06867d50",
+    ("mixed", "c13", False): "4112dbf44264d9fd0b42e59e8779906c3ec1e31bc123cc4ed808980b3b3fd5c6",
+    ("mixed", "c13", True): "53fe54e926082267fdf44c79181f1a5491ab8ea86eed553bc7c3287dab24e61e",
     ("mixed", "c6", False): "3e633ee5b3b43d9203d92b3291a1bdc9787b97a89ef5e3c10e2146c9c295a783",
     ("mixed", "c6", True): "bc94296036edccafc740c35c92e1f7b091d1aa3ac0ba565db8afba2c88532350",
     ("mixed", "x0", False): "ab5624335a4a76eedfc83a2796ca7457845d196b084c7e6f62ece177176f2a72",
