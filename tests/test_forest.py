@@ -359,22 +359,34 @@ def _midpoint(a, b):
     return mid if mid < b else a
 
 
+def _side_impurity(left, y, is_class, n_classes):
+    """Impurity of the rows each row of the boolean matrix `left` selects
+    from y, computed directly: Gini from class counts, or the squared
+    deviations from the side's own mean (mean first)."""
+    n = left.sum(axis=1)
+    size = np.maximum(n, 1)
+    if is_class:
+        counts = left.astype(np.int64) @ (y[:, None] == np.arange(n_classes))
+        return n - (counts * counts).sum(axis=1) / size
+    mean = np.where(left, y, 0.0).sum(axis=1) / size
+    return (np.where(left, y - mean[:, None], 0.0) ** 2).sum(axis=1)
+
+
 def _candidates(X, miss, cat_sizes, y, y_raw, rows, is_class, n_classes, min_leaf):
     """Every admissible split of the node, in tie order: (gain, feature,
     threshold or None, left category set or None, observed left mask,
-    observed rows).  Categories are ordered by the mean of y_raw."""
+    observed rows).  Categories are ordered by the mean of y_raw.  All the
+    candidates of one feature are scored together, from one boolean
+    (candidates x observed rows) left-side matrix."""
     out = []
     for f in range(X.shape[1]):
         obs = rows[~miss[rows, f]]
         x, yo = X[obs, f], y[obs]
-        parent = _impurity(yo, is_class, n_classes)
         k = cat_sizes[f]
-        splits = []
         if k == 0:
             u = np.unique(x)
-            for a, b in zip(u[:-1], u[1:]):
-                t = _midpoint(a, b)
-                splits.append((t, None, x <= t))
+            cuts = [(_midpoint(a, b), None) for a, b in zip(u[:-1], u[1:])]
+            left = x <= np.array([t for t, _ in cuts])[:, None]
         else:
             xs = x.astype(int)
             if k <= 10:
@@ -387,15 +399,20 @@ def _candidates(X, miss, cat_sizes, y, y_raw, rows, is_class, n_classes, min_lea
                     mean = np.where(cnt > 0, sums / cnt, np.inf)
                 order = np.argsort(mean, kind="stable")
                 subsets = [sorted(order[:j + 1]) for j in range(k - 1)]
-            for cats in subsets:
-                splits.append((None, frozenset(cats), np.isin(xs, cats)))
-        for t, cats, left in splits:
-            nl = int(left.sum())
-            if nl < min_leaf or x.size - nl < min_leaf:
-                continue
-            gain = parent - _impurity(yo[left], is_class, n_classes) \
-                - _impurity(yo[~left], is_class, n_classes)
-            out.append((gain, f, t, cats, left, obs))
+            cuts = [(None, frozenset(cats)) for cats in subsets]
+            member = np.zeros((len(cuts), k), dtype=bool)
+            for i, cats in enumerate(subsets):
+                member[i, cats] = True
+            left = member[:, xs]
+        if not cuts:
+            continue
+        nl = left.sum(axis=1)
+        gain = (_impurity(yo, is_class, n_classes)
+                - _side_impurity(left, yo, is_class, n_classes)
+                - _side_impurity(~left, yo, is_class, n_classes))
+        for i in ((nl >= min_leaf) & (x.size - nl >= min_leaf)).nonzero()[0]:
+            (t, cats), g = cuts[i], float(gain[i])
+            out.append((g, f, t, cats, left[i], obs))
     return out
 
 
