@@ -189,8 +189,9 @@ class _Grower:
     def __init__(self, Xv, miss, cat_sizes, y, n_classes, mtry, min_leaf, max_depth):
         # codes: a continuous cell's dense rank among its column's distinct
         # observed values, a categorical cell's category id, and for a
-        # missing cell the code one past the column's last.  One sort ranks
-        # every continuous column; a missing cell sorts last, as +inf.
+        # missing cell the code one past the column's last, column by column
+        # (cell (i, f) at f * n + i).  One sort ranks every continuous
+        # column; a missing cell sorts last, as +inf.
         self.n, self.p = Xv.shape
         cont, cat = (cat_sizes == 0).nonzero()[0], cat_sizes.nonzero()[0]
         v = Xv[:, cont] if miss is None else np.where(miss[:, cont], np.inf, Xv[:, cont])
@@ -198,10 +199,11 @@ class _Grower:
         v = v[order, np.arange(cont.size)]
         new = np.ones(v.shape, dtype=bool)
         np.not_equal(v[1:], v[:-1], out=new[1:])
-        self.codes = np.empty((self.n, self.p), dtype=np.int64)
-        self.codes[order, cont] = new.cumsum(axis=0) - 1
-        self.codes[:, cat] = Xv[:, cat] if miss is None else np.where(
-            miss[:, cat], cat_sizes[cat], Xv[:, cat])
+        codes = np.empty((self.p, self.n), dtype=np.int64)
+        codes[cont[:, None], order.T] = (new.cumsum(axis=0) - 1).T
+        codes[cat] = (Xv[:, cat] if miss is None else np.where(
+            miss[:, cat], cat_sizes[cat], Xv[:, cat])).T
+        self.codes = codes.ravel()
         new &= v < np.inf
         self.values = v.T[new.T]              # distinct continuous values
         sizes = np.zeros(self.p, dtype=np.int64)
@@ -288,7 +290,7 @@ class _Grower:
                 s, rows, pos = node[go], rows[go], pos[go]
                 node = (ok.cumsum() - 1)[s]
             f, cut, _, major = spec.take(s, axis=1)
-            c = self.codes[rows, f]
+            c = self.codes.take(f * n + rows)
             right = c > cut
             if left_tab is not None:
                 right &= ~left_tab[s, np.minimum(c, self.width - 1)]
@@ -335,7 +337,7 @@ class _Grower:
         S, mtry = feats.shape
         K1, N = self.K1, rows.size * mtry
         pair_feat = feats.ravel()
-        codes = self.codes[rows[:, None], feats[snode]]
+        codes = self.codes.take((feats * self.n).take(snode, axis=0) + rows[:, None])
         key = ((snode * (mtry * K1))[:, None] + self.slot_keys + codes).ravel()
         order = key.argsort()
         key = key[order]
