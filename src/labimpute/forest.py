@@ -149,15 +149,6 @@ def _resolve(params: ForestParams, p: int, kind: ColumnKind) -> tuple[int, int]:
     return mtry, min_leaf
 
 
-def _subset_masks(k: int) -> np.ndarray:
-    """All 2^(k-1) - 1 binary partitions of k categories, as 0/1 rows.
-
-    Each partition appears once: the enumerated side never contains the
-    last category, so complements are not revisited.
-    """
-    return (np.arange(1, 1 << (k - 1))[:, None] >> np.arange(k)) & 1
-
-
 _GOLDEN, _MIX1, _MIX2, _R30, _R27, _R31, _R32, _LO32 = map(np.uint64, (
     0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31, 32, (1 << 32) - 1))
 # hash inputs of tree keys, and of bootstrap draws (node draws XOR in positions < n)
@@ -213,10 +204,16 @@ class _Grower:
         self.K1 = int(self.miss_code.max()) + 1
         self.slot_keys = np.arange(mtry) * self.K1
         self.cat_sizes = cat_sizes            # 0 for continuous columns
-        self.cat_ks = sorted(set(cat_sizes[cat].tolist()))
-        self.masks = {k: _subset_masks(k) for k in self.cat_ks if k <= 10}
-        self.n_cut = max([k - 1 if k > 10 else (1 << (k - 1)) - 1 for k in self.cat_ks] or [0])
-        self.width = max(self.cat_ks or [0]) + 1   # category codes and the miss code
+        ks = cat_sizes[cat]
+        self.width = int(ks.max(initial=0)) + 1      # category codes and the miss code
+        self.code_ids = np.arange(self.width)
+        self.slots = np.arange(mtry)
+        # a column of up to 10 categories is cut by its 2^(k-1) - 1 subsets,
+        # a wider one by prefixes of its categories in mean target order
+        self.sub_ks = sorted(set(ks[ks <= 10].tolist()))
+        self.n_cut = (1 << max(self.sub_ks, default=1) - 1) - 1
+        self.sub_ks_of_bit = list(range(2, max(self.sub_ks, default=1) + 1))  # k > bit + 1
+        self.has_prefix = bool((ks > 10).any())
         self.no_tab = np.zeros((0, self.width), dtype=bool)
         self.has_miss = miss is not None
         self.y, self.C = y, n_classes         # C is 0 for regression
@@ -328,16 +325,36 @@ class _Grower:
         """Best split of every open node, by the tie rule of the module.
 
         Node s scores the pairs (s, feature) of its drawn features, pair id
-        s * mtry + slot, whose entries one sort orders by rank code, missing
-        cells last.  Cumulative sums of the channels (one-hot classes, or
-        fixed-point targets) give each run of equal codes its left sums.  A
-        node takes the first run, in (slot, code) order, that passes its
-        tolerance; a categorical pair's best cut stands at its first run.
+        s * mtry + slot.  A pair cut by prefixes first recodes each category
+        as its rank in mean target order, so that its cuts fall between runs
+        like a continuous feature's.  One sort orders every pair's entries by
+        code, missing cells last, and cumulative sums of the channels
+        (one-hot classes, or fixed-point targets) give each run of equal
+        codes its left sums.  A pair cut by subsets sums its runs per
+        category and its subsets by doubling; its best cut stands at its
+        first run.  A node takes the first run, in (slot, code) order, that
+        passes its tolerance.
         """
         S, mtry = feats.shape
-        K1, N = self.K1, rows.size * mtry
+        K1, N, w = self.K1, rows.size * mtry, self.width
         pair_feat = feats.ravel()
+        pair_k = self.cat_sizes[pair_feat]
         codes = self.codes.take((feats * self.n).take(snode, axis=0) + rows[:, None])
+        if self.has_prefix:
+            # the mean target of each (prefix pair, category), summed in row
+            # order; absent categories, then the missing code, rank last
+            pq = (pair_k > 10).nonzero()[0]
+            p_of = np.full(pair_k.size, pq.size)
+            p_of[pq] = np.arange(pq.size)
+            on = p_of.take((snode * mtry)[:, None] + self.slots)
+            at = on * w + np.minimum(codes, w - 1)
+            flat = at.ravel()
+            cnt = np.bincount(flat, minlength=(pq.size + 1) * w).reshape(-1, w)
+            sums = np.bincount(flat, weights=y.repeat(mtry), minlength=cnt.size).reshape(-1, w)
+            mean = np.divide(sums, cnt, out=np.full(cnt.shape, np.inf),
+                             where=(cnt > 0) & (self.code_ids < np.append(pair_k[pq], 0)[:, None]))
+            rank = mean.argsort(axis=1, kind="stable").argsort(axis=1)
+            codes = np.where(on < pq.size, rank.take(at), codes)
         key = ((snode * (mtry * K1))[:, None] + self.slot_keys + codes).ravel()
         order = key.argsort()
         key = key[order]
@@ -364,54 +381,38 @@ class _Grower:
                        n_obs[r_pair], total.take(r_pair, axis=-1), parent[r_pair])
         pair_run = r_start.searchsorted(first)              # first run of each pair
 
-        pair_k = self.cat_sizes[pair_feat]
-        cq = pair_k.nonzero()[0]
+        cq = ((pair_k > 0) & (pair_k <= 10)).nonzero()[0]
         if cq.size:
+            cq = cq[pair_k[cq].argsort(kind="stable")]      # subset pairs by k, then pair
             qk = pair_k[cq]
-            if len(self.cat_ks) > 1:                        # group the pairs by k
-                by_k = qk.argsort(kind="stable")
-                cq, qk = cq[by_k], qk[by_k]
-            q_of = np.zeros(pair_k.size, dtype=np.int64)
+            q_of = np.full(pair_k.size, cq.size)
             q_of[cq] = np.arange(cq.size)
-            on_cat = (pair_k[r_pair] > 0).nonzero()[0]
+            rq = q_of[r_pair]
+            on_cat = (rq < cq.size).nonzero()[0]
             g[on_cat] = -np.inf
-            at = q_of[r_pair[on_cat]], r_code[on_cat]
-            hist = np.zeros(csum.shape[:-1] + (cq.size, self.width), dtype=np.int64)
-            hist[..., at[0], at[1]] = (csum.take(r_end[on_cat], axis=-1)
+            # per (pair, category): the channel sums, then the count
+            at = rq[on_cat], r_code[on_cat]
+            hist = np.zeros((max(self.C, 1) + 1, cq.size, w), dtype=np.int64)
+            hist[:-1, at[0], at[1]] = (csum.take(r_end[on_cat], axis=-1)
                                        - csum.take(r_start[on_cat], axis=-1))
-            cnt = np.zeros((cq.size, self.width), dtype=np.int64)
-            cnt[at] = (r_end - r_start)[on_cat]
-            no, tot, par = n_obs[cq, None], total.take(cq, axis=-1)[..., None], parent[cq, None]
-            cat_gain = np.full((cq.size, self.n_cut), -np.inf)
-            ranks = np.zeros((cq.size, self.width), dtype=np.int64)
-            lims = qk.searchsorted(self.cat_ks + [qk[-1] + 1]).tolist()
-            for k, lo, hi in zip(self.cat_ks, lims, lims[1:]):
-                if k > 10 and hi > lo:
-                    # prefixes of the categories ordered by mean target;
-                    # absent categories sort last
-                    if self.C:
-                        sums = (hist[:, lo:hi, :k] * np.arange(self.C)[:, None, None]).sum(axis=0)
-                    else:
-                        row = np.full(pair_k.size, -1)
-                        row[cq[lo:hi]] = np.arange(hi - lo)
-                        row = row[(snode * mtry)[:, None] + np.arange(mtry)]
-                        use = (row >= 0) & (codes < k)
-                        sums = np.bincount(row[use] * k + codes[use], minlength=(hi - lo) * k,
-                                           weights=np.broadcast_to(y[:, None], use.shape)[use])
-                        sums = sums.reshape(hi - lo, k)
-                    mean = np.divide(sums, cnt[lo:hi, :k], out=np.full(sums.shape, np.inf),
-                                     where=cnt[lo:hi, :k] > 0)
-                    ranks[lo:hi, :k] = mean.argsort(axis=1, kind="stable").argsort(axis=1)
-                n_cut = k - 1 if k > 10 else (1 << (k - 1)) - 1
-                step = max(1, _BLOCK // (n_cut * (k + (self.C or 1))))
-                for q0 in range(lo, hi, step):
-                    q = slice(q0, min(q0 + step, hi))
-                    masks = (self.masks[k] if k <= 10 else
-                             (ranks[q, None, :k] <= np.arange(k - 1)[:, None]).astype(np.int64))
-                    cat_gain[q, :n_cut] = self._gain(
-                        (masks @ hist[..., q, :k, None])[..., 0], (masks @ cnt[q, :k, None])[..., 0],
-                        no[q], tot[..., q, :], par[q])
-            g[pair_run[cq]] = cat_gain.max(axis=1)      # stands in for the pair
+            hist[-1, at[0], at[1]] = (r_end - r_start)[on_cat]
+            no, tot, par = n_obs[cq], total.take(cq, axis=-1), parent[cq]
+            cat_gain = np.full((self.n_cut, cq.size), -np.inf)    # subset, pair
+            step = max(1, _BLOCK // (hist.shape[0] * (self.n_cut + 1)))
+            for q0 in range(0, cq.size, step):
+                # subset j (bit c: category c goes left) sums at row j + 1;
+                # doubling b adds category b to the pairs with k > b + 1
+                h, kq = hist[:, q0:q0 + step], qk[q0:q0 + step]
+                sub = np.zeros((h.shape[0], self.n_cut + 1, kq.size), dtype=np.int64)
+                for b, l in enumerate(kq.searchsorted(self.sub_ks_of_bit).tolist()):
+                    np.add(sub[:, :1 << b, l:], h[:, None, l:, b], out=sub[:, 1 << b:2 << b, l:])
+                lims = kq.searchsorted(self.sub_ks).tolist() + [kq.size]
+                for k, l, r in zip(self.sub_ks, lims, lims[1:]):
+                    if l < r:
+                        c, at = sub[:, 1:1 << k - 1, l:r], slice(q0 + l, q0 + r)
+                        cat_gain[:(1 << k - 1) - 1, at] = self._gain(
+                            c[:-1] if self.C else c[0], c[-1], no[at], tot[..., None, at], par[at])
+            g[pair_run[cq]] = cat_gain.max(axis=0)      # stands in for the pair
 
         node_run = pair_run[::mtry]
         best = np.maximum.reduceat(g, node_run)
@@ -424,23 +425,23 @@ class _Grower:
         cp = r_pair[run]
         spec = np.empty((4, S), dtype=np.int64)  # feature, cut code (-1: categorical),
         spec[0] = pair_feat[cp]                  # next code, majority goes left
-        is_cat = ok & (self.cat_sizes[spec[0]] > 0)
+        k = pair_k[cp]
+        is_cat = ok & (k > 0)
         spec[1] = np.where(is_cat, -1, r_code[run])
         spec[2] = r_code[np.minimum(run + 1, g.size - 1)]
         nl = r_end[run] - first[cp]
         left_tab = None
         if is_cat.any():
-            # the first passing subset or prefix of the pair
-            cn = is_cat.nonzero()[0]
-            q = q_of[cp[cn]]
-            j = (cat_gain[q] >= lim[cn, None]).argmax(axis=1)
-            left_tab = np.zeros((S, self.width), dtype=bool)
-            kn = qk[q]
-            for k in set(kn.tolist()):
-                w = kn == k
-                left_tab[cn[w], :k] = (self.masks[k][j[w]] if k <= 10 else
-                                       ranks[q[w], :k] <= j[w, None])
-            nl[cn] = (left_tab[cn] * cnt[q]).sum(axis=1)
+            left_tab = np.zeros((S, w), dtype=bool)
+            cs = (is_cat & (k <= 10)).nonzero()[0]
+            if cs.size:                          # the first passing subset
+                q = q_of[cp[cs]]
+                j = (cat_gain[:, q] >= lim[cs]).argmax(axis=0)
+                left_tab[cs] = ((j + 1)[:, None] >> self.code_ids) & 1
+                nl[cs] = (left_tab[cs] * hist[-1, q]).sum(axis=1)
+            if self.has_prefix:                  # the prefix through the passing run
+                cs = (is_cat & (k > 10)).nonzero()[0]
+                left_tab[cs] = rank[p_of[cp[cs]]] <= r_code[run[cs], None]
         spec[3] = nl >= n_obs[cp] - nl
         return ok, spec, left_tab
 
