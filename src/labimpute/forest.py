@@ -214,11 +214,14 @@ class _Grower:
         self.n_cut = (1 << max(self.sub_ks, default=1) - 1) - 1
         self.sub_ks_of_bit = list(range(2, max(self.sub_ks, default=1) + 1))  # k > bit + 1
         self.has_prefix = bool((ks > 10).any())
-        self.no_tab = np.zeros((0, self.width), dtype=bool)
+        self.has_cat = bool(ks.size)
+        # a level's split positions, specs and categorical tables when none splits
+        self.no_split = (np.zeros(0, dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
+                         np.zeros((0, self.width), dtype=bool))
         self.has_miss = miss is not None
         self.y, self.C = y, n_classes         # C is 0 for regression
         self.mtry, self.min_leaf, self.max_depth = mtry, min_leaf, max_depth
-        self.onehot = np.eye(n_classes, dtype=np.int64)
+        self.class_dtype = np.min_scalar_type(n_classes)   # sorts by radix
         self._sq = (lambda a: (a * a).sum(axis=0)) if n_classes else (lambda a: a * a)
         self.hash_features = np.arange(self.p, dtype=np.uint64)
         # regression sums are exact in 2^-shift fixed point: a node holds at
@@ -252,9 +255,9 @@ class _Grower:
                 dev = y - value[node]
                 scale = np.maximum.reduceat(np.abs(dev), start)
                 open_ = np.maximum.reduceat(y, start) > np.minimum.reduceat(y, start)
-            open_ &= (m >= 2 * ml) & (depth != self.max_depth)
-            sidx = open_.nonzero()[0]
-            levels.append((value, sidx[:0], np.zeros((4, 0), dtype=np.int64), self.no_tab))
+            open_ &= m >= 2 * ml
+            levels.append((value,) + self.no_split)
+            sidx = open_.nonzero()[0] if depth != self.max_depth else self.no_split[0]
             if not sidx.size:
                 break
 
@@ -279,7 +282,7 @@ class _Grower:
                 break
             ok, spec, left_tab = best
             levels[-1] = (value, sidx[ok], spec.compress(ok, axis=1),
-                          self.no_tab if left_tab is None else left_tab[ok & (spec[1] < 0)])
+                          self.no_split[2] if left_tab is None else left_tab[ok & (spec[1] < 0)])
 
             s = node                          # route the rows of split nodes
             if not ok.all():
@@ -303,23 +306,24 @@ class _Grower:
         return levels
 
     def _draw(self, node_hash, min_pos) -> np.ndarray:
-        """The mtry candidate features of each node, ascending.  A node's
-        hashes are distinct (splitmix64 is a bijection), so its mtry
-        smallest are exactly those at most the mtry-th smallest."""
+        """The mtry candidate features of each node, ascending: those of its
+        mtry smallest hashes, which are distinct (splitmix64 is a bijection)."""
         h = _mix(_mix(node_hash ^ min_pos)[:, None] ^ self.hash_features)
-        kth = h.copy()
-        kth.partition(self.mtry - 1, axis=1)
-        return (h <= kth[:, self.mtry - 1, None]).nonzero()[1].reshape(-1, self.mtry)
+        return np.sort(h.argpartition(self.mtry - 1, axis=1)[:, :self.mtry], axis=1)
 
-    def _gain(self, left, nl, no, total, parent):
-        """Impurity decrease, in count units, of cuts with integer left sums
-        `left` (channels first) over nl of no observed rows; -inf below min_leaf."""
+    def _gain(self, lsq, rsq, nl, nr, parent):
+        """Impurity decrease, in count units, of cuts whose sides hold nl and
+        nr observed rows with squared sums lsq and rsq; -inf below min_leaf."""
+        g = lsq / np.maximum(nl, 1) - parent + rsq / np.maximum(nr, 1)
+        return np.where(np.minimum(nl, nr) >= self.min_leaf, g, -np.inf)
+
+    def _squares(self, left, total):
+        """The squared sums of both sides of cuts with integer left sums
+        `left` (channels first) of the sums `total`."""
         if not self.C:
             left = left * 2.0 ** -self.shift
-        right, nr = total - left, no - nl
-        g = (self._sq(left) / np.maximum(nl, 1) - parent
-             + self._sq(right) / np.maximum(nr, 1))
-        return np.where(np.minimum(nl, nr) >= self.min_leaf, g, -np.inf)
+        right = total - left
+        return self._sq(left), self._sq(right)
 
     def _score(self, rows, snode, m, chan, y, feats, tol):
         """Best split of every open node, by the tie rule of the module.
@@ -346,22 +350,19 @@ class _Grower:
             pq = (pair_k > 10).nonzero()[0]
             p_of = np.full(pair_k.size, pq.size)
             p_of[pq] = np.arange(pq.size)
-            on = p_of.take((snode * mtry)[:, None] + self.slots)
-            at = on * w + np.minimum(codes, w - 1)
-            flat = at.ravel()
-            cnt = np.bincount(flat, minlength=(pq.size + 1) * w).reshape(-1, w)
-            sums = np.bincount(flat, weights=y.repeat(mtry), minlength=cnt.size).reshape(-1, w)
+            on = p_of.take((snode * mtry)[:, None] + self.slots).ravel()
+            sel = (on < pq.size).nonzero()[0]               # entries of prefix pairs
+            flat = codes.ravel()
+            at = on[sel] * w + flat[sel]
+            cnt = np.bincount(at, minlength=pq.size * w).reshape(-1, w)
+            sums = np.bincount(at, weights=y.take(sel // mtry), minlength=cnt.size).reshape(-1, w)
             mean = np.divide(sums, cnt, out=np.full(cnt.shape, np.inf),
-                             where=(cnt > 0) & (self.code_ids < np.append(pair_k[pq], 0)[:, None]))
+                             where=(cnt > 0) & (self.code_ids < pair_k[pq, None]))
             rank = mean.argsort(axis=1, kind="stable").argsort(axis=1)
-            codes = np.where(on < pq.size, rank.take(at), codes)
+            flat[sel] = rank.take(at)
         key = ((snode * (mtry * K1))[:, None] + self.slot_keys + codes).ravel()
         order = key.argsort()
         key = key[order]
-        ent = order // mtry
-        ch = self.onehot.take(y.take(ent), axis=1) if self.C else chan.take(ent)
-        csum = np.zeros(ch.shape[:-1] + (N + 1,), dtype=np.int64)
-        ch.cumsum(axis=-1, out=csum[..., 1:])
         bounds = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1, [N]))
         r_start, r_end = bounds[:-1], bounds[1:]            # runs of equal keys
         r_pair, r_code = np.divmod(key[r_start], K1)
@@ -372,16 +373,40 @@ class _Grower:
             upper = upper.copy()
             upper[r_pair[hole]] = r_start[hole]
         n_obs = upper - first
-        total = csum.take(upper, axis=-1) - csum.take(first, axis=-1)
-        if not self.C:
-            total = total * 2.0 ** -self.shift
-        parent = self._sq(total) / np.maximum(n_obs, 1)
         fr = first[r_pair]
-        g = self._gain(csum.take(r_end, axis=-1) - csum.take(fr, axis=-1), r_end - fr,
-                       n_obs[r_pair], total.take(r_pair, axis=-1), parent[r_pair])
+        nl = r_end - fr
+        if self.C:
+            # class counts without one-hot channels: the left side of a cut
+            # has sum_c L_c^2 = the sum, over its entries, of 2 * (the earlier
+            # entries of the pair in the same class) + 1, and sum_c T_c L_c =
+            # the sum of T at their classes (T: the pair's observed counts).
+            # Missing entries, last in their pair, count in class C.
+            P, e_pair, ys = pair_feat.size, key // K1, y.take(order // mtry)
+            yo = ys if not self.has_miss else np.where(
+                np.arange(N) < upper.take(e_pair), ys, self.C)
+            gid = yo * P + e_pair
+            count = np.bincount(gid, minlength=(self.C + 1) * P)
+            inc = np.empty(N, dtype=np.int64)       # in (class, pair) order, then sorted
+            inc[yo.astype(self.class_dtype).argsort(kind="stable")] = 2 * (
+                np.arange(N) - (count.cumsum() - count).repeat(count)) + 1
+            csum = np.zeros((2, N + 1), dtype=np.int64)
+            np.cumsum(inc, out=csum[0, 1:])
+            np.cumsum(count.take(gid), out=csum[1, 1:])
+            lsq, lt = csum.take(r_end, axis=1) - csum.take(fr, axis=1)
+            total = count[:-P].reshape(self.C, P)
+            tsq = self._sq(total)
+            rsq = tsq.take(r_pair) - 2 * lt + lsq
+        else:
+            csum = np.zeros(N + 1, dtype=np.int64)
+            chan.take(order // mtry).cumsum(out=csum[1:])
+            total = (csum.take(upper) - csum.take(first)) * 2.0 ** -self.shift
+            tsq = self._sq(total)
+            lsq, rsq = self._squares(csum.take(r_end) - csum.take(fr), total.take(r_pair))
+        parent = tsq / np.maximum(n_obs, 1)
+        g = self._gain(lsq, rsq, nl, n_obs[r_pair] - nl, parent[r_pair])
         pair_run = r_start.searchsorted(first)              # first run of each pair
 
-        cq = ((pair_k > 0) & (pair_k <= 10)).nonzero()[0]
+        cq = ((pair_k > 0) & (pair_k <= 10)).nonzero()[0] if self.sub_ks else self.no_split[0]
         if cq.size:
             cq = cq[pair_k[cq].argsort(kind="stable")]      # subset pairs by k, then pair
             qk = pair_k[cq]
@@ -390,28 +415,37 @@ class _Grower:
             rq = q_of[r_pair]
             on_cat = (rq < cq.size).nonzero()[0]
             g[on_cat] = -np.inf
-            # per (pair, category): the channel sums, then the count
-            at = rq[on_cat], r_code[on_cat]
-            hist = np.zeros((max(self.C, 1) + 1, cq.size, w), dtype=np.int64)
-            hist[:-1, at[0], at[1]] = (csum.take(r_end[on_cat], axis=-1)
-                                       - csum.take(r_start[on_cat], axis=-1))
-            hist[-1, at[0], at[1]] = (r_end - r_start)[on_cat]
+            # per (category, pair): the channel sums, then the count
+            hist = np.zeros((max(self.C, 1) + 1, w, cq.size), dtype=np.int64)
+            if self.C:
+                size = (edges[1:] - first)[cq]              # the entries of the subset pairs
+                at = np.repeat(first[cq] - size.cumsum() + size, size) + np.arange(size.sum())
+                cell = (((key.take(at) - cq.repeat(size) * K1) * cq.size
+                         + np.arange(cq.size).repeat(size)) * self.C + ys.take(at))
+                hist[:-1] = np.bincount(cell, minlength=hist[0].size * self.C).reshape(
+                    w, cq.size, self.C).transpose(2, 0, 1)
+                hist[-1] = hist[:-1].sum(axis=0)
+            else:
+                at = r_code[on_cat], rq[on_cat]
+                hist[0][at] = csum.take(r_end[on_cat]) - csum.take(r_start[on_cat])
+                hist[1][at] = (r_end - r_start)[on_cat]
             no, tot, par = n_obs[cq], total.take(cq, axis=-1), parent[cq]
             cat_gain = np.full((self.n_cut, cq.size), -np.inf)    # subset, pair
             step = max(1, _BLOCK // (hist.shape[0] * (self.n_cut + 1)))
             for q0 in range(0, cq.size, step):
                 # subset j (bit c: category c goes left) sums at row j + 1;
                 # doubling b adds category b to the pairs with k > b + 1
-                h, kq = hist[:, q0:q0 + step], qk[q0:q0 + step]
+                h, kq = hist[..., q0:q0 + step], qk[q0:q0 + step]
                 sub = np.zeros((h.shape[0], self.n_cut + 1, kq.size), dtype=np.int64)
                 for b, l in enumerate(kq.searchsorted(self.sub_ks_of_bit).tolist()):
-                    np.add(sub[:, :1 << b, l:], h[:, None, l:, b], out=sub[:, 1 << b:2 << b, l:])
+                    np.add(sub[:, :1 << b, l:], h[:, b, None, l:], out=sub[:, 1 << b:2 << b, l:])
                 lims = kq.searchsorted(self.sub_ks).tolist() + [kq.size]
                 for k, l, r in zip(self.sub_ks, lims, lims[1:]):
                     if l < r:
                         c, at = sub[:, 1:1 << k - 1, l:r], slice(q0 + l, q0 + r)
-                        cat_gain[:(1 << k - 1) - 1, at] = self._gain(
-                            c[:-1] if self.C else c[0], c[-1], no[at], tot[..., None, at], par[at])
+                        lsq, rsq = self._squares(c[:-1] if self.C else c[0], tot[..., None, at])
+                        cat_gain[:(1 << k - 1) - 1, at] = self._gain(lsq, rsq, c[-1],
+                                                                     no[at] - c[-1], par[at])
             g[pair_run[cq]] = cat_gain.max(axis=0)      # stands in for the pair
 
         node_run = pair_run[::mtry]
@@ -422,27 +456,25 @@ class _Grower:
         lim = best - tol
         run = np.minimum.reduceat(np.where(g >= lim[r_pair // mtry], np.arange(g.size), g.size),
                                   node_run)
-        cp = r_pair[run]
-        spec = np.empty((4, S), dtype=np.int64)  # feature, cut code (-1: categorical),
-        spec[0] = pair_feat[cp]                  # next code, majority goes left
-        k = pair_k[cp]
-        is_cat = ok & (k > 0)
-        spec[1] = np.where(is_cat, -1, r_code[run])
-        spec[2] = r_code[np.minimum(run + 1, g.size - 1)]
-        nl = r_end[run] - first[cp]
-        left_tab = None
-        if is_cat.any():
+        cp, end = r_pair[run], r_end[run]
+        # feature, cut code (-1: categorical), next code, rows left (then:
+        # the majority goes left)
+        spec = np.array([pair_feat[cp], r_code[run], key.take(end, mode="clip") % K1,
+                         end - first[cp]])
+        left_tab, is_cat = None, ok & (pair_k[cp] > 0) if self.has_cat else None
+        if self.has_cat and is_cat.any():
+            spec[1, is_cat] = -1
             left_tab = np.zeros((S, w), dtype=bool)
-            cs = (is_cat & (k <= 10)).nonzero()[0]
+            cs = (is_cat & (pair_k[cp] <= 10)).nonzero()[0]
             if cs.size:                          # the first passing subset
                 q = q_of[cp[cs]]
                 j = (cat_gain[:, q] >= lim[cs]).argmax(axis=0)
                 left_tab[cs] = ((j + 1)[:, None] >> self.code_ids) & 1
-                nl[cs] = (left_tab[cs] * hist[-1, q]).sum(axis=1)
+                spec[3, cs] = (left_tab[cs] * hist[-1][:, q].T).sum(axis=1)
             if self.has_prefix:                  # the prefix through the passing run
-                cs = (is_cat & (k > 10)).nonzero()[0]
+                cs = (is_cat & (pair_k[cp] > 10)).nonzero()[0]
                 left_tab[cs] = rank[p_of[cp[cs]]] <= r_code[run[cs], None]
-        spec[3] = nl >= n_obs[cp] - nl
+        spec[3] = spec[3] >= n_obs[cp] - spec[3]
         return ok, spec, left_tab
 
     def _build(self, levels, firsts) -> dict:
