@@ -306,10 +306,13 @@ class _Grower:
         return levels
 
     def _draw(self, node_hash, min_pos) -> np.ndarray:
-        """The mtry candidate features of each node, ascending: those of its
-        mtry smallest hashes, which are distinct (splitmix64 is a bijection)."""
+        """The mtry candidate features of each node, ascending.  A node's
+        hashes are distinct (splitmix64 is a bijection), so its mtry
+        smallest are exactly those at most the mtry-th smallest."""
         h = _mix(_mix(node_hash ^ min_pos)[:, None] ^ self.hash_features)
-        return np.sort(h.argpartition(self.mtry - 1, axis=1)[:, :self.mtry], axis=1)
+        kth = h.copy()
+        kth.partition(self.mtry - 1, axis=1)
+        return (h <= kth[:, self.mtry - 1, None]).nonzero()[1].reshape(-1, self.mtry)
 
     def _gain(self, lsq, rsq, nl, nr, parent):
         """Impurity decrease, in count units, of cuts whose sides hold nl and
@@ -419,9 +422,9 @@ class _Grower:
             hist = np.zeros((max(self.C, 1) + 1, w, cq.size), dtype=np.int64)
             if self.C:
                 size = (edges[1:] - first)[cq]              # the entries of the subset pairs
-                at = np.repeat(first[cq] - size.cumsum() + size, size) + np.arange(size.sum())
-                cell = (((key.take(at) - cq.repeat(size) * K1) * cq.size
-                         + np.arange(cq.size).repeat(size)) * self.C + ys.take(at))
+                ent = np.repeat(first[cq] - size.cumsum() + size, size) + np.arange(size.sum())
+                cell = (((key.take(ent) - cq.repeat(size) * K1) * cq.size
+                         + np.arange(cq.size).repeat(size)) * self.C + ys.take(ent))
                 hist[:-1] = np.bincount(cell, minlength=hist[0].size * self.C).reshape(
                     w, cq.size, self.C).transpose(2, 0, 1)
                 hist[-1] = hist[:-1].sum(axis=0)
@@ -431,6 +434,7 @@ class _Grower:
                 hist[1][at] = (r_end - r_start)[on_cat]
             no, tot, par = n_obs[cq], total.take(cq, axis=-1), parent[cq]
             cat_gain = np.full((self.n_cut, cq.size), -np.inf)    # subset, pair
+            cat_nl = np.empty((self.n_cut, cq.size), dtype=np.int64)
             step = max(1, _BLOCK // (hist.shape[0] * (self.n_cut + 1)))
             for q0 in range(0, cq.size, step):
                 # subset j (bit c: category c goes left) sums at row j + 1;
@@ -442,10 +446,11 @@ class _Grower:
                 lims = kq.searchsorted(self.sub_ks).tolist() + [kq.size]
                 for k, l, r in zip(self.sub_ks, lims, lims[1:]):
                     if l < r:
-                        c, at = sub[:, 1:1 << k - 1, l:r], slice(q0 + l, q0 + r)
-                        lsq, rsq = self._squares(c[:-1] if self.C else c[0], tot[..., None, at])
-                        cat_gain[:(1 << k - 1) - 1, at] = self._gain(lsq, rsq, c[-1],
-                                                                     no[at] - c[-1], par[at])
+                        c, qs = sub[:, 1:1 << k - 1, l:r], slice(q0 + l, q0 + r)
+                        lsq, rsq = self._squares(c[:-1] if self.C else c[0], tot[..., None, qs])
+                        cat_nl[:(1 << k - 1) - 1, qs] = c[-1]
+                        cat_gain[:(1 << k - 1) - 1, qs] = self._gain(lsq, rsq, c[-1],
+                                                                     no[qs] - c[-1], par[qs])
             g[pair_run[cq]] = cat_gain.max(axis=0)      # stands in for the pair
 
         node_run = pair_run[::mtry]
@@ -461,19 +466,21 @@ class _Grower:
         # the majority goes left)
         spec = np.array([pair_feat[cp], r_code[run], key.take(end, mode="clip") % K1,
                          end - first[cp]])
-        left_tab, is_cat = None, ok & (pair_k[cp] > 0) if self.has_cat else None
-        if self.has_cat and is_cat.any():
+        left_tab = None
+        if self.has_cat:
+            is_cat = ok & (pair_k[cp] > 0)
             spec[1, is_cat] = -1
-            left_tab = np.zeros((S, w), dtype=bool)
-            cs = (is_cat & (pair_k[cp] <= 10)).nonzero()[0]
-            if cs.size:                          # the first passing subset
-                q = q_of[cp[cs]]
-                j = (cat_gain[:, q] >= lim[cs]).argmax(axis=0)
-                left_tab[cs] = ((j + 1)[:, None] >> self.code_ids) & 1
-                spec[3, cs] = (left_tab[cs] * hist[-1][:, q].T).sum(axis=1)
-            if self.has_prefix:                  # the prefix through the passing run
-                cs = (is_cat & (pair_k[cp] > 10)).nonzero()[0]
-                left_tab[cs] = rank[p_of[cp[cs]]] <= r_code[run[cs], None]
+            if is_cat.any():
+                left_tab = np.zeros((S, w), dtype=bool)
+                cs = (is_cat & (pair_k[cp] <= 10)).nonzero()[0]
+                if cs.size:                      # the first passing subset
+                    q = q_of[cp[cs]]
+                    j = (cat_gain[:, q] >= lim[cs]).argmax(axis=0)
+                    left_tab[cs] = ((j + 1)[:, None] >> self.code_ids) & 1
+                    spec[3, cs] = cat_nl[j, q]
+                if self.has_prefix:              # the prefix through the passing run
+                    cs = (is_cat & (pair_k[cp] > 10)).nonzero()[0]
+                    left_tab[cs] = rank[p_of[cp[cs]]] <= r_code[run[cs], None]
         spec[3] = spec[3] >= n_obs[cp] - spec[3]
         return ok, spec, left_tab
 
