@@ -9,11 +9,18 @@ reduction, classification trees by Gini impurity decrease.
 
 Growth is level-wise, the exact-histogram scheme of LightGBM applied to
 CART: one sort per fit rank-codes every continuous column, and one step
-advances every open node of a batch of trees by one depth in a fixed number
-of array passes, with no loop over nodes.  One sort of (node, feature, rank)
-keys and one integer cumulative sum give the left class counts or target
-sums of every run of equal codes: continuous cuts are scored at run ends,
-and all categorical runs fill one histogram.  Regression targets are
+advances every open node of a batch of trees by one depth in a number of
+array passes set by the table's columns, with no loop over nodes.  A
+column of more than 10 categories is first recoded, node by node, by the
+rank of its categories' mean target, so that its prefix cuts fall between
+runs of codes as continuous cuts do.  One sort of (node, feature, code)
+keys then orders every candidate, and integer cumulative sums score every
+cut at the end of a run of equal codes: target sums for regression, and
+for classification the sum of squared left class counts and its cross term
+with the node's class totals, both from each entry's count of the earlier
+entries of its class (one radix sort of the class codes), so that no level
+builds a one-hot matrix.  Columns of up to 10 categories sum their runs
+per category and all their subsets by doubling.  Regression targets are
 centred and scaled per node and summed in fixed point, so every sum is
 exact whichever nodes and trees share a step.
 
@@ -335,12 +342,13 @@ class _Grower:
         s * mtry + slot.  A pair cut by prefixes first recodes each category
         as its rank in mean target order, so that its cuts fall between runs
         like a continuous feature's.  One sort orders every pair's entries by
-        code, missing cells last, and cumulative sums of the channels
-        (one-hot classes, or fixed-point targets) give each run of equal
-        codes its left sums.  A pair cut by subsets sums its runs per
-        category and its subsets by doubling; its best cut stands at its
-        first run.  A node takes the first run, in (slot, code) order, that
-        passes its tolerance.
+        code, missing cells last.  Cumulative sums over the sorted entries
+        give the cut at each run's end its squared left and right sums:
+        fixed-point targets, or for classes an entry's earlier entries of
+        its class in the pair and its class total.  A pair cut by subsets
+        sums its runs per category and its subsets by doubling; its best cut
+        stands at its first run.  A node takes the first run, in (slot, code)
+        order, that passes its tolerance.
         """
         S, mtry = feats.shape
         K1, N, w = self.K1, rows.size * mtry, self.width

@@ -374,7 +374,7 @@ def _side_impurity(left, y, is_class, n_classes):
 
 def _candidates(X, miss, cat_sizes, y, y_raw, rows, is_class, n_classes, min_leaf):
     """Every admissible split of the node, in tie order: (gain, feature,
-    threshold or None, left category set or None, observed left mask,
+    threshold or None, left category mask or None, observed left mask,
     observed rows).  Categories are ordered by the mean of y_raw.  All the
     candidates of one feature are scored together, from one boolean
     (candidates x observed rows) left-side matrix."""
@@ -390,19 +390,16 @@ def _candidates(X, miss, cat_sizes, y, y_raw, rows, is_class, n_classes, min_lea
         else:
             xs = x.astype(int)
             if k <= 10:
-                subsets = [[c for c in range(k) if code >> c & 1]
-                           for code in range(1, 2 ** (k - 1))]
+                # subset `code` holds category c when bit c of code is set
+                member = (np.arange(1, 2 ** (k - 1))[:, None] >> np.arange(k) & 1).astype(bool)
             else:
                 cnt = np.bincount(xs, minlength=k)
                 sums = np.bincount(xs, weights=y_raw[obs].astype(float), minlength=k)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     mean = np.where(cnt > 0, sums / cnt, np.inf)
                 order = np.argsort(mean, kind="stable")
-                subsets = [sorted(order[:j + 1]) for j in range(k - 1)]
-            cuts = [(None, frozenset(cats)) for cats in subsets]
-            member = np.zeros((len(cuts), k), dtype=bool)
-            for i, cats in enumerate(subsets):
-                member[i, cats] = True
+                member = np.arange(k - 1)[:, None] >= np.argsort(order)   # prefix j: order[:j + 1]
+            cuts = [(None, row) for row in member]
             left = member[:, xs]
         if not cuts:
             continue
@@ -445,6 +442,8 @@ def _check_tree(node, X, miss, cat_sizes, y, rows, depth, is_class, n_classes,
         return 1
     assert isinstance(node, _Split), f"depth {depth}: CART splits, grower stopped"
     gain, f, t, cats, left_obs, obs = next(c for c in cands if c[0] >= best - tol)
+    if cats is not None:
+        cats = frozenset(np.flatnonzero(cats).tolist())
     assert node.feature == f
     nl = int(left_obs.sum())
     assert node.majority_left == (nl >= obs.size - nl)
