@@ -107,6 +107,22 @@ def test_forest_predictions_pinned(dataset, label, missing):
     assert _sha(out) == FOREST_PINS[dataset, label, missing]
 
 
+MANY_CLASSES_PIN = "9f99ccc6063197075d9f4d94dcd2cdb111ec185807c1d3e40f150603dfba099b"
+
+
+def test_forest_predictions_beyond_255_classes_pinned():
+    # 311 classes, with missing cells: the class codes sort as uint16
+    rng = np.random.default_rng(31)
+    n = 1200
+    x = rng.normal(size=(n, 3))
+    y = np.clip(((x[:, 0] + 3) * 70).astype(int) + rng.integers(0, 5, n), 0, 399)
+    schema = tuple(ColumnSchema(f"x{j}", ColumnKind.CONTINUOUS) for j in range(3))
+    X, _ = apply_mcar(DataTable(schema, x, np.zeros(x.shape, dtype=bool)), 0.1, seed=41)
+    labels = LabelVector.from_ints(y.tolist(), [f"c{i}" for i in range(400)])
+    model = fit_forest(X, labels, ForestParams(n_trees=3), seed=37)
+    assert _sha(predict(model, X).values) == MANY_CLASSES_PIN
+
+
 MISSFOREST_PINS = {
     "iris": ("ad8225bb7ed3bfcb33a944a985149af341ad2c0fc58c9b515303467bd5a8f458",
              "04e4795a8887673079ca477db9936ab9e098105b07f278cf79ea0003747d06de",
