@@ -18,11 +18,11 @@ keys then orders every candidate, and integer cumulative sums score every
 cut at the end of a run of equal codes: target sums for regression, and
 for classification the sum of squared left class counts and its cross term
 with the node's class totals, both from each entry's count of the earlier
-entries of its class (one radix sort of the class codes), so that no level
-builds a one-hot matrix.  Columns of up to 10 categories sum their runs
-per category and all their subsets by doubling.  Regression targets are
-centred and scaled per node and summed in fixed point, so every sum is
-exact whichever nodes and trees share a step.
+entries of its class (one radix sort of the class codes), so that a
+level's work does not grow with the class count.  Columns of up to 10
+categories sum their runs per category and all their subsets by doubling.
+Regression targets are centred and scaled per node and summed in fixed
+point, so every sum is exact whichever nodes and trees share a step.
 
 Randomness: every draw is a splitmix64 hash of counters (Random123 style).
 Tree t's key hashes (seed mod 2**64, tag, t); row i of its bootstrap is the
@@ -387,8 +387,8 @@ class _Grower:
         fr = first[r_pair]
         nl = r_end - fr
         if self.C:
-            # class counts without one-hot channels: the left side of a cut
-            # has sum_c L_c^2 = the sum, over its entries, of 2 * (the earlier
+            # class counts from single entries: the left side of a cut has
+            # sum_c L_c^2 = the sum, over its entries, of 2 * (the earlier
             # entries of the pair in the same class) + 1, and sum_c T_c L_c =
             # the sum of T at their classes (T: the pair's observed counts).
             # Missing entries, last in their pair, count in class C.
