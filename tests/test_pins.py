@@ -64,6 +64,25 @@ def _mixed() -> DataTable:
     return DataTable(schema, values, np.zeros(values.shape, dtype=bool))
 
 
+def _subsets() -> DataTable:
+    """120 complete rows: two continuous columns and categoricals of k = 2
+    (one subset), 4 and 10 (511 subsets), driven by two shared factors."""
+    rng = np.random.default_rng(20261022)
+    n = 120
+    f = rng.standard_normal((n, 2))
+    cont = f @ rng.standard_normal((2, 2)) + 0.3 * rng.standard_normal((n, 2))
+    cats = []
+    for k, w in ((2, (1.0, 0.5)), (4, (0.5, 1.0)), (10, (1.0, -1.0))):
+        score = f @ np.array(w) + 0.3 * rng.standard_normal(n)
+        edges = np.quantile(score, np.linspace(0.0, 1.0, k + 1)[1:-1])
+        cats.append(np.searchsorted(edges, score))
+    schema = tuple(ColumnSchema(f"x{j}", ColumnKind.CONTINUOUS) for j in range(2)) + tuple(
+        ColumnSchema(f"c{k}", ColumnKind.CATEGORICAL, tuple(f"v{i}" for i in range(k)))
+        for k in (2, 4, 10))
+    values = np.column_stack([cont] + cats).astype(np.float64)
+    return DataTable(schema, values, np.zeros(values.shape, dtype=bool))
+
+
 def _trace_array(trace) -> np.ndarray:
     return np.array([[s.iteration,
                       np.nan if s.delta_continuous is None else s.delta_continuous,
@@ -96,13 +115,17 @@ FOREST_PINS = {
     ("mixed", "c6", True): "bc94296036edccafc740c35c92e1f7b091d1aa3ac0ba565db8afba2c88532350",
     ("mixed", "x0", False): "ab5624335a4a76eedfc83a2796ca7457845d196b084c7e6f62ece177176f2a72",
     ("mixed", "x0", True): "fbfe9aa189d9e5065748167ec4806c777a065f20741ec79eb67f07764610671e",
+    ("subsets", "c4", False): "b893062655da9630173eca6b7beb7f180250bd89c0f32d13c0de32e60a415ccc",
+    ("subsets", "c4", True): "057680c6366da156fb881ea81db12761812d3166241c3e16cab42e3103efa1ed",
+    ("subsets", "x0", False): "1e8a78d18a0f94b4c3ee7c270b6f1770d086c528a9b11e590e832bb081de2267",
+    ("subsets", "x0", True): "c6a00b77a4ffef693c6fe13fe358a96a5f897280ba424ad999be8e6308a88912",
 }
 
 
 @pytest.mark.parametrize("dataset,label,missing", sorted(FOREST_PINS),
                          ids=lambda v: str(v))
 def test_forest_predictions_pinned(dataset, label, missing):
-    table = _iris() if dataset == "iris" else _mixed()
+    table = {"iris": _iris, "mixed": _mixed, "subsets": _subsets}[dataset]()
     out = _forest_outputs(table, label, missing)
     assert _sha(out) == FOREST_PINS[dataset, label, missing]
 
