@@ -209,12 +209,12 @@ class _Grower:
         self.offsets = sizes.cumsum() - sizes
         self.miss_code = cat_sizes + sizes
         self.K1 = int(self.miss_code.max()) + 1
-        self.slot_keys = np.arange(mtry) * self.K1
         self.cat_sizes = cat_sizes            # 0 for continuous columns
         ks = cat_sizes[cat]
         self.width = int(ks.max(initial=0)) + 1      # category codes and the miss code
         self.code_ids = np.arange(self.width)
         self.slots = np.arange(mtry)
+        self.ids = self.slots
         # a column of up to 10 categories is cut by its 2^(k-1) - 1 subsets,
         # a wider one by prefixes of its categories in mean target order
         k_sub = int(ks[ks <= 10].max(initial=1))
@@ -243,12 +243,14 @@ class _Grower:
         n, T, C, ml = self.n, tree_keys.size, self.C, self.min_leaf
         # hashes of (tree key, position < n): a node's draw starts from the one at
         # its depth (no tree opens a node at depth n), bootstrap row i from the one at i
+        if self.ids.size < T * n * self.mtry:     # index ranges are slices of ids
+            self.ids = np.arange(T * n * self.mtry)
         depth_hash = _mix(tree_keys[:, None] ^ np.arange(n, dtype=np.uint64))
         rows = (_below(_mix(depth_hash ^ _BOOT_TAG), n).astype(np.int64).ravel() if bootstrap
-                else np.tile(np.arange(n), T))    # each tree's n rows, back to back
+                else np.tile(self.ids[:n], T))    # each tree's n rows, back to back
         pos = np.arange(T * n, dtype=np.uint64) % np.uint64(n)   # bootstrap position
-        node = np.arange(T).repeat(n)
-        tree = np.arange(T)                   # tree of each node
+        node = self.ids[:T].repeat(n)
+        tree = self.ids[:T]                   # tree of each node
         m = np.full(T, n)                     # rows of each node
         levels, depth = [], 0
         while True:
@@ -302,7 +304,7 @@ class _Grower:
             c = self.codes.take(f * n + rows)
             right = c > cut
             if left_tab is not None:
-                right &= ~left_tab[s, np.minimum(c, self.width - 1)]
+                right &= ~left_tab.ravel().take(s * self.width + np.minimum(c, self.width - 1))
             if self.has_miss:
                 right = np.where(c == self.miss_code[f], major == 0, right)
             child = 2 * node + right
@@ -315,27 +317,29 @@ class _Grower:
         return levels
 
     def _draw(self, node_hash, min_pos) -> np.ndarray:
-        """The mtry candidate features of each node, ascending.  A node's
-        hashes are distinct (splitmix64 is a bijection), so its mtry
-        smallest are exactly those at most the mtry-th smallest."""
+        """The mtry candidate features of each node, ascending: those of its
+        mtry smallest hashes, which are distinct (splitmix64 is a bijection)."""
         h = _mix(_mix(node_hash ^ min_pos)[:, None] ^ self.hash_features)
-        kth = h.copy()
-        kth.partition(self.mtry - 1, axis=1)
-        return (h <= kth[:, self.mtry - 1, None]).nonzero()[1].reshape(-1, self.mtry)
+        return np.sort(h.argsort(axis=1)[:, :self.mtry], axis=1)
 
     def _gain(self, lsq, rsq, nl, nr, parent):
         """Impurity decrease, in count units, of cuts whose sides hold nl and
         nr observed rows with squared sums lsq and rsq; -inf below min_leaf."""
-        g = lsq / np.maximum(nl, 1) - parent + rsq / np.maximum(nr, 1)
-        return np.where(np.minimum(nl, nr) >= self.min_leaf, g, -np.inf)
+        g = lsq / np.maximum(nl, 1)
+        g -= parent
+        g += rsq / np.maximum(nr, 1)
+        np.putmask(g, np.minimum(nl, nr) < self.min_leaf, -np.inf)
+        return g
 
     def _squares(self, left, total):
         """The squared sums of both sides of cuts with integer left sums
-        `left` (channels first) of the sums `total`."""
+        `left` (channels first, squared in place) of the sums `total`."""
         if not self.C:
             left = left * 2.0 ** -self.shift
         right = total - left
-        return self._sq(left), self._sq(right)
+        left *= left
+        right *= right
+        return (left.sum(axis=0), right.sum(axis=0)) if self.C else (left, right)
 
     def _score(self, rows, snode, m, chan, y, feats, tol):
         """Best split of every open node, by the tie rule of the module.
@@ -356,14 +360,16 @@ class _Grower:
         K1, N, w = self.K1, rows.size * mtry, self.width
         pair_feat = feats.ravel()
         pair_k = self.cat_sizes[pair_feat]
-        codes = self.codes.take((feats * self.n).take(snode, axis=0) + rows[:, None])
-        if self.has_prefix:
+        pair_e = (snode * mtry)[:, None] + self.slots       # the pair of each entry
+        codes = self.codes.take((pair_feat * self.n).take(pair_e) + rows[:, None])
+        ids = self.ids
+        pq = (pair_k > 10).nonzero()[0] if self.has_prefix else self.no_split[0]
+        if pq.size:
             # the mean target of each (prefix pair, category), summed in row
             # order; absent categories, then the missing code, rank last
-            pq = (pair_k > 10).nonzero()[0]
             p_of = np.full(pair_k.size, pq.size)
-            p_of[pq] = np.arange(pq.size)
-            on = p_of.take((snode * mtry)[:, None] + self.slots).ravel()
+            p_of[pq] = ids[:pq.size]
+            on = p_of.take(pair_e).ravel()
             sel = (on < pq.size).nonzero()[0]               # entries of prefix pairs
             flat = codes.ravel()
             at = on[sel] * w + flat[sel]
@@ -373,7 +379,7 @@ class _Grower:
                              where=(cnt > 0) & (self.code_ids < pair_k[pq, None]))
             rank = mean.argsort(axis=1, kind="stable").argsort(axis=1)
             flat[sel] = rank.take(at)
-        key = ((snode * (mtry * K1))[:, None] + self.slot_keys + codes).ravel()
+        key = (pair_e * K1 + codes).ravel()
         order = key.argsort()
         key = key[order]
         bounds = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1, [N]))
@@ -396,15 +402,14 @@ class _Grower:
             # Missing entries, last in their pair, count in class C.
             P, e_pair, ys = pair_feat.size, key // K1, y.take(order // mtry)
             yo = ys if not self.has_miss else np.where(
-                np.arange(N) < upper.take(e_pair), ys, self.C)
+                ids[:N] < upper.take(e_pair), ys, self.C)
             gid = yo * P + e_pair
             count = np.bincount(gid, minlength=(self.C + 1) * P)
-            inc = np.empty(N, dtype=np.int64)       # in (class, pair) order, then sorted
-            inc[yo.astype(self.class_dtype).argsort(kind="stable")] = 2 * (
-                np.arange(N) - (count.cumsum() - count).repeat(count)) + 1
-            csum = np.zeros((2, N + 1), dtype=np.int64)
-            np.cumsum(inc, out=csum[0, 1:])
-            np.cumsum(count.take(gid), out=csum[1, 1:])
+            csum = np.zeros((2, N + 1), dtype=np.int64)   # row 0 in (class, pair) order, then sorted
+            csum[0, 1:][yo.astype(self.class_dtype).argsort(kind="stable")] = 2 * (
+                ids[:N] - (count.cumsum() - count).repeat(count)) + 1
+            count.take(gid, out=csum[1, 1:])
+            np.cumsum(csum[:, 1:], axis=1, out=csum[:, 1:])
             lsq, lt = csum.take(r_end, axis=1) - csum.take(fr, axis=1)
             total = count[:-P].reshape(self.C, P)
             tsq = self._sq(total)
@@ -423,7 +428,7 @@ class _Grower:
         if cq.size:
             Q = cq.size
             q_of = np.full(pair_k.size, Q)
-            q_of[cq] = np.arange(Q)
+            q_of[cq] = ids[:Q]
             rq = q_of[r_pair]
             on_cat = (rq < Q).nonzero()[0]
             g[on_cat] = -np.inf
@@ -431,8 +436,8 @@ class _Grower:
             hist = np.zeros((max(self.C, 1) + 1, Q, w), dtype=np.int64)
             if self.C:
                 size = (edges[1:] - first)[cq]              # the entries of the subset pairs
-                ent = np.repeat(first[cq] - size.cumsum() + size, size) + np.arange(size.sum())
-                cell = ((ys.take(ent) * Q + np.arange(Q).repeat(size)) * w
+                ent = np.repeat(first[cq] - size.cumsum() + size, size) + ids[:size.sum()]
+                cell = ((ys.take(ent) * Q + ids[:Q].repeat(size)) * w
                         + key.take(ent) - cq.repeat(size) * K1)
                 hist[:-1] = np.bincount(cell, minlength=hist[0].size * self.C).reshape(self.C, Q, w)
                 hist[-1] = hist[:-1].sum(axis=0)
@@ -464,7 +469,7 @@ class _Grower:
         if not ok.any():
             return None
         lim = best - tol
-        run = np.minimum.reduceat(np.where(g >= lim[r_pair // mtry], np.arange(g.size), g.size),
+        run = np.minimum.reduceat(np.where(g >= lim[r_pair // mtry], ids[:g.size], g.size),
                                   node_run)
         cp, end = r_pair[run], r_end[run]
         # feature, cut code (-1: categorical), next code, rows left (then:
@@ -473,18 +478,19 @@ class _Grower:
                          end - first[cp]])
         left_tab = None
         if self.has_cat:
-            is_cat = ok & (pair_k[cp] > 0)
+            kc = pair_k[cp]
+            is_cat = ok & (kc > 0)
             spec[1, is_cat] = -1
             if is_cat.any():
                 left_tab = np.zeros((S, w), dtype=bool)
-                cs = (is_cat & (pair_k[cp] <= 10)).nonzero()[0]
+                cs = (is_cat & (kc <= 10)).nonzero()[0]
                 if cs.size:                      # the first passing subset
                     q = q_of[cp[cs]]
                     j = (cat_gain[q] >= lim[cs, None]).argmax(axis=1)
                     left_tab[cs] = ((j + 1)[:, None] >> self.code_ids) & 1
                     spec[3, cs] = cat_nl[q, j]
-                if self.has_prefix:              # the prefix through the passing run
-                    cs = (is_cat & (pair_k[cp] > 10)).nonzero()[0]
+                if pq.size:                      # the prefix through the passing run
+                    cs = (is_cat & (kc > 10)).nonzero()[0]
                     left_tab[cs] = rank[p_of[cp[cs]]] <= r_code[run[cs], None]
         spec[3] = spec[3] >= n_obs[cp] - spec[3]
         return ok, spec, left_tab
