@@ -76,6 +76,7 @@ _BATCH_ROWS = 1 << 13  # bootstrap rows of the trees grown together
 _BLOCK = 1 << 20     # elements per block of categorical subset sums
 _PAIRS = 1 << 15     # (row, tree) pairs routed together: whole trees, at least one
 _DROP = 6            # levels between drops of the pairs that reached a leaf
+_SIDES = np.array([-np.inf, np.inf])[:, None, None]   # predict's two copies of a missing cell
 _PARAM_FIELDS = {"n_trees": _positive, "mtry": _optional(_positive),
                  "min_leaf": _optional(_positive), "max_depth": _optional(_non_negative),
                  "bootstrap": _of(bool)}
@@ -190,40 +191,40 @@ class _Grower:
         # missing cell the code one past the column's last, column by column
         # (cell (i, f) at f * n + i).  One sort ranks every continuous
         # column; a missing cell sorts last, as +inf.
-        self.n, self.p = Xv.shape
+        self.n, self.p = n, p = Xv.shape
         cont, cat = (cat_sizes == 0).nonzero()[0], cat_sizes.nonzero()[0]
-        v = Xv[:, cont] if miss is None else np.where(miss[:, cont], np.inf, Xv[:, cont])
-        order = v.argsort(axis=0)
-        v = v[order, np.arange(cont.size)]
+        X = Xv.T
+        v = X[cont] if miss is None else np.where(miss.T[cont], np.inf, X[cont])
+        order = v.argsort(axis=1)
+        v = np.take_along_axis(v, order, axis=1)
         new = np.ones(v.shape, dtype=bool)
-        np.not_equal(v[1:], v[:-1], out=new[1:])
-        codes = np.empty((self.p, self.n), dtype=np.int64)
-        codes[cont[:, None], order.T] = (new.cumsum(axis=0) - 1).T
-        codes[cat] = (Xv[:, cat] if miss is None else np.where(
-            miss[:, cat], cat_sizes[cat], Xv[:, cat])).T
+        np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
+        rank = new.cumsum(axis=1)
+        codes = np.empty((p, n), dtype=np.int64)
+        codes.ravel()[(order + (cont * n)[:, None]).ravel()] = (rank - 1).ravel()
+        codes[cat] = X[cat] if miss is None else np.where(miss.T[cat], cat_sizes[cat, None], X[cat])
         self.codes = codes.ravel()
         new &= v < np.inf
-        self.values = v.T[new.T]              # distinct continuous values
-        sizes = np.zeros(self.p, dtype=np.int64)
-        sizes[cont] = new.sum(axis=0)
+        self.values = v[new]                  # distinct continuous values
+        sizes = np.zeros(p, dtype=np.int64)
+        sizes[cont] = rank[:, -1] - (v[:, -1] == np.inf)
         self.offsets = sizes.cumsum() - sizes
         self.miss_code = cat_sizes + sizes
         self.K1 = int(self.miss_code.max()) + 1
         self.cat_sizes = cat_sizes            # 0 for continuous columns
-        ks = cat_sizes[cat]
-        self.width = int(ks.max(initial=0)) + 1      # category codes and the miss code
+        ks = cat_sizes[cat].tolist()
+        self.width = max(ks, default=0) + 1   # category codes and the miss code
         self.code_ids = np.arange(self.width)
         self.slots = np.arange(mtry)
         self.ids = self.slots
         # a column of up to 10 categories is cut by its 2^(k-1) - 1 subsets,
         # a wider one by prefixes of its categories in mean target order
-        k_sub = int(ks[ks <= 10].max(initial=1))
-        self.has_sub = bool((ks <= 10).any())
+        k_sub = max((k for k in ks if k <= 10), default=1)
+        self.has_sub, self.has_prefix = min(ks, default=11) <= 10, max(ks, default=0) > 10
+        self.has_cat = bool(ks)
         self.n_cut = (1 << k_sub - 1) - 1    # the subsets of the widest such column
-        # past[k, j]: subset j is not a cut of k categories (j + 1 >= 2^(k-1))
-        self.past = np.arange(1, self.n_cut + 1) >= 1 << np.maximum(np.arange(k_sub + 1) - 1, 0)[:, None]
-        self.has_prefix = bool((ks > 10).any())
-        self.has_cat = bool(ks.size)
+        # past[k, j]: subset j is not one of the 2^(k-1) - 1 cuts of k categories
+        self.past = np.arange(self.n_cut) >= (1 << np.arange(k_sub + 1) >> 1)[:, None] - 1
         # a level's split positions, specs and categorical tables when none splits
         self.no_split = (np.zeros(0, dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
                          np.zeros((0, self.width), dtype=bool))
@@ -231,7 +232,6 @@ class _Grower:
         self.y, self.C = y, n_classes         # C is 0 for regression
         self.mtry, self.min_leaf, self.max_depth = mtry, min_leaf, max_depth
         self.class_dtype = np.min_scalar_type(n_classes)   # sorts by radix
-        self._sq = (lambda a: (a * a).sum(axis=0)) if n_classes else (lambda a: a * a)
         self.hash_features = np.arange(self.p, dtype=np.uint64)
         # regression sums are exact in 2^-shift fixed point: a node holds at
         # most n targets scaled into [-1, 1]
@@ -412,13 +412,13 @@ class _Grower:
             np.cumsum(csum[:, 1:], axis=1, out=csum[:, 1:])
             lsq, lt = csum.take(r_end, axis=1) - csum.take(fr, axis=1)
             total = count[:-P].reshape(self.C, P)
-            tsq = self._sq(total)
+            tsq = (total * total).sum(axis=0)
             rsq = tsq.take(r_pair) - 2 * lt + lsq
         else:
             csum = np.zeros(N + 1, dtype=np.int64)
             chan.take(order // mtry).cumsum(out=csum[1:])
             total = (csum.take(upper) - csum.take(first)) * 2.0 ** -self.shift
-            tsq = self._sq(total)
+            tsq = total * total
             lsq, rsq = self._squares(csum.take(r_end) - csum.take(fr), total.take(r_pair))
         parent = tsq / np.maximum(n_obs, 1)
         g = self._gain(lsq, rsq, nl, n_obs[r_pair] - nl, parent[r_pair])
@@ -500,16 +500,18 @@ class _Grower:
         back: split j of a level owns children 2j and 2j + 1 of the next
         level (the last level of a batch has no splits), and the roots are
         the nodes of each batch's first level, levels[f] for f in firsts."""
-        start = np.cumsum([0] + [lv[0].size for lv in levels])
-        at = np.concatenate([s + lv[1] for s, lv in zip(start, levels)])
-        kids = np.concatenate([s + 2 * np.arange(lv[1].size) for s, lv in zip(start[1:], levels)])
-        feat, cut, nxt, major = np.concatenate([lv[2] for lv in levels], axis=1)
+        values, splits, specs, tabs = zip(*levels)
+        start = np.cumsum([0] + [v.size for v in values])
+        ns = np.array([s.size for s in splits])       # splits per level
+        at = np.concatenate(splits) + start[:-1].repeat(ns)
+        kids = 2 * np.arange(at.size) + (start[1:] - 2 * (ns.cumsum() - ns)).repeat(ns)
+        feat, cut, nxt, major = np.concatenate(specs, axis=1)
         num, cat = (cut >= 0).nonzero()[0], (cut < 0).nonzero()[0]
         off = self.offsets[feat[num]]
         lo, hi = self.values[off + cut[num]], self.values[off + nxt[num]]
         with np.errstate(over="ignore"):
             mid = (lo + hi) / 2.0
-        value = np.concatenate([lv[0] for lv in levels])
+        value = np.concatenate(values)
         N = value.size
         feature, left, leaf = np.zeros(N, dtype=np.int64), np.arange(N), np.ones(N, dtype=bool)
         majority_left, threshold = np.ones(N, dtype=bool), np.full(N, np.inf)
@@ -517,9 +519,9 @@ class _Grower:
         threshold[at[num]] = np.where(mid < hi, mid, lo)
         threshold[at[cat]] = np.nan
         # a categorical split's codes k.. (k: missing) go to the majority side
-        past = np.arange(self.width) >= self.cat_sizes[feat[cat], None]
-        tab = np.concatenate([lv[3] for lv in levels])
-        roots = np.concatenate([start[f] + np.arange(levels[f][0].size) for f in firsts])
+        past = self.code_ids >= self.cat_sizes[feat[cat], None]
+        tab = np.concatenate(tabs)
+        roots = np.concatenate([start[f] + np.arange(values[f].size) for f in firsts])
         return dict(roots=roots,
                     feature=feature, threshold=threshold, majority_left=majority_left, left=left,
                     value=value, leaf=leaf, left_cats=np.where(past, major[cat, None] == 1, tab))
@@ -568,8 +570,7 @@ def _predict(model: ForestModel, X: DataTable) -> LabelVector:
         raise DataError("feature columns do not match the fitted model")
     (n, p), T = X.values.shape, model.roots.size
     # column-major: the pairs at one node read one column
-    cells = np.concatenate((np.where(X.missing, -np.inf, X.values),
-                            np.where(X.missing, np.inf, X.values)), axis=1).T.ravel()
+    cells = np.where(X.missing.T, _SIDES, X.values.T).ravel()
     thr, left, width = model.threshold, model.left, model.left_cats.shape[1]
     cat = np.isnan(thr)
     col = (model.feature + p * ~(model.majority_left & ~cat)) * n
