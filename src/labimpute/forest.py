@@ -545,6 +545,10 @@ def fit_forest(X: DataTable, y: LabelVector, params: ForestParams, seed: int) ->
     cat_sizes = np.array(signature, dtype=np.int64)
 
     classes, n_classes, y_arr = None, 0, y.values
+    # a bootstrap may draw one row n times, so n * max|y| bounds every node sum
+    if y.kind is not ColumnKind.CATEGORICAL and not math.isfinite(
+            X.n_rows * float(np.abs(y_arr).max())):
+        raise DataError(f"target '{y.name}' is too large: its node sums overflow")
     if y.kind is ColumnKind.CATEGORICAL:
         classes, y_arr = np.unique(y.values.astype(np.int64), return_inverse=True)
         n_classes = int(classes.size)

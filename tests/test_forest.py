@@ -633,3 +633,47 @@ def test_predict_matches_a_one_row_walk(case):
     if complete.size:
         got = predict(model, Q.take_rows(complete)).values
         assert got.tobytes() == want[complete].tobytes()
+
+
+@pytest.mark.parametrize("target", [[1e308] * 5 + [-1e308] * 5, [1.7e308] * 10])
+def test_fit_rejects_a_target_whose_node_sums_overflow(target):
+    # a bootstrap may draw one row n times: n * max|y| must be finite
+    X = cont_table(np.arange(10.0)[:, None])
+    y = LabelVector(ColumnKind.CONTINUOUS, np.array(target), np.zeros(10, dtype=bool), name="big")
+    with pytest.raises(DataError, match="^target 'big' is too large"):
+        fit_forest(X, y, ForestParams(n_trees=2), seed=1)
+
+
+def test_a_one_category_feature_alone_does_not_split():
+    rng = np.random.default_rng(0)
+    n = 40
+    schema = (ColumnSchema("x", ColumnKind.CONTINUOUS), ColumnSchema("one", ColumnKind.CATEGORICAL, ("a",)))
+    X = DataTable(schema, np.column_stack([rng.normal(size=n), np.zeros(n)]), np.zeros((n, 2), dtype=bool))
+    y = class_labels((X.values[:, 0] > 0).astype(int).tolist(), k=2)
+    model = fit_forest(X, y, ForestParams(n_trees=5, mtry=1), seed=1)
+    assert not (model.feature[~model.leaf] == 1).any()
+
+
+@pytest.mark.parametrize("kind", ["class", "regression"])
+def test_subset_blocks_grow_the_same_trees(kind, monkeypatch):
+    # categoricals of k = 2..10 with missing cells; a small _BLOCK splits a
+    # level's subset pairs into many blocks
+    rng = np.random.default_rng(11)
+    n = 150
+    ks = range(2, 11)
+    vals = np.column_stack([rng.normal(size=n)] + [rng.integers(0, k, n) for k in ks]).astype(float)
+    miss = rng.random(vals.shape) < 0.15
+    schema = (ColumnSchema("x", ColumnKind.CONTINUOUS),) + tuple(
+        ColumnSchema(f"c{k}", ColumnKind.CATEGORICAL, tuple(f"v{i}" for i in range(k))) for k in ks)
+    X = DataTable(schema, np.where(miss, np.nan, vals), miss)
+    signal = vals[:, 0] + (vals[:, 5] % 2) + 0.3 * vals[:, 9]
+    y = (class_labels(np.digitize(signal, [0.5, 1.5]).tolist(), k=3) if kind == "class"
+         else reg_labels(signal))
+    params = ForestParams(n_trees=6, mtry=6)
+    whole = fit_forest(X, y, params, seed=2)
+    monkeypatch.setattr(forest_module, "_BLOCK", 700)
+    parts = fit_forest(X, y, params, seed=2)
+    for name in ("roots", "feature", "threshold", "majority_left", "left", "value", "leaf",
+                 "left_cats"):
+        a, b = getattr(whole, name), getattr(parts, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name

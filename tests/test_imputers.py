@@ -210,6 +210,19 @@ def test_engines_share_the_set_up_errors(engine, run):
         run(huge)
 
 
+def test_missforest_refuses_a_column_whose_node_sums_overflow():
+    # the mean (4.25e306) is finite, but a bootstrap's sums are not
+    n = 40
+    big = np.where(np.arange(n) < 17, 1e307, 0.0)
+    vals = np.column_stack([big, np.arange(n, dtype=float)])
+    miss = np.zeros((n, 2), dtype=bool)
+    miss[[30, 31], 0] = True
+    miss[[0, 35], 1] = True
+    t = table(np.where(miss, np.nan, vals), miss, schema=(cont("big"), cont("b")))
+    with pytest.raises(DataError, match="^target 'big' is too large"):
+        missforest_impute(t, small_params())
+
+
 def test_missforest_recovers_strong_linear_signal():
     rng = np.random.default_rng(5)
     n = 80
