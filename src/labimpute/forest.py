@@ -223,8 +223,8 @@ class _Grower:
         self.has_sub, self.has_prefix = min(ks, default=11) <= 10, max(ks, default=0) > 10
         self.has_cat = bool(ks)
         self.n_cut = (1 << k_sub - 1) - 1    # the subsets of the widest such column
-        # past[k, j]: subset j is not one of the 2^(k-1) - 1 cuts of k categories
-        self.past = np.arange(self.n_cut) >= (1 << np.arange(k_sub + 1) >> 1)[:, None] - 1
+        self.sub_ks = sorted({k for k in ks if k <= 10})
+        self.sub_ks_of_bit = list(range(2, k_sub + 1))   # doubling b adds to k > b + 1
         # a level's split positions, specs and categorical tables when none splits
         self.no_split = (np.zeros(0, dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
                          np.zeros((0, self.width), dtype=bool))
@@ -427,41 +427,47 @@ class _Grower:
         cq = ((pair_k > 0) & (pair_k <= 10)).nonzero()[0] if self.has_sub else self.no_split[0]
         if cq.size:
             Q = cq.size
+            cq = cq[pair_k[cq].argsort(kind="stable")]      # subset pairs by k, then pair
+            qk = pair_k[cq]
             q_of = np.full(pair_k.size, Q)
             q_of[cq] = ids[:Q]
             rq = q_of[r_pair]
             on_cat = (rq < Q).nonzero()[0]
             g[on_cat] = -np.inf
-            # per (pair, category): the channel sums, then the count
-            hist = np.zeros((max(self.C, 1) + 1, Q, w), dtype=np.int64)
+            # per (category, pair): the channel sums, then the count
+            hist = np.zeros((max(self.C, 1) + 1, w, Q), dtype=np.int64)
             if self.C:
                 size = (edges[1:] - first)[cq]              # the entries of the subset pairs
                 ent = np.repeat(first[cq] - size.cumsum() + size, size) + ids[:size.sum()]
-                cell = ((ys.take(ent) * Q + ids[:Q].repeat(size)) * w
-                        + key.take(ent) - cq.repeat(size) * K1)
-                hist[:-1] = np.bincount(cell, minlength=hist[0].size * self.C).reshape(self.C, Q, w)
+                cell = (((key.take(ent) - cq.repeat(size) * K1) * Q
+                         + ids[:Q].repeat(size)) * self.C + ys.take(ent))
+                hist[:-1] = np.bincount(cell, minlength=hist[0].size * self.C).reshape(
+                    w, Q, self.C).transpose(2, 0, 1)
                 hist[-1] = hist[:-1].sum(axis=0)
             else:
-                at = rq[on_cat], r_code[on_cat]
+                at = r_code[on_cat], rq[on_cat]
                 hist[0][at] = csum.take(r_end[on_cat]) - csum.take(r_start[on_cat])
                 hist[1][at] = (r_end - r_start)[on_cat]
-            no, tot, par = n_obs[cq, None], total.take(cq, axis=-1)[..., None], parent[cq, None]
-            cat_gain = np.empty((Q, self.n_cut))             # pair, subset
-            cat_nl = np.empty((Q, self.n_cut), dtype=np.int64)
+            no, tot, par = n_obs[cq], total.take(cq, axis=-1), parent[cq]
+            cat_gain = np.full((self.n_cut, Q), -np.inf)    # subset, pair
+            cat_nl = np.empty((self.n_cut, Q), dtype=np.int64)
             step = max(1, _BLOCK // (hist.shape[0] * (self.n_cut + 1)))
             for q0 in range(0, Q, step):
-                # subset j (bit c: category c goes left) sums at column j + 1;
-                # doubling b adds category b to the subsets before it
-                h, qs = hist[:, q0:q0 + step], slice(q0, q0 + step)
-                sub = np.zeros(h.shape[:2] + (self.n_cut + 1,), dtype=np.int64)
-                for b in range(self.n_cut.bit_length()):
-                    np.add(sub[..., :1 << b], h[..., b, None], out=sub[..., 1 << b:2 << b])
-                c = sub[..., 1:]
-                lsq, rsq = self._squares(c[:-1] if self.C else c[0], tot[..., qs, :])
-                cat_nl[qs] = c[-1]
-                cat_gain[qs] = self._gain(lsq, rsq, c[-1], no[qs] - c[-1], par[qs])
-            cat_gain[self.past[pair_k[cq]]] = -np.inf
-            g[pair_run[cq]] = cat_gain.max(axis=1, initial=-np.inf)   # stands in for the pair
+                # subset j (bit c: category c goes left) sums at row j + 1;
+                # doubling b adds category b to the pairs with k > b + 1
+                h, kq = hist[..., q0:q0 + step], qk[q0:q0 + step]
+                sub = np.zeros((h.shape[0], self.n_cut + 1, kq.size), dtype=np.int64)
+                for b, l in enumerate(kq.searchsorted(self.sub_ks_of_bit).tolist()):
+                    np.add(sub[:, :1 << b, l:], h[:, b, None, l:], out=sub[:, 1 << b:2 << b, l:])
+                lims = kq.searchsorted(self.sub_ks).tolist() + [kq.size]
+                for k, l, r in zip(self.sub_ks, lims, lims[1:]):
+                    if l < r:
+                        c, qs = sub[:, 1:1 << k - 1, l:r], slice(q0 + l, q0 + r)
+                        lsq, rsq = self._squares(c[:-1] if self.C else c[0], tot[..., None, qs])
+                        cat_nl[:(1 << k - 1) - 1, qs] = c[-1]
+                        cat_gain[:(1 << k - 1) - 1, qs] = self._gain(lsq, rsq, c[-1],
+                                                                     no[qs] - c[-1], par[qs])
+            g[pair_run[cq]] = cat_gain.max(axis=0, initial=-np.inf)   # stands in for the pair
 
         node_run = pair_run[::mtry]
         best = np.maximum.reduceat(g, node_run)
@@ -486,9 +492,9 @@ class _Grower:
                 cs = (is_cat & (kc <= 10)).nonzero()[0]
                 if cs.size:                      # the first passing subset
                     q = q_of[cp[cs]]
-                    j = (cat_gain[q] >= lim[cs, None]).argmax(axis=1)
+                    j = (cat_gain[:, q] >= lim[cs]).argmax(axis=0)
                     left_tab[cs] = ((j + 1)[:, None] >> self.code_ids) & 1
-                    spec[3, cs] = cat_nl[q, j]
+                    spec[3, cs] = cat_nl[j, q]
                 if pq.size:                      # the prefix through the passing run
                     cs = (is_cat & (kc > 10)).nonzero()[0]
                     left_tab[cs] = rank[p_of[cp[cs]]] <= r_code[run[cs], None]
