@@ -216,15 +216,14 @@ class _Grower:
         self.width = max(ks, default=0) + 1   # category codes and the miss code
         self.code_ids = np.arange(self.width)
         self.slots = np.arange(mtry)
-        self.ids = self.slots
+        self.ids = np.zeros(0, dtype=np.int64)   # grown by grow to every index range it slices
         # a column of up to 10 categories is cut by its 2^(k-1) - 1 subsets,
         # a wider one by prefixes of its categories in mean target order
-        k_sub = max((k for k in ks if k <= 10), default=1)
-        self.has_sub, self.has_prefix = min(ks, default=11) <= 10, max(ks, default=0) > 10
-        self.has_cat = bool(ks)
-        self.n_cut = (1 << k_sub - 1) - 1    # the subsets of the widest such column
         self.sub_ks = sorted({k for k in ks if k <= 10})
+        k_sub = max(self.sub_ks, default=1)
+        self.n_cut = (1 << k_sub - 1) - 1    # the subsets of the widest such column
         self.sub_ks_of_bit = list(range(2, k_sub + 1))   # doubling b adds to k > b + 1
+        self.has_prefix, self.has_cat = max(ks, default=0) > 10, bool(ks)
         # a level's split positions, specs and categorical tables when none splits
         self.no_split = (np.zeros(0, dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
                          np.zeros((0, self.width), dtype=bool))
@@ -243,7 +242,7 @@ class _Grower:
         n, T, C, ml = self.n, tree_keys.size, self.C, self.min_leaf
         # hashes of (tree key, position < n): a node's draw starts from the one at
         # its depth (no tree opens a node at depth n), bootstrap row i from the one at i
-        if self.ids.size < T * n * self.mtry:     # index ranges are slices of ids
+        if self.ids.size < T * n * self.mtry:
             self.ids = np.arange(T * n * self.mtry)
         depth_hash = _mix(tree_keys[:, None] ^ np.arange(n, dtype=np.uint64))
         rows = (_below(_mix(depth_hash ^ _BOOT_TAG), n).astype(np.int64).ravel() if bootstrap
@@ -424,7 +423,7 @@ class _Grower:
         g = self._gain(lsq, rsq, nl, n_obs[r_pair] - nl, parent[r_pair])
         pair_run = r_start.searchsorted(first)              # first run of each pair
 
-        cq = ((pair_k > 0) & (pair_k <= 10)).nonzero()[0] if self.has_sub else self.no_split[0]
+        cq = ((pair_k > 0) & (pair_k <= 10)).nonzero()[0] if self.sub_ks else self.no_split[0]
         if cq.size:
             Q = cq.size
             cq = cq[pair_k[cq].argsort(kind="stable")]      # subset pairs by k, then pair
