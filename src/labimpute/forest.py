@@ -215,14 +215,17 @@ class _Grower:
         ks = cat_sizes[cat].tolist()
         self.width = max(ks, default=0) + 1   # category codes and the miss code
         self.code_ids = np.arange(self.width)
-        self.slots = np.arange(mtry)
+        self.slots = np.arange(mtry)[:, None]
         self.ids = np.zeros(0, dtype=np.int64)   # grown by grow to every index range it slices
-        # a column of up to 10 categories is cut by its 2^(k-1) - 1 subsets,
-        # a wider one by prefixes of its categories in mean target order
-        self.sub_ks = sorted({k for k in ks if k <= 10})
-        k_sub = max(self.sub_ks, default=1)
+        # a column of 2 to 10 categories is cut by its 2^(k-1) - 1 subsets, a
+        # wider one by prefixes of its categories in mean target order (one
+        # category has no cut: its runs score -inf as a continuous column's)
+        self.is_sub = (cat_sizes > 1) & (cat_sizes <= 10)
+        k_sub = max([k for k in ks if k <= 10], default=1)
         self.n_cut = (1 << k_sub - 1) - 1    # the subsets of the widest such column
         self.sub_ks_of_bit = list(range(2, k_sub + 1))   # doubling b adds to k > b + 1
+        self.cuts_of_k = (1 << np.arange(k_sub + 1)) // 2 - 1   # subsets per k >= 1
+        self.cut_ids = np.arange(self.n_cut)
         self.has_prefix, self.has_cat = max(ks, default=0) > 10, bool(ks)
         # a level's split positions, specs and categorical tables when none splits
         self.no_split = (np.zeros(0, dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
@@ -332,13 +335,15 @@ class _Grower:
 
     def _squares(self, left, total):
         """The squared sums of both sides of cuts with integer left sums
-        `left` (channels first, squared in place) of the sums `total`."""
-        if not self.C:
-            left = left * 2.0 ** -self.shift
+        `left` (channels last) of the sums `total`."""
+        if self.C:
+            right = total - left
+            return np.einsum("ij,ij->i", left, left), np.einsum("ij,ij->i", right, right)
+        left = left * 2.0 ** -self.shift
         right = total - left
         left *= left
         right *= right
-        return (left.sum(axis=0), right.sum(axis=0)) if self.C else (left, right)
+        return left, right
 
     def _score(self, rows, snode, m, chan, y, feats, tol):
         """Best split of every open node, by the tie rule of the module.
@@ -359,8 +364,10 @@ class _Grower:
         K1, N, w = self.K1, rows.size * mtry, self.width
         pair_feat = feats.ravel()
         pair_k = self.cat_sizes[pair_feat]
-        pair_e = (snode * mtry)[:, None] + self.slots       # the pair of each entry
-        codes = self.codes.take((pair_feat * self.n).take(pair_e) + rows[:, None])
+        # entry e is slot e // R of row position e % R (R = rows.size), so
+        # take(..., mode="wrap") reads a row's value at its entries
+        pair_e = snode * mtry + self.slots[:, None]         # the pair of each entry
+        codes = self.codes.take((pair_feat * self.n).take(pair_e) + rows)
         ids = self.ids
         pq = (pair_k > 10).nonzero()[0] if self.has_prefix else self.no_split[0]
         if pq.size:
@@ -373,7 +380,8 @@ class _Grower:
             flat = codes.ravel()
             at = on[sel] * w + flat[sel]
             cnt = np.bincount(at, minlength=pq.size * w).reshape(-1, w)
-            sums = np.bincount(at, weights=y.take(sel // mtry), minlength=cnt.size).reshape(-1, w)
+            sums = np.bincount(at, weights=y.take(sel, mode="wrap"),
+                               minlength=cnt.size).reshape(-1, w)
             mean = np.divide(sums, cnt, out=np.full(cnt.shape, np.inf),
                              where=(cnt > 0) & (self.code_ids < pair_k[pq, None]))
             rank = mean.argsort(axis=1, kind="stable").argsort(axis=1)
@@ -381,9 +389,14 @@ class _Grower:
         key = (pair_e * K1 + codes).ravel()
         order = key.argsort()
         key = key[order]
-        bounds = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1, [N]))
+        new = np.empty(N + 1, dtype=bool)
+        new[0] = new[N] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:N])
+        bounds = new.nonzero()[0]
         r_start, r_end = bounds[:-1], bounds[1:]            # runs of equal keys
-        r_pair, r_code = np.divmod(key[r_start], K1)
+        r_key = key[r_start]
+        r_pair = r_key // K1
+        r_code = r_key - r_pair * K1
         edges = np.concatenate(([0], m.repeat(mtry).cumsum()))
         first, upper = edges[:-1], edges[1:]                # where each pair starts and ends
         if self.has_miss:                                   # its observed entries end
@@ -399,7 +412,7 @@ class _Grower:
             # entries of the pair in the same class) + 1, and sum_c T_c L_c =
             # the sum of T at their classes (T: the pair's observed counts).
             # Missing entries, last in their pair, count in class C.
-            P, e_pair, ys = pair_feat.size, key // K1, y.take(order // mtry)
+            P, e_pair, ys = pair_feat.size, key // K1, y.take(order, mode="wrap")
             yo = ys if not self.has_miss else np.where(
                 ids[:N] < upper.take(e_pair), ys, self.C)
             gid = yo * P + e_pair
@@ -415,7 +428,7 @@ class _Grower:
             rsq = tsq.take(r_pair) - 2 * lt + lsq
         else:
             csum = np.zeros(N + 1, dtype=np.int64)
-            chan.take(order // mtry).cumsum(out=csum[1:])
+            chan.take(order, mode="wrap").cumsum(out=csum[1:])
             total = (csum.take(upper) - csum.take(first)) * 2.0 ** -self.shift
             tsq = total * total
             lsq, rsq = self._squares(csum.take(r_end) - csum.take(fr), total.take(r_pair))
@@ -423,7 +436,7 @@ class _Grower:
         g = self._gain(lsq, rsq, nl, n_obs[r_pair] - nl, parent[r_pair])
         pair_run = r_start.searchsorted(first)              # first run of each pair
 
-        cq = ((pair_k > 0) & (pair_k <= 10)).nonzero()[0] if self.sub_ks else self.no_split[0]
+        cq = self.is_sub.take(pair_feat).nonzero()[0] if self.n_cut else self.no_split[0]
         if cq.size:
             Q = cq.size
             cq = cq[pair_k[cq].argsort(kind="stable")]      # subset pairs by k, then pair
@@ -434,39 +447,43 @@ class _Grower:
             on_cat = (rq < Q).nonzero()[0]
             g[on_cat] = -np.inf
             # per (category, pair): the channel sums, then the count
-            hist = np.zeros((max(self.C, 1) + 1, w, Q), dtype=np.int64)
+            hist = np.zeros((w, Q, max(self.C, 1) + 1), dtype=np.int64)
             if self.C:
                 size = (edges[1:] - first)[cq]              # the entries of the subset pairs
                 ent = np.repeat(first[cq] - size.cumsum() + size, size) + ids[:size.sum()]
                 cell = (((key.take(ent) - cq.repeat(size) * K1) * Q
                          + ids[:Q].repeat(size)) * self.C + ys.take(ent))
-                hist[:-1] = np.bincount(cell, minlength=hist[0].size * self.C).reshape(
-                    w, Q, self.C).transpose(2, 0, 1)
-                hist[-1] = hist[:-1].sum(axis=0)
+                hist[..., :-1] = np.bincount(cell, minlength=w * Q * self.C).reshape(w, Q, self.C)
+                hist[..., -1] = hist[..., :-1].sum(axis=-1)
             else:
                 at = r_code[on_cat], rq[on_cat]
-                hist[0][at] = csum.take(r_end[on_cat]) - csum.take(r_start[on_cat])
-                hist[1][at] = (r_end - r_start)[on_cat]
-            no, tot, par = n_obs[cq], total.take(cq, axis=-1), parent[cq]
-            cat_gain = np.full((self.n_cut, Q), -np.inf)    # subset, pair
-            cat_nl = np.empty((self.n_cut, Q), dtype=np.int64)
-            step = max(1, _BLOCK // (hist.shape[0] * (self.n_cut + 1)))
+                hist[at + (0,)] = csum.take(r_end[on_cat]) - csum.take(r_start[on_cat])
+                hist[at + (1,)] = (r_end - r_start)[on_cat]
+            no, tot, par = n_obs[cq], total.take(cq, axis=-1).T, parent[cq]
+            # pair q's subset j scores at cut_at[q] + j (pairs in k order)
+            n_cut = self.cuts_of_k.take(qk)
+            cut_at = n_cut.cumsum() - n_cut
+            cat_gain = np.empty(cut_at[-1] + n_cut[-1])
+            cat_nl = np.empty(cat_gain.size, dtype=np.int64)
+            step = max(1, _BLOCK // (hist.shape[-1] * (self.n_cut + 1)))
             for q0 in range(0, Q, step):
                 # subset j (bit c: category c goes left) sums at row j + 1;
                 # doubling b adds category b to the pairs with k > b + 1
-                h, kq = hist[..., q0:q0 + step], qk[q0:q0 + step]
-                sub = np.zeros((h.shape[0], self.n_cut + 1, kq.size), dtype=np.int64)
+                h, kq, nq = hist[:, q0:q0 + step], qk[q0:q0 + step], n_cut[q0:q0 + step]
+                Qb, e0 = kq.size, cut_at[q0]
+                sub = np.zeros((self.n_cut + 1, Qb, h.shape[-1]), dtype=np.int64)
                 for b, l in enumerate(kq.searchsorted(self.sub_ks_of_bit).tolist()):
-                    np.add(sub[:, :1 << b, l:], h[:, b, None, l:], out=sub[:, 1 << b:2 << b, l:])
-                lims = kq.searchsorted(self.sub_ks).tolist() + [kq.size]
-                for k, l, r in zip(self.sub_ks, lims, lims[1:]):
-                    if l < r:
-                        c, qs = sub[:, 1:1 << k - 1, l:r], slice(q0 + l, q0 + r)
-                        lsq, rsq = self._squares(c[:-1] if self.C else c[0], tot[..., None, qs])
-                        cat_nl[:(1 << k - 1) - 1, qs] = c[-1]
-                        cat_gain[:(1 << k - 1) - 1, qs] = self._gain(lsq, rsq, c[-1],
-                                                                     no[qs] - c[-1], par[qs])
-            g[pair_run[cq]] = cat_gain.max(axis=0, initial=-np.inf)   # stands in for the pair
+                    np.add(sub[:1 << b, l:], h[b, l:], out=sub[1 << b:2 << b, l:])
+                # every pair's own subsets, pair by pair, in one pass
+                e1 = e0 + int(nq.sum())
+                c = sub.reshape(-1, sub.shape[-1]).take(
+                    Qb * np.arange(e1 - e0) + (Qb * (1 + e0 - cut_at[q0:q0 + Qb]) + ids[:Qb]).repeat(nq),
+                    axis=0)
+                qe = ids[q0:q0 + Qb].repeat(nq)
+                nl = cat_nl[e0:e1] = c[:, -1]
+                lsq, rsq = self._squares(c[:, :-1] if self.C else c[:, 0], tot.take(qe, axis=0))
+                cat_gain[e0:e1] = self._gain(lsq, rsq, nl, no.take(qe) - nl, par.take(qe))
+            g[pair_run[cq]] = np.maximum.reduceat(cat_gain, cut_at)   # stands in for the pair
 
         node_run = pair_run[::mtry]
         best = np.maximum.reduceat(g, node_run)
@@ -491,9 +508,11 @@ class _Grower:
                 cs = (is_cat & (kc <= 10)).nonzero()[0]
                 if cs.size:                      # the first passing subset
                     q = q_of[cp[cs]]
-                    j = (cat_gain[:, q] >= lim[cs]).argmax(axis=0)
+                    at = cut_at[q, None] + self.cut_ids
+                    j = ((cat_gain.take(at, mode="clip") >= lim[cs, None])
+                         & (self.cut_ids < n_cut[q, None])).argmax(axis=1)
                     left_tab[cs] = ((j + 1)[:, None] >> self.code_ids) & 1
-                    spec[3, cs] = cat_nl[j, q]
+                    spec[3, cs] = cat_nl.take(cut_at[q] + j)
                 if pq.size:                      # the prefix through the passing run
                     cs = (is_cat & (kc > 10)).nonzero()[0]
                     left_tab[cs] = rank[p_of[cp[cs]]] <= r_code[run[cs], None]
