@@ -239,6 +239,7 @@ class _Grower:
         # most n targets scaled into [-1, 1]
         self.shift = 0 if n_classes else 62 - self.n.bit_length()
 
+    @np.errstate(divide="ignore", invalid="ignore")   # gains of cuts _gain masks
     def grow(self, tree_keys: np.ndarray, bootstrap: bool) -> list:
         """Grow one tree per key, roots in key order; returns the levels:
         (node values, split positions, split specs, categorical tables)."""
@@ -302,12 +303,12 @@ class _Grower:
                 go = ok[node]
                 s, rows, pos = node[go], rows[go], pos[go]
                 node = (ok.cumsum() - 1)[s]
-            f, cut, _, major = spec.take(s, axis=1)
-            c = self.codes.take(f * n + rows)
-            right = c > cut
+            c = self.codes.take((spec[0] * n).take(s) + rows)
+            right = c > spec[1].take(s)
             if left_tab is not None:
                 right &= ~left_tab.ravel().take(s * self.width + np.minimum(c, self.width - 1))
             if self.has_miss:
+                f, major = spec[0::3].take(s, axis=1)
                 right = np.where(c == self.miss_code[f], major == 0, right)
             child = 2 * node + right
             m = np.bincount(child, minlength=2 * len(levels[-1][1]))
@@ -326,10 +327,12 @@ class _Grower:
 
     def _gain(self, lsq, rsq, nl, nr, parent):
         """Impurity decrease, in count units, of cuts whose sides hold nl and
-        nr observed rows with squared sums lsq and rsq; -inf below min_leaf."""
-        g = lsq / np.maximum(nl, 1)
+        nr observed rows with squared sums lsq and rsq; -inf below min_leaf
+        (min_leaf >= 1, so the masked cuts are those that divide by nl or nr
+        below 1)."""
+        g = lsq / nl
         g -= parent
-        g += rsq / np.maximum(nr, 1)
+        g += rsq / nr
         np.putmask(g, np.minimum(nl, nr) < self.min_leaf, -np.inf)
         return g
 
