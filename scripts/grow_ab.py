@@ -47,7 +47,8 @@ def capture(workload: str, seed: int) -> list:
     """(grower arguments, [(tree keys, bootstrap), ...], batch starts) of
     every fit in one pass of the workload."""
     workloads = _load(ROOT / "bench" / "workloads.py", "bench_workloads")
-    fits, init, grow, build = [], forest._Grower.__init__, forest._Grower.grow, forest._Grower._build
+    fits, G = [], forest._Grower
+    init, grow, build = G.__init__, G.grow, G._build
 
     def init_spy(self, *args):
         self._fit = ([np.array(a, copy=True) if isinstance(a, np.ndarray) else a
@@ -63,8 +64,7 @@ def capture(workload: str, seed: int) -> list:
         self._fit[2].extend(firsts)
         return build(self, levels, firsts)
 
-    forest._Grower.__init__, forest._Grower.grow, forest._Grower._build = (
-        init_spy, grow_spy, build_spy)
+    G.__init__, G.grow, G._build = init_spy, grow_spy, build_spy
     try:
         with tempfile.TemporaryDirectory() as tmp:
             w = workloads.WORKLOADS[workload](False, Path(tmp))
@@ -75,7 +75,7 @@ def capture(workload: str, seed: int) -> list:
                 fits.clear()                  # the set-up fits no forest; keep the pass
                 w.run_pass(state)
     finally:
-        forest._Grower.__init__, forest._Grower.grow, forest._Grower._build = init, grow, build
+        G.__init__, G.grow, G._build = init, grow, build
     return fits
 
 

@@ -223,7 +223,7 @@ class _Grower:
         self.is_sub = (cat_sizes > 1) & (cat_sizes <= 10)
         k_sub = max([k for k in ks if k <= 10], default=1)
         self.n_cut = (1 << k_sub - 1) - 1    # the subsets of the widest such column
-        self.sub_ks_of_bit = list(range(2, k_sub + 1))   # doubling b adds to k > b + 1
+        self.n_bits = k_sub - 1               # a subset's categories but the last
         self.cuts_of_k = (1 << np.arange(k_sub + 1)) // 2 - 1   # subsets per k >= 1
         self.cut_ids = np.arange(self.n_cut)
         self.has_prefix, self.has_cat = max(ks, default=0) > 10, bool(ks)
@@ -420,7 +420,7 @@ class _Grower:
                 ids[:N] < upper.take(e_pair), ys, self.C)
             gid = yo * P + e_pair
             count = np.bincount(gid, minlength=(self.C + 1) * P)
-            csum = np.zeros((2, N + 1), dtype=np.int64)   # row 0 in (class, pair) order, then sorted
+            csum = np.zeros((2, N + 1), dtype=np.int64)   # row 0: (class, pair) order, then sorted
             csum[0, 1:][yo.astype(self.class_dtype).argsort(kind="stable")] = 2 * (
                 ids[:N] - (count.cumsum() - count).repeat(count)) + 1
             count.take(gid, out=csum[1, 1:])
@@ -442,8 +442,6 @@ class _Grower:
         cq = self.is_sub.take(pair_feat).nonzero()[0] if self.n_cut else self.no_split[0]
         if cq.size:
             Q = cq.size
-            cq = cq[pair_k[cq].argsort(kind="stable")]      # subset pairs by k, then pair
-            qk = pair_k[cq]
             q_of = np.full(pair_k.size, Q)
             q_of[cq] = ids[:Q]
             rq = q_of[r_pair]
@@ -463,25 +461,25 @@ class _Grower:
                 hist[at + (0,)] = csum.take(r_end[on_cat]) - csum.take(r_start[on_cat])
                 hist[at + (1,)] = (r_end - r_start)[on_cat]
             no, tot, par = n_obs[cq], total.take(cq, axis=-1).T, parent[cq]
-            # pair q's subset j scores at cut_at[q] + j (pairs in k order)
-            n_cut = self.cuts_of_k.take(qk)
+            # pair q's subset j scores at cut_at[q] + j
+            n_cut = self.cuts_of_k.take(pair_k[cq])
             cut_at = n_cut.cumsum() - n_cut
             cat_gain = np.empty(cut_at[-1] + n_cut[-1])
             cat_nl = np.empty(cat_gain.size, dtype=np.int64)
             step = max(1, _BLOCK // (hist.shape[-1] * (self.n_cut + 1)))
             for q0 in range(0, Q, step):
-                # subset j (bit c: category c goes left) sums at row j + 1;
-                # doubling b adds category b to the pairs with k > b + 1
-                h, kq, nq = hist[:, q0:q0 + step], qk[q0:q0 + step], n_cut[q0:q0 + step]
-                Qb, e0 = kq.size, cut_at[q0]
+                # subset j (bit c: category c goes left) sums at row j + 1,
+                # by doubling, up to the widest column's subsets
+                h, nq = hist[:, q0:q0 + step], n_cut[q0:q0 + step]
+                Qb, e0 = nq.size, cut_at[q0]
                 sub = np.zeros((self.n_cut + 1, Qb, h.shape[-1]), dtype=np.int64)
-                for b, l in enumerate(kq.searchsorted(self.sub_ks_of_bit).tolist()):
-                    np.add(sub[:1 << b, l:], h[b, l:], out=sub[1 << b:2 << b, l:])
+                for b in range(self.n_bits):
+                    np.add(sub[:1 << b], h[b], out=sub[1 << b:2 << b])
                 # every pair's own subsets, pair by pair, in one pass
                 e1 = e0 + int(nq.sum())
-                c = sub.reshape(-1, sub.shape[-1]).take(
-                    Qb * np.arange(e1 - e0) + (Qb * (1 + e0 - cut_at[q0:q0 + Qb]) + ids[:Qb]).repeat(nq),
-                    axis=0)
+                row = Qb * (1 + e0 - cut_at[q0:q0 + Qb]) + ids[:Qb]   # subset j at row + Qb * e
+                c = sub.reshape(-1, sub.shape[-1]).take(Qb * np.arange(e1 - e0) + row.repeat(nq),
+                                                        axis=0)
                 qe = ids[q0:q0 + Qb].repeat(nq)
                 nl = cat_nl[e0:e1] = c[:, -1]
                 lsq, rsq = self._squares(c[:, :-1] if self.C else c[:, 0], tot.take(qe, axis=0))

@@ -647,8 +647,10 @@ def test_fit_rejects_a_target_whose_node_sums_overflow(target):
 def test_a_one_category_feature_alone_does_not_split():
     rng = np.random.default_rng(0)
     n = 40
-    schema = (ColumnSchema("x", ColumnKind.CONTINUOUS), ColumnSchema("one", ColumnKind.CATEGORICAL, ("a",)))
-    X = DataTable(schema, np.column_stack([rng.normal(size=n), np.zeros(n)]), np.zeros((n, 2), dtype=bool))
+    schema = (ColumnSchema("x", ColumnKind.CONTINUOUS),
+              ColumnSchema("one", ColumnKind.CATEGORICAL, ("a",)))
+    X = DataTable(schema, np.column_stack([rng.normal(size=n), np.zeros(n)]),
+                  np.zeros((n, 2), dtype=bool))
     y = class_labels((X.values[:, 0] > 0).astype(int).tolist(), k=2)
     model = fit_forest(X, y, ForestParams(n_trees=5, mtry=1), seed=1)
     assert not (model.feature[~model.leaf] == 1).any()
