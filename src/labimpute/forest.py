@@ -19,8 +19,10 @@ cut at the end of a run of equal codes: target sums for regression, and
 for classification the sum of squared left class counts and its cross term
 with the node's class totals, both from each entry's count of the earlier
 entries of its class (one radix sort of the class codes), so that a
-level's work does not grow with the class count.  Columns of up to 10
-categories sum their runs per category and all their subsets by doubling.
+level's work does not grow with the class count.  Columns of 2 to 10
+categories sum their runs per category, every such pair's subsets by
+doubling up to the widest column's, and then score each pair's own subsets
+in one pass over the level.
 Regression targets are centred and scaled per node and summed in fixed
 point, so every sum is exact whichever nodes and trees share a step.
 
@@ -215,11 +217,11 @@ class _Grower:
         ks = cat_sizes[cat].tolist()
         self.width = max(ks, default=0) + 1   # category codes and the miss code
         self.code_ids = np.arange(self.width)
-        self.slots = np.arange(mtry)[:, None]
+        self.slots = np.arange(mtry)[:, None]   # an entry's slot, as a column
         self.ids = np.zeros(0, dtype=np.int64)   # grown by grow to every index range it slices
         # a column of 2 to 10 categories is cut by its 2^(k-1) - 1 subsets, a
-        # wider one by prefixes of its categories in mean target order (one
-        # category has no cut: its runs score -inf as a continuous column's)
+        # wider one by prefixes of its categories in mean target order; one of
+        # a single category is scored as a continuous one, every cut -inf
         self.is_sub = (cat_sizes > 1) & (cat_sizes <= 10)
         k_sub = max([k for k in ks if k <= 10], default=1)
         self.n_cut = (1 << k_sub - 1) - 1    # the subsets of the widest such column
@@ -359,9 +361,10 @@ class _Grower:
         give the cut at each run's end its squared left and right sums:
         fixed-point targets, or for classes an entry's earlier entries of
         its class in the pair and its class total.  A pair cut by subsets
-        sums its runs per category and its subsets by doubling; its best cut
-        stands at its first run.  A node takes the first run, in (slot, code)
-        order, that passes its tolerance.
+        sums its runs per category; the level's subset pairs then sum their
+        subsets by doubling and score their own subsets in one pass, and a
+        pair's best cut stands at its first run.  A node takes the first run,
+        in (slot, code) order, that passes its tolerance.
         """
         S, mtry = feats.shape
         K1, N, w = self.K1, rows.size * mtry, self.width
@@ -369,7 +372,7 @@ class _Grower:
         pair_k = self.cat_sizes[pair_feat]
         # entry e is slot e // R of row position e % R (R = rows.size), so
         # take(..., mode="wrap") reads a row's value at its entries
-        pair_e = snode * mtry + self.slots[:, None]         # the pair of each entry
+        pair_e = snode * mtry + self.slots                  # the pair of each entry
         codes = self.codes.take((pair_feat * self.n).take(pair_e) + rows)
         ids = self.ids
         pq = (pair_k > 10).nonzero()[0] if self.has_prefix else self.no_split[0]
