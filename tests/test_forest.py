@@ -656,10 +656,11 @@ def test_a_one_category_feature_alone_does_not_split():
     assert not (model.feature[~model.leaf] == 1).any()
 
 
+@pytest.mark.parametrize("block", [700, 1 << 14])
 @pytest.mark.parametrize("kind", ["class", "regression"])
-def test_subset_blocks_grow_the_same_trees(kind, monkeypatch):
+def test_subset_blocks_grow_the_same_trees(kind, block, monkeypatch):
     # categoricals of k = 2..10 with missing cells; a small _BLOCK splits a
-    # level's subset pairs into many blocks
+    # level's subset pairs into blocks of one pair (700) or of several
     rng = np.random.default_rng(11)
     n = 150
     ks = range(2, 11)
@@ -673,7 +674,7 @@ def test_subset_blocks_grow_the_same_trees(kind, monkeypatch):
          else reg_labels(signal))
     params = ForestParams(n_trees=6, mtry=6)
     whole = fit_forest(X, y, params, seed=2)
-    monkeypatch.setattr(forest_module, "_BLOCK", 700)
+    monkeypatch.setattr(forest_module, "_BLOCK", block)
     parts = fit_forest(X, y, params, seed=2)
     for name in ("roots", "feature", "threshold", "majority_left", "left", "value", "leaf",
                  "left_cats"):
