@@ -218,7 +218,6 @@ class _Grower:
         self.width = max(ks, default=0) + 1   # category codes and the miss code
         self.code_ids = np.arange(self.width)
         self.slots = np.arange(mtry)[:, None]   # an entry's slot, as a column
-        self.ids = np.zeros(0, dtype=np.int64)   # grown by grow to every index range it slices
         # a column of 2 to 10 categories is cut by its 2^(k-1) - 1 subsets, a
         # wider one by prefixes of its categories in mean target order; one of
         # a single category is scored as a continuous one, every cut -inf
@@ -241,21 +240,18 @@ class _Grower:
         # most n targets scaled into [-1, 1]
         self.shift = 0 if n_classes else 62 - self.n.bit_length()
 
-    @np.errstate(divide="ignore", invalid="ignore")   # gains of cuts _gain masks
     def grow(self, tree_keys: np.ndarray, bootstrap: bool) -> list:
         """Grow one tree per key, roots in key order; returns the levels:
         (node values, split positions, split specs, categorical tables)."""
         n, T, C, ml = self.n, tree_keys.size, self.C, self.min_leaf
         # hashes of (tree key, position < n): a node's draw starts from the one at
         # its depth (no tree opens a node at depth n), bootstrap row i from the one at i
-        if self.ids.size < T * n * self.mtry:
-            self.ids = np.arange(T * n * self.mtry)
         depth_hash = _mix(tree_keys[:, None] ^ np.arange(n, dtype=np.uint64))
         rows = (_below(_mix(depth_hash ^ _BOOT_TAG), n).astype(np.int64).ravel() if bootstrap
-                else np.tile(self.ids[:n], T))    # each tree's n rows, back to back
+                else np.tile(np.arange(n), T))    # each tree's n rows, back to back
         pos = np.arange(T * n, dtype=np.uint64) % np.uint64(n)   # bootstrap position
-        node = self.ids[:T].repeat(n)
-        tree = self.ids[:T]                   # tree of each node
+        node = np.arange(T).repeat(n)
+        tree = np.arange(T)                   # tree of each node
         m = np.full(T, n)                     # rows of each node
         levels, depth = [], 0
         while True:
@@ -332,9 +328,10 @@ class _Grower:
         nr observed rows with squared sums lsq and rsq; -inf below min_leaf
         (min_leaf >= 1, so the masked cuts are those that divide by nl or nr
         below 1)."""
-        g = lsq / nl
+        with np.errstate(divide="ignore", invalid="ignore"):   # masked below
+            g, gr = lsq / nl, rsq / nr
         g -= parent
-        g += rsq / nr
+        g += gr
         np.putmask(g, np.minimum(nl, nr) < self.min_leaf, -np.inf)
         return g
 
@@ -371,16 +368,17 @@ class _Grower:
         pair_feat = feats.ravel()
         pair_k = self.cat_sizes[pair_feat]
         # entry e is slot e // R of row position e % R (R = rows.size), so
-        # take(..., mode="wrap") reads a row's value at its entries
+        # take(..., mode="wrap") reads a row's value at its entries; a
+        # per-row array of another length would wrap to wrong rows
+        assert y.size == chan.size == rows.size
         pair_e = snode * mtry + self.slots                  # the pair of each entry
         codes = self.codes.take((pair_feat * self.n).take(pair_e) + rows)
-        ids = self.ids
         pq = (pair_k > 10).nonzero()[0] if self.has_prefix else self.no_split[0]
         if pq.size:
             # the mean target of each (prefix pair, category), summed in row
             # order; absent categories, then the missing code, rank last
             p_of = np.full(pair_k.size, pq.size)
-            p_of[pq] = ids[:pq.size]
+            p_of[pq] = np.arange(pq.size)
             on = p_of.take(pair_e).ravel()
             sel = (on < pq.size).nonzero()[0]               # entries of prefix pairs
             flat = codes.ravel()
@@ -420,12 +418,12 @@ class _Grower:
             # Missing entries, last in their pair, count in class C.
             P, e_pair, ys = pair_feat.size, key // K1, y.take(order, mode="wrap")
             yo = ys if not self.has_miss else np.where(
-                ids[:N] < upper.take(e_pair), ys, self.C)
+                np.arange(N) < upper.take(e_pair), ys, self.C)
             gid = yo * P + e_pair
             count = np.bincount(gid, minlength=(self.C + 1) * P)
             csum = np.zeros((2, N + 1), dtype=np.int64)   # row 0: (class, pair) order, then sorted
             csum[0, 1:][yo.astype(self.class_dtype).argsort(kind="stable")] = 2 * (
-                ids[:N] - (count.cumsum() - count).repeat(count)) + 1
+                np.arange(N) - (count.cumsum() - count).repeat(count)) + 1
             count.take(gid, out=csum[1, 1:])
             np.cumsum(csum[:, 1:], axis=1, out=csum[:, 1:])
             lsq, lt = csum.take(r_end, axis=1) - csum.take(fr, axis=1)
@@ -446,7 +444,7 @@ class _Grower:
         if cq.size:
             Q = cq.size
             q_of = np.full(pair_k.size, Q)
-            q_of[cq] = ids[:Q]
+            q_of[cq] = np.arange(Q)
             rq = q_of[r_pair]
             on_cat = (rq < Q).nonzero()[0]
             g[on_cat] = -np.inf
@@ -454,9 +452,9 @@ class _Grower:
             hist = np.zeros((w, Q, max(self.C, 1) + 1), dtype=np.int64)
             if self.C:
                 size = (edges[1:] - first)[cq]              # the entries of the subset pairs
-                ent = np.repeat(first[cq] - size.cumsum() + size, size) + ids[:size.sum()]
+                ent = np.repeat(first[cq] - size.cumsum() + size, size) + np.arange(size.sum())
                 cell = (((key.take(ent) - cq.repeat(size) * K1) * Q
-                         + ids[:Q].repeat(size)) * self.C + ys.take(ent))
+                         + np.arange(Q).repeat(size)) * self.C + ys.take(ent))
                 hist[..., :-1] = np.bincount(cell, minlength=w * Q * self.C).reshape(w, Q, self.C)
                 hist[..., -1] = hist[..., :-1].sum(axis=-1)
             else:
@@ -480,10 +478,11 @@ class _Grower:
                     np.add(sub[:1 << b], h[b], out=sub[1 << b:2 << b])
                 # every pair's own subsets, pair by pair, in one pass
                 e1 = e0 + int(nq.sum())
-                row = Qb * (1 + e0 - cut_at[q0:q0 + Qb]) + ids[:Qb]   # subset j at row + Qb * e
+                # pair q's subset j sits at row[q] + Qb * (its flat index - e0)
+                row = Qb * (1 + e0 - cut_at[q0:q0 + Qb]) + np.arange(Qb)
                 c = sub.reshape(-1, sub.shape[-1]).take(Qb * np.arange(e1 - e0) + row.repeat(nq),
                                                         axis=0)
-                qe = ids[q0:q0 + Qb].repeat(nq)
+                qe = np.arange(q0, q0 + Qb).repeat(nq)
                 nl = cat_nl[e0:e1] = c[:, -1]
                 lsq, rsq = self._squares(c[:, :-1] if self.C else c[:, 0], tot.take(qe, axis=0))
                 cat_gain[e0:e1] = self._gain(lsq, rsq, nl, no.take(qe) - nl, par.take(qe))
@@ -495,7 +494,7 @@ class _Grower:
         if not ok.any():
             return None
         lim = best - tol
-        run = np.minimum.reduceat(np.where(g >= lim[r_pair // mtry], ids[:g.size], g.size),
+        run = np.minimum.reduceat(np.where(g >= lim[r_pair // mtry], np.arange(g.size), g.size),
                                   node_run)
         cp, end = r_pair[run], r_end[run]
         # feature, cut code (-1: categorical), next code, rows left (then:
